@@ -22,7 +22,6 @@ from .kinetics import (
     locus_point,
     locus_sweep,
     u_plus_bounds,
-    zero_dissipation_u_plus,
 )
 from .model import (
     ScalarParams,

@@ -31,6 +31,8 @@ def _json_ready(obj):
         return {k: _json_ready(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_json_ready(v) for v in obj]
+    if isinstance(obj, (bool, np.bool_)):  # before int: bool subclasses int
+        return bool(obj)
     if isinstance(obj, (float, np.floating)):
         return float(obj)
     if isinstance(obj, (int, np.integer)):
@@ -236,7 +238,7 @@ def _build_sim_config(args):
     return pde.SimConfig(
         beta=beta, mu=mu, x_min=args.x_min, x_max=args.x_max, nx=args.nx,
         dt=args.dt, t_end=args.t_end, bc=pde.BoundaryCondition(args.bc),
-        initial=init, upwind_blend=args.upwind_blend,
+        initial=init,
     )
 
 
@@ -258,8 +260,8 @@ def _cmd_simulate(args):
     params = _params_dict(args, ["uL", "uR", "beta", "mu", "x_min", "x_max",
                                  "nx", "dt", "t_end", "bc", "initial",
                                  "steepness", "tw_a", "tw_branch",
-                                 "upwind_blend", "snapshot_every",
-                                 "speed_fit", "snapshot_profiles", "preset"])
+                                 "snapshot_every", "speed_fit",
+                                 "snapshot_profiles", "preset"])
     cfg = _build_sim_config(args)
     snap_times = ()
     if args.snapshot_every:
@@ -426,8 +428,6 @@ def build_parser():
                    help="locus parameter a for --initial tw")
     s.add_argument("--tw-branch", dest="tw_branch",
                    choices=["plus", "minus"], default="minus")
-    s.add_argument("--upwind-blend", dest="upwind_blend", type=float,
-                   default=0.0)
     s.add_argument("--snapshot-every", dest="snapshot_every", type=float,
                    help="record snapshots every this many time units")
     s.add_argument("--speed-fit", dest="speed_fit",

@@ -218,12 +218,6 @@ def entropy_integral(u_minus, u_plus):
     return antideriv(u_minus) - antideriv(u_plus)
 
 
-def zero_dissipation_u_plus(u_minus):
-    """Companion state in the gamma -> 0 limit, where the locus degenerates
-    to the symmetric pairing u_+ = -u_-."""
-    return -u_minus
-
-
 def locus_sweep(gamma, n=101):
     """KineticPoints on an a-grid over both branches (plus first)."""
     at = a_tilde(gamma)

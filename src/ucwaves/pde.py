@@ -8,10 +8,13 @@ CFL-like time steps.  mu < 0 (the linearly unstable regime) is accepted so
 the growth of short waves can be observed; the solve then loses diagonal
 dominance but remains an ordinary banded LU.
 
-Periodic runs solve the implicit system by FFT diagonalization instead of
-the banded factorization.
+One ghost-cell stencil serves every boundary condition, which only names
+the two values outside the grid.  Only the implicit solve differs: FFT
+diagonalization for periodic runs, banded LU with the condition's own
+boundary rows otherwise.
 """
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
@@ -39,6 +42,10 @@ class SmoothedRiemann:
     u_right: float
     steepness: float
 
+    def profile(self, x, mu):
+        return 0.5 * ((self.u_right - self.u_left) * np.tanh(self.steepness * x)
+                      + (self.u_right + self.u_left))
+
 
 @dataclass(frozen=True)
 class TravelingWaveSeed:
@@ -52,10 +59,21 @@ class TravelingWaveSeed:
     point: KineticPoint
     center: float = 0.0
 
+    def profile(self, x, mu):
+        return traveling_wave_profile(self.point, mu, x, self.center)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class CustomProfile:
+    """u = fn(x); compared and hashed by identity, so fn need not hash."""
+
     fn: object  # callable x-array -> u-array
+
+    def profile(self, x, mu):
+        u = np.asarray(self.fn(x), dtype=float)
+        if u.shape != x.shape:
+            raise DomainError("custom profile must return one value per grid point")
+        return u
 
 
 @dataclass(frozen=True)
@@ -66,10 +84,9 @@ class SimConfig:
     x_max: float
     nx: int
     t_end: float
-    initial: object
+    initial: object  # hashable, with profile(x, mu) -> u on the grid x
     dt: float | None = None
     bc: BoundaryCondition = BoundaryCondition.DIRICHLET_FARFIELD
-    upwind_blend: float = 0.0
 
     def __post_init__(self):
         bad = []
@@ -85,8 +102,9 @@ class SimConfig:
             bad.append(f"dt={self.dt!r} (must be > 0)")
         if self.t_end < 0:
             bad.append(f"t_end={self.t_end!r} (must be >= 0)")
-        if not 0.0 <= self.upwind_blend <= 1.0:
-            bad.append(f"upwind_blend={self.upwind_blend!r} (must be in [0, 1])")
+        init = self.initial  # must hash: operators are cached per config
+        if not callable(getattr(init, "profile", None)) or type(init).__hash__ is None:
+            bad.append(f"initial={init!r} (needs a profile(x, mu) method and a hash)")
         if bad:
             raise DomainError("invalid SimConfig: " + "; ".join(bad))
 
@@ -122,18 +140,7 @@ def traveling_wave_profile(point: KineticPoint, mu, x, center=0.0):
 
 def initial_profile(cfg: SimConfig):
     x, dx = x_grid(cfg)
-    init = cfg.initial
-    if isinstance(init, SmoothedRiemann):
-        u = 0.5 * ((init.u_right - init.u_left) * np.tanh(init.steepness * x)
-                   + (init.u_right + init.u_left))
-    elif isinstance(init, TravelingWaveSeed):
-        u = traveling_wave_profile(init.point, cfg.mu, x, init.center)
-    elif isinstance(init, CustomProfile):
-        u = np.asarray(init.fn(x), dtype=float)
-        if u.shape != x.shape:
-            raise DomainError("custom profile must return one value per grid point")
-    else:
-        raise DomainError(f"unknown initial condition {init!r}")
+    u = cfg.initial.profile(x, cfg.mu)
     return SimState(0.0, u.astype(float), dx, float(x[0]))
 
 
@@ -144,12 +151,22 @@ def default_dt(cfg: SimConfig):
     return DEFAULT_CFL * state.dx / amax
 
 
-class _Workspace:
-    """Grid operators and the prefactored implicit solve for one config."""
+#: Ghost values u[-1], u[n] as slices of u: the periodic wrap, the Neumann
+#: mirror; Dirichlet rows are pinned after the stencil, so any value serves.
+_GHOSTS = {
+    BoundaryCondition.PERIODIC: (slice(-1, None), slice(0, 1)),
+    BoundaryCondition.NEUMANN: (slice(1, 2), slice(-2, -1)),
+    BoundaryCondition.DIRICHLET_FARFIELD: (slice(0, 1), slice(-1, None)),
+}
+
+
+class _Operator:
+    """u_t of one config: the ghost-cell stencil and the implicit solve."""
 
     def __init__(self, cfg: SimConfig):
-        self.cfg = cfg
-        self.x, self.dx = x_grid(cfg)
+        self.beta, self.bc = cfg.beta, cfg.bc
+        self.left, self.right = _GHOSTS[cfg.bc]
+        _, self.dx = x_grid(cfg)
         n, dx, mu = cfg.nx, self.dx, cfg.mu
         if cfg.bc is BoundaryCondition.PERIODIC:
             modes = np.fft.rfftfreq(n, d=1.0 / n)  # 0..n/2
@@ -159,65 +176,46 @@ class _Workspace:
                 raise DomainError(
                     "mu < 0 pole lands on a grid mode; shift mu or the domain size"
                 )
-        else:
-            ab = np.zeros((3, n))
-            r = mu / dx**2
-            ab[1, :] = 1.0 + 2.0 * r
-            ab[0, 1:] = -r
-            ab[2, :-1] = -r
-            if cfg.bc is BoundaryCondition.DIRICHLET_FARFIELD:
-                ab[1, 0] = ab[1, -1] = 1.0
-                ab[0, 1] = ab[2, -2] = 0.0
-            else:  # reflective Neumann: mirrored ghost points
-                ab[0, 1] = -2.0 * r
-                ab[2, -2] = -2.0 * r
-            self.ab = ab
+            return
+        ab = np.zeros((3, n))
+        r = mu / dx**2
+        ab[1, :] = 1.0 + 2.0 * r
+        ab[0, 1:] = -r
+        ab[2, :-1] = -r
+        if cfg.bc is BoundaryCondition.DIRICHLET_FARFIELD:
+            ab[1, 0] = ab[1, -1] = 1.0
+            ab[0, 1] = ab[2, -2] = 0.0
+        else:  # Neumann: the mirrored ghost doubles the inward coupling
+            ab[0, 1] = -2.0 * r
+            ab[2, -2] = -2.0 * r
+        self.ab = ab
 
     def u_t(self, u):
         """Solve (I - mu*D2) w = beta*D2 u - D1 f(u) for w = u_t."""
-        cfg, dx = self.cfg, self.dx
-        if cfg.bc is BoundaryCondition.PERIODIC:
-            up1, um1 = np.roll(u, -1), np.roll(u, 1)
-            rhs = (cfg.beta * (up1 - 2.0 * u + um1) / dx**2
-                   - self._flux_deriv_periodic(u, up1, um1))
-            return np.fft.irfft(np.fft.rfft(rhs) / self.symbol, n=cfg.nx)
-        f = flux(u)
-        rhs = np.zeros_like(u)
-        rhs[1:-1] = (cfg.beta * (u[2:] - 2.0 * u[1:-1] + u[:-2]) / dx**2
-                     - (f[2:] - f[:-2]) / (2.0 * dx))
-        if cfg.upwind_blend > 0.0:
-            rhs[1:-1] += self._blend_correction(u)
-        if cfg.bc is BoundaryCondition.DIRICHLET_FARFIELD:
+        dx = self.dx
+        g = np.concatenate((u[self.left], u, u[self.right]))
+        f = flux(g)
+        rhs = (self.beta * (g[2:] - 2.0 * g[1:-1] + g[:-2]) / dx**2
+               - (f[2:] - f[:-2]) / (2.0 * dx))
+        if self.bc is BoundaryCondition.PERIODIC:
+            return np.fft.irfft(np.fft.rfft(rhs) / self.symbol, n=len(u))
+        if self.bc is BoundaryCondition.DIRICHLET_FARFIELD:
             rhs[0] = rhs[-1] = 0.0
-        else:
-            rhs[0] = cfg.beta * 2.0 * (u[1] - u[0]) / dx**2
-            rhs[-1] = cfg.beta * 2.0 * (u[-2] - u[-1]) / dx**2
         return solve_banded((1, 1), self.ab, rhs, check_finite=False)
 
-    def _flux_deriv_periodic(self, u, up1, um1):
-        d = (flux(up1) - flux(um1)) / (2.0 * self.dx)
-        if self.cfg.upwind_blend > 0.0:
-            a = np.abs(char_speed(u)).max()
-            d -= (self.cfg.upwind_blend * a / (2.0 * self.dx)
-                  * (up1 - 2.0 * u + um1))
-        return d
 
-    def _blend_correction(self, u):
-        # local Lax-Friedrichs dissipation added to the central flux derivative
-        a = np.abs(char_speed(u)).max()
-        return (self.cfg.upwind_blend * a / (2.0 * self.dx)
-                * (u[2:] - 2.0 * u[1:-1] + u[:-2]))
+_operator = functools.lru_cache(maxsize=16)(_Operator)  # keyed on the config
 
 
-def step(state: SimState, cfg: SimConfig, dt=None, _ws=None):
+def step(state: SimState, cfg: SimConfig, dt=None):
     """Advance one time step with RK4 on the implicitly defined u_t."""
-    ws = _ws if _ws is not None else _Workspace(cfg)
+    u_t = _operator(cfg).u_t
     h = dt if dt is not None else (cfg.dt if cfg.dt is not None else default_dt(cfg))
     u = state.u
-    k1 = ws.u_t(u)
-    k2 = ws.u_t(u + 0.5 * h * k1)
-    k3 = ws.u_t(u + 0.5 * h * k2)
-    k4 = ws.u_t(u + h * k3)
+    k1 = u_t(u)
+    k2 = u_t(u + 0.5 * h * k1)
+    k3 = u_t(u + 0.5 * h * k2)
+    k4 = u_t(u + h * k3)
     return SimState(state.t + h, u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
                     state.dx, state.x0)
 
@@ -228,7 +226,7 @@ def simulate(cfg: SimConfig, snapshot_times=()):
     Snapshots are recorded at the steps nearest the requested times (always
     including the final state).
     """
-    ws = _Workspace(cfg)
+    _operator(cfg)  # a periodic pole on a grid mode fails before any step
     state = initial_profile(cfg)
     if cfg.t_end == 0.0:
         return SimResult(state, (state,))
@@ -240,7 +238,7 @@ def simulate(cfg: SimConfig, snapshot_times=()):
     if 0 in want:
         snaps.append(state)
     for i in range(1, nsteps + 1):
-        state = step(state, cfg, dt=h, _ws=ws)
+        state = step(state, cfg, dt=h)
         if i in want:
             snaps.append(state)
     if not snaps or snaps[-1] is not state:

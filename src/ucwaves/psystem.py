@@ -29,7 +29,6 @@ from .errors import DomainError, NoLocusError, NoSaddleError
 from .phaseplane import (
     CONNECTION_TOL,
     OrbitResult,
-    Verdict,
     shoot_saddle_connection,
 )
 
@@ -126,9 +125,10 @@ def resolved_parabola_coefficient(point: PSystemLocusPoint):
 def psys_shoot(point: PSystemLocusPoint, tol=CONNECTION_TOL):
     """Verify the saddle-saddle connection of a locus point by shooting.
 
-    Raises NoSaddleError unless s*A < 0.  Tries the unstable manifold of
-    (u_-, 0) first and, failing that, of (u_+, 0); under the A > 0, s < 0
-    convention the connecting orbit leaves u_+ (w > 0 between the saddles).
+    Raises NoSaddleError unless s*A < 0.  Between the saddles w has the sign
+    of -k, k the resolved parabola coefficient, so the orbit leaves the
+    lower state when k < 0 and the upper state when k > 0; one shot from
+    that state decides.  Under the A > 0, s < 0 convention it leaves u_+.
     The realized orientation is readable off trajectory[0].
     """
     if point.s * point.A >= 0:
@@ -137,17 +137,12 @@ def psys_shoot(point: PSystemLocusPoint, tol=CONNECTION_TOL):
             f"got s={point.s!r}, A={point.A!r}"
         )
     T, P, dP = _lienard_form(point)
+    k = resolved_parabola_coefficient(point)
     span = abs(point.u_minus - point.u_plus)
-    vmax = 50.0 * (1.0 + abs(resolved_parabola_coefficient(point)) * span**2)
-    res = shoot_saddle_connection(T, P, dP, point.u_minus, point.u_plus,
-                                  tol=tol, vmax=vmax)
-    if res.verdict is Verdict.CONNECTS:
-        return res
-    res2 = shoot_saddle_connection(T, P, dP, point.u_plus, point.u_minus,
-                                   tol=tol, vmax=vmax)
-    if res2.verdict is Verdict.CONNECTS:
-        return res2
-    return res2 if res2.terminal_distance < res.terminal_distance else res
+    vmax = 50.0 * (1.0 + abs(k) * span**2)
+    lower, upper = sorted((point.u_minus, point.u_plus))
+    start, end = (lower, upper) if k < 0 else (upper, lower)
+    return shoot_saddle_connection(T, P, dP, start, end, tol=tol, vmax=vmax)
 
 
 def psys_parabola_residual(orbit: OrbitResult, point: PSystemLocusPoint):

@@ -65,7 +65,7 @@ def test_riemann_json(tmp_path):
     assert payload["pattern"] == "SΣ"
     assert payload["states"][1] == pytest.approx(0.5288, abs=1e-4)
     assert payload["evaluate"]["u"] == pytest.approx(0.5288, abs=1e-4)
-    assert all(c["passed"] for c in payload["admissibility"])
+    assert all(c["passed"] is True for c in payload["admissibility"])
 
 
 def test_riemann_classify_grid(tmp_path):

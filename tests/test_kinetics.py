@@ -17,7 +17,6 @@ from ucwaves import (
     locus_sweep,
     rh_speed,
     u_plus_bounds,
-    zero_dissipation_u_plus,
 )
 from ucwaves.errors import DomainError
 
@@ -248,8 +247,7 @@ def test_no_locus_above_gamma_max():
             fn()
 
 
-def test_zero_dissipation_limit():
-    assert zero_dissipation_u_plus(0.37) == -0.37
+def test_locus_symmetric_limit_as_gamma_vanishes():
     # the locus collapses onto u_+ = -u_- as gamma -> 0
     p = locus_point(0.9999, 1e-6, Branch.MINUS)
     assert p.u_minus == pytest.approx(-p.u_plus, rel=1e-3)

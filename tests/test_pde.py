@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from ucwaves import (
     SmoothedRiemann,
     TravelingWaveSeed,
     detect_fronts,
+    dispersion_lambda,
     initial_profile,
     locus_point,
     simulate,
@@ -33,9 +35,9 @@ def smoothed_cfg(**kw):
 def test_config_validation_lists_all_fields():
     with pytest.raises(DomainError) as err:
         SimConfig(beta=-1.0, mu=0.0, x_min=0.0, x_max=-1.0, nx=2, t_end=-2.0,
-                  dt=0.0, initial=SmoothedRiemann(0.0, 0.0, 1.0))
+                  dt=0.0, initial=object())
     msg = str(err.value)
-    for field in ("beta", "mu", "nx", "x range", "dt", "t_end"):
+    for field in ("beta", "mu", "nx", "x range", "dt", "t_end", "initial"):
         assert field in msg
 
 
@@ -60,6 +62,23 @@ def test_custom_profile():
     assert np.allclose(initial_profile(cfg).u, np.sin(x))
 
 
+def test_custom_profile_callable_need_not_hash():
+    @dataclass
+    class Bump:  # a plain dataclass defines __eq__, so it does not hash
+        height: float
+
+        def __call__(self, x):
+            return self.height * np.exp(-x * x)
+
+        def profile(self, x, mu):
+            return self(x)
+
+    res = simulate(smoothed_cfg(initial=CustomProfile(Bump(0.1)), t_end=0.05))
+    assert np.all(np.isfinite(res.final.u))
+    with pytest.raises(DomainError, match="initial"):
+        smoothed_cfg(initial=Bump(0.1))
+
+
 def test_constant_state_fixed_point():
     cfg = smoothed_cfg(initial=SmoothedRiemann(0.3, 0.3, GAMMA), t_end=0.5)
     res = simulate(cfg)
@@ -76,14 +95,23 @@ def test_single_step_matches_simulate_steps():
     assert np.abs(state.u - res.final.u).max() < 1e-13
 
 
-def test_mass_conservation_equal_far_field_fluxes():
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+def test_mass_conservation_equal_far_field_fluxes(bc):
     # f(0.4) = f(w) for w = (-0.4 + sqrt(3.52))/2: a stationary shock pair
     w = 0.5 * (-0.4 + math.sqrt(3.52))
     cfg = smoothed_cfg(initial=SmoothedRiemann(0.4, w, 1.0), x_min=-20.0,
-                       x_max=20.0, nx=1201, t_end=4.0, dt=0.01)
+                       x_max=20.0, nx=1201, t_end=4.0, dt=0.01, bc=bc)
     res = simulate(cfg)
-    m0 = total_mass(initial_profile(cfg))
-    m1 = total_mass(res.final)
+
+    def mass(state):
+        if bc is BoundaryCondition.PERIODIC:
+            # the periodic grid conserves dx*sum(u) exactly; the trapezoid
+            # halves the end weights of a grid that has no ends
+            return state.dx * float(state.u.sum())
+        return total_mass(state)
+
+    m0 = mass(initial_profile(cfg))
+    m1 = mass(res.final)
     assert abs(m1 - m0) / abs(m0) < 1e-6
 
 
@@ -96,6 +124,27 @@ def test_no_growth_for_small_perturbations():
     dev0 = 1e-3
     dev1 = np.abs(res.final.u - 0.1).max()
     assert dev1 < dev0
+
+
+@pytest.mark.parametrize("bc, k", [(BoundaryCondition.NEUMANN, 1.5),
+                                   (BoundaryCondition.PERIODIC, 2.0)],
+                         ids=["neumann", "periodic"])
+def test_cosine_mode_decays_at_dispersion_rate(bc, k):
+    # about u = 1/sqrt(3), where f' = 0, cos(k*x) is an eigenvector of the
+    # ghost-cell stencil for both boundary conditions (cos(1.5 x) is flat at
+    # 0 and 2*pi); a wrong ghost value distorts it near the boundary
+    c, eps, t_end = 1.0 / math.sqrt(3.0), 1e-6, 2.0
+    cfg = SimConfig(beta=0.5, mu=1.0, x_min=0.0, x_max=2 * np.pi, nx=201,
+                    t_end=t_end, dt=0.01, bc=bc,
+                    initial=CustomProfile(lambda x: c + eps * np.cos(k * x)))
+    res = simulate(cfg)
+    x, _ = x_grid(cfg)
+    mode = np.cos(k * x)
+    amp = (res.final.u - c) @ mode / (mode @ mode)
+    rate = math.log(amp / eps) / t_end
+    lam = dispersion_lambda(c, cfg.beta, cfg.mu, k).real
+    assert abs(rate - lam) < 1e-3 * abs(lam)
+    assert np.abs(res.final.u - c - amp * mode).max() < 1e-4 * amp
 
 
 def test_traveling_wave_translates():

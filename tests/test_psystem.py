@@ -175,10 +175,20 @@ def test_a_flip_symmetry_preserves_membership():
     assert psys_symmetry(q, "a_flip") == p
 
 
-def test_shoot_after_a_flip():
-    p = psys_symmetry(psys_locus(-0.65, 1.0), "a_flip")
+@pytest.mark.parametrize("symmetries, start", [
+    ((), "u_plus"),
+    (("odd",), "u_plus"),
+    (("a_flip",), "u_minus"),
+    (("odd", "a_flip"), "u_minus"),
+], ids=["identity", "odd", "a_flip", "odd+a_flip"])
+def test_shoot_after_a_flip(symmetries, start):
+    # one shot from the state the sign of the parabola coefficient predicts
+    p = psys_locus(-0.65, 1.0)
+    for which in symmetries:
+        p = psys_symmetry(p, which)
     res = psys_shoot(p)
     assert res.verdict is Verdict.CONNECTS
+    assert res.trajectory[0, 1] == pytest.approx(getattr(p, start), abs=1e-7)
 
 
 def test_unknown_symmetry_rejected():
