@@ -2,14 +2,25 @@
 
 Subcommands mirror the library modules: kinetics, phase, riemann, simulate,
 psystem.  Every run echoes its fully resolved parameters into the output
-header; identical configurations produce byte-identical files.  Options may
-come from a config file (JSON object or flat ``key = value`` lines) with
-command-line flags taking precedence.
+header; identical configurations produce byte-identical files.
+
+``main`` resolves every option in one place, with one precedence: flag >
+config file > preset > built-in default.  A config file (a JSON object or
+flat ``key = value`` lines, keyed by the option names with underscores,
+e.g. ``x_min``) is read as ``--key=value`` flags placed before the command
+line, so argparse checks its types and choices and the command-line flags
+win.  ``--preset`` then fills, from ``PRESETS``, every option still unset.
+The echo holds every option that has a value except the output-routing
+names in ``_NOT_ECHOED``.
 """
 
 import argparse
+import dataclasses
 import json
+import math
+import operator
 import sys
+from enum import Enum
 
 import numpy as np
 
@@ -19,6 +30,28 @@ from .kinetics import Branch
 from .model import rh_speed
 
 FLOAT_FMT = ".17g"
+
+_GAMMA6 = 1.0 / math.sqrt(6.0)
+
+#: The reference figures' options, {command: {preset: {option: value}}}.  A
+#: preset fills only options whose value is still None after flags and config
+#: file.  fig2 loops over ten gammas in ``_cmd_kinetics`` and fills nothing.
+PRESETS = {
+    "kinetics": {"fig1": {"gamma": _GAMMA6, "points": 201}, "fig2": {}},
+    "riemann": {"fig3": {"gamma": _GAMMA6,
+                         "classify_grid": "-1.2:1.2:97,-1.2:1.2:97"}},
+    "simulate": {"fig4": {"uL": 0.4, "uR": -0.8, "beta": 0.1, "mu": 0.06,
+                          "x_min": -30.0, "x_max": 60.0, "nx": 4001,
+                          "t_end": 50.0, "dt": 0.01, "snapshot_every": 2.0,
+                          "speed_fit": "exp"}},
+    "psystem": {"fig5": {"A": 4.0, "sweep_b": "-0.75:-0.5:0.0025"}},
+}
+
+#: What the echo leaves out: the subcommand and its handler, and the options
+#: that route input and output without changing a result (so the same run
+#: written elsewhere, or configured from a file, has the same bytes).
+_NOT_ECHOED = frozenset({"command", "fn", "output", "config", "format",
+                         "profile_output", "snapshot_profiles"})
 
 
 def _fmt(x):
@@ -46,12 +79,27 @@ def _write_json(path, payload):
     _write_text(path, text)
 
 
+def _cell(v):
+    """One CSV cell: text as is, an Enum as its value, None as empty."""
+    if isinstance(v, str):
+        return v
+    if isinstance(v, Enum):
+        return _cell(v.value)
+    return "" if v is None else _fmt(v)
+
+
 def _write_csv(path, params, header, rows):
     lines = [f"# {k} = {params[k]}" for k in sorted(params)]
     lines.append(",".join(header))
     for row in rows:
-        lines.append(",".join(v if isinstance(v, str) else _fmt(v) for v in row))
+        lines.append(",".join(_cell(v) for v in row))
     _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_records(path, params, cls, records):
+    """CSV with one column per field of the dataclass ``cls``."""
+    names = [f.name for f in dataclasses.fields(cls)]
+    _write_csv(path, params, names, map(operator.attrgetter(*names), records))
 
 
 def _write_text(path, text):
@@ -60,20 +108,6 @@ def _write_text(path, text):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def _params_dict(args, keys):
-    out = {}
-    for k in keys:
-        v = getattr(args, k)
-        if v is None:
-            continue
-        if isinstance(v, (float, np.floating)):
-            v = float(v)
-        elif isinstance(v, np.integer):
-            v = int(v)
-        out[k] = repr(v)
-    return out
 
 
 def _parse_sweep(arg):
@@ -89,36 +123,26 @@ def _parse_sweep(arg):
 
 
 def _parse_grid(arg):
-    """min:max:n for one axis of the classification grid."""
-    lo, hi, n = arg.split(":")
-    return np.linspace(float(lo), float(hi), int(n))
+    """uLmin:uLmax:n,uRmin:uRmax:n, the two axes of the classification grid."""
+    try:
+        (l0, l1, nl), (r0, r1, nr) = (axis.split(":") for axis in arg.split(","))
+        return (np.linspace(float(l0), float(l1), int(nl)),
+                np.linspace(float(r0), float(r1), int(nr)))
+    except ValueError:
+        raise UCWavesError(
+            f"bad grid {arg!r}; expected uLmin:uLmax:n,uRmin:uRmax:n")
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations
-
-_KPOINT_HEADER = ["a", "branch", "u_minus", "u_zero", "u_plus", "s", "gamma",
-                  "endpoint"]
+# subcommand implementations: each receives the resolved args and their echo
 
 
-def _kpoint_row(p):
-    return [p.a, p.branch.value, p.u_minus, p.u_zero, p.u_plus, p.s, p.gamma,
-            p.endpoint or ""]
-
-
-def _cmd_kinetics(args):
-    if args.preset == "fig1":
-        args.gamma = 1.0 / np.sqrt(6.0)
-        args.points = args.points or 201
-    params = _params_dict(args, ["gamma", "sweep_a", "points", "branch",
-                                 "u_plus", "u_minus", "preset"])
+def _cmd_kinetics(args, params):
     if args.preset == "fig2":
-        rows = []
-        for n in range(1, 11):
-            g = n / 10.0 * kinetics.GAMMA_MAX
-            for p in kinetics.locus_sweep(g, args.points or 101):
-                rows.append(_kpoint_row(p))
-        _write_csv(args.output, params, _KPOINT_HEADER, rows)
+        points = [p for n in range(1, 11)
+                  for p in kinetics.locus_sweep(n / 10.0 * kinetics.GAMMA_MAX,
+                                                args.points or 101)]
+        _write_records(args.output, params, kinetics.KineticPoint, points)
         return 0
     if args.gamma is None:
         raise UCWavesError("kinetics requires --gamma (or --preset fig2)")
@@ -149,16 +173,13 @@ def _cmd_kinetics(args):
         a_values = np.linspace(0.5, at, args.points or 101)
     branches = {"plus": [Branch.PLUS], "minus": [Branch.MINUS],
                 "both": [Branch.PLUS, Branch.MINUS]}[args.branch]
-    rows = []
-    for br in branches:
-        for a in sorted(set(float(a) for a in a_values)):
-            rows.append(_kpoint_row(kinetics.locus_point(a, g, br)))
-    _write_csv(args.output, params, _KPOINT_HEADER, rows)
+    points = [kinetics.locus_point(a, g, br) for br in branches
+              for a in sorted(set(float(a) for a in a_values))]
+    _write_records(args.output, params, kinetics.KineticPoint, points)
     return 0
 
 
-def _cmd_phase(args):
-    params = _params_dict(args, ["gamma", "u_minus", "u_plus", "s", "lax_check"])
+def _cmd_phase(args, params):
     s = args.s if args.s is not None else rh_speed(args.u_minus, args.u_plus)
     prob = phaseplane.TWProblem(args.gamma, s, args.u_minus)
     if args.lax_check:
@@ -187,17 +208,11 @@ def _cmd_phase(args):
     return 0
 
 
-def _cmd_riemann(args):
-    if args.preset == "fig3":
-        args.gamma = 1.0 / np.sqrt(6.0)
-        args.classify_grid = args.classify_grid or "-1.2:1.2:97,-1.2:1.2:97"
-    params = _params_dict(args, ["gamma", "uL", "uR", "classify_grid",
-                                 "evaluate_at", "verify", "preset"])
+def _cmd_riemann(args, params):
     if args.gamma is None:
         raise UCWavesError("riemann requires --gamma (or --preset fig3)")
     if args.classify_grid:
-        axis_l, axis_r = args.classify_grid.split(",")
-        ul_vals, ur_vals = _parse_grid(axis_l), _parse_grid(axis_r)
+        ul_vals, ur_vals = _parse_grid(args.classify_grid)
         pat = riemann.classify_plane(args.gamma, ul_vals, ur_vals)
         rows = [(ul, ur, pat[i, j])
                 for i, ul in enumerate(ul_vals) for j, ur in enumerate(ur_vals)]
@@ -242,14 +257,7 @@ def _build_sim_config(args):
     )
 
 
-def _cmd_simulate(args):
-    if args.preset == "fig4":
-        defaults = dict(uL=0.4, uR=-0.8, beta=0.1, mu=0.06, x_min=-30.0,
-                        x_max=60.0, nx=4001, t_end=50.0, dt=0.01,
-                        snapshot_every=2.0, speed_fit="exp")
-        for k, v in defaults.items():
-            if getattr(args, k) is None:
-                setattr(args, k, v)
+def _cmd_simulate(args, params):
     required = ["beta", "mu", "x_min", "x_max", "nx", "t_end"]
     missing = [k for k in required if getattr(args, k) is None]
     if args.initial == "smoothed" and (args.uL is None or args.uR is None):
@@ -257,11 +265,6 @@ def _cmd_simulate(args):
     if missing:
         raise UCWavesError("simulate missing required options: "
                            + ", ".join("--" + k.replace("_", "-") for k in missing))
-    params = _params_dict(args, ["uL", "uR", "beta", "mu", "x_min", "x_max",
-                                 "nx", "dt", "t_end", "bc", "initial",
-                                 "steepness", "tw_a", "tw_branch",
-                                 "snapshot_every", "speed_fit",
-                                 "snapshot_profiles", "preset"])
     cfg = _build_sim_config(args)
     snap_times = ()
     if args.snapshot_every:
@@ -298,26 +301,14 @@ def _cmd_simulate(args):
     return 0
 
 
-def _cmd_psystem(args):
-    if args.preset == "fig5":
-        args.A = args.A if args.A is not None else 4.0
-        args.sweep_b = args.sweep_b or "-0.75:-0.5:0.0025"
-    params = _params_dict(args, ["A", "b", "sweep_b", "u_minus", "shoot",
-                                 "preset"])
+def _cmd_psystem(args, params):
     if args.A is None:
         raise UCWavesError("psystem requires --A (or --preset fig5)")
-    header = ["b", "A", "u_minus", "u_plus", "u_zero", "s", "k", "v_minus",
-              "v_plus"]
-
-    def row(p):
-        return [p.b, p.A, p.u_minus, p.u_plus, p.u_zero, p.s, p.k,
-                p.v_minus, p.v_plus]
-
     if args.sweep_b:
         b_values = np.minimum(_parse_sweep(args.sweep_b), -0.5)
-        rows = [row(psystem.psys_locus(float(b), args.A))
-                for b in sorted(set(float(b) for b in b_values))]
-        _write_csv(args.output, params, header, rows)
+        points = [psystem.psys_locus(b, args.A, v_minus=args.v_minus)
+                  for b in sorted(set(float(b) for b in b_values))]
+        _write_records(args.output, params, psystem.PSystemLocusPoint, points)
         return 0
     if args.u_minus is not None:
         up = psystem.psys_kinetic_u_plus(args.u_minus, args.A)
@@ -329,10 +320,7 @@ def _cmd_psystem(args):
     if args.b is None:
         raise UCWavesError("psystem requires --b, --sweep-b or --u-minus")
     p = psystem.psys_locus(args.b, args.A, v_minus=args.v_minus)
-    payload = {"params": params,
-               **{k: getattr(p, k) for k in ("b", "A", "u_minus", "u_plus",
-                                             "u_zero", "s", "k", "v_minus",
-                                             "v_plus")}}
+    payload = {"params": params, **dataclasses.asdict(p)}
     if args.shoot:
         res = psystem.psys_shoot(p)
         payload["shoot"] = {
@@ -349,11 +337,16 @@ def _cmd_psystem(args):
 # parser / config plumbing
 
 
-def _add_common(sp):
-    sp.add_argument("--output", "-o", default=None,
-                    help="output file (default: stdout)")
-    sp.add_argument("--config", default=None,
+def _add_subcommand(sub, name, fn, help):
+    sp = sub.add_parser(name, help=help)
+    sp.add_argument("--output", "-o", help="output file (default: stdout)")
+    sp.add_argument("--config",
                     help="JSON or key=value config file; flags override it")
+    if name in PRESETS:
+        sp.add_argument("--preset", choices=list(PRESETS[name]),
+                        help="reference-figure options; fills unset options")
+    sp.set_defaults(fn=fn)
+    return sp
 
 
 def build_parser():
@@ -366,96 +359,80 @@ def build_parser():
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    k = sub.add_parser("kinetics", help="undercompressive locus computations")
-    _add_common(k)
+    k = _add_subcommand(sub, "kinetics", _cmd_kinetics,
+                        "undercompressive locus computations")
     k.add_argument("--gamma", type=float)
-    k.add_argument("--sweep-a", dest="sweep_a",
-                   help="a-sweep start:stop:step (clipped to a_tilde)")
+    k.add_argument("--sweep-a", help="a-sweep start:stop:step (clipped to a_tilde)")
     k.add_argument("--points", type=int, help="points per branch (default 101)")
     k.add_argument("--branch", choices=["plus", "minus", "both"], default="both")
-    k.add_argument("--u-plus", dest="u_plus", type=float,
+    k.add_argument("--u-plus", type=float,
                    help="invert the kinetic map: find u_minus for this u_plus")
-    k.add_argument("--u-minus", dest="u_minus", type=float,
+    k.add_argument("--u-minus", type=float,
                    help="list all u_plus candidates for this u_minus")
-    k.add_argument("--preset", choices=["fig1", "fig2"])
-    k.set_defaults(fn=_cmd_kinetics)
 
-    p = sub.add_parser("phase", help="traveling-wave phase-plane shooting")
-    _add_common(p)
+    p = _add_subcommand(sub, "phase", _cmd_phase,
+                        "traveling-wave phase-plane shooting")
     p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--u-minus", dest="u_minus", type=float, required=True)
-    p.add_argument("--u-plus", dest="u_plus", type=float, required=True)
+    p.add_argument("--u-minus", type=float, required=True)
+    p.add_argument("--u-plus", type=float, required=True)
     p.add_argument("--s", type=float,
                    help="wave speed (default: Rankine-Hugoniot speed)")
-    p.add_argument("--lax-check", dest="lax_check", action="store_true",
+    p.add_argument("--lax-check", action="store_true",
                    help="verify a Lax profile (backward shoot) instead of a "
                         "saddle-saddle connection")
     p.add_argument("--format", choices=["json", "csv"], default="json",
                    help="csv exports the orbit trajectory (xi,u,v)")
-    p.set_defaults(fn=_cmd_phase)
 
-    r = sub.add_parser("riemann", help="nonclassical Riemann solver")
-    _add_common(r)
+    r = _add_subcommand(sub, "riemann", _cmd_riemann, "nonclassical Riemann solver")
     r.add_argument("--gamma", type=float)
     r.add_argument("--uL", type=float)
     r.add_argument("--uR", type=float)
-    r.add_argument("--evaluate-at", dest="evaluate_at", type=float,
+    r.add_argument("--evaluate-at", type=float,
                    help="also evaluate the solution at r = x/t")
     r.add_argument("--verify", action="store_true",
                    help="re-check admissibility of every wave")
-    r.add_argument("--classify-grid", dest="classify_grid",
+    r.add_argument("--classify-grid",
                    help="pattern map over uLmin:uLmax:n,uRmin:uRmax:n")
-    r.add_argument("--preset", choices=["fig3"])
-    r.set_defaults(fn=_cmd_riemann)
 
-    s = sub.add_parser("simulate", help="finite-difference PDE simulation")
-    _add_common(s)
+    s = _add_subcommand(sub, "simulate", _cmd_simulate,
+                        "finite-difference PDE simulation")
     s.add_argument("--uL", type=float)
     s.add_argument("--uR", type=float)
     s.add_argument("--beta", type=float)
     s.add_argument("--mu", type=float)
-    s.add_argument("--x-min", dest="x_min", type=float)
-    s.add_argument("--x-max", dest="x_max", type=float)
+    s.add_argument("--x-min", type=float)
+    s.add_argument("--x-max", type=float)
     s.add_argument("--nx", type=int)
     s.add_argument("--dt", type=float)
-    s.add_argument("--t-end", dest="t_end", type=float)
+    s.add_argument("--t-end", type=float)
     s.add_argument("--bc", choices=[b.value for b in pde.BoundaryCondition],
                    default=pde.BoundaryCondition.DIRICHLET_FARFIELD.value)
     s.add_argument("--initial", choices=["smoothed", "tw"], default="smoothed")
     s.add_argument("--steepness", type=float,
                    help="tanh steepness (default: gamma)")
-    s.add_argument("--tw-a", dest="tw_a", type=float,
+    s.add_argument("--tw-a", type=float,
                    help="locus parameter a for --initial tw")
-    s.add_argument("--tw-branch", dest="tw_branch",
-                   choices=["plus", "minus"], default="minus")
-    s.add_argument("--snapshot-every", dest="snapshot_every", type=float,
+    s.add_argument("--tw-branch", choices=["plus", "minus"], default="minus")
+    s.add_argument("--snapshot-every", type=float,
                    help="record snapshots every this many time units")
-    s.add_argument("--speed-fit", dest="speed_fit",
-                   choices=["linear", "exp"], default=None,
+    s.add_argument("--speed-fit", choices=["linear", "exp"],
                    help="front-speed fit over the trailing half of the "
                         "snapshots (default linear); exp absorbs a decaying "
                         "transient")
-    s.add_argument("--plateau-tol", dest="plateau_tol", type=float,
-                   default=0.01)
-    s.add_argument("--profile-output", dest="profile_output",
+    s.add_argument("--plateau-tol", type=float, default=0.01)
+    s.add_argument("--profile-output",
                    help="also write the final (x, u) profile as CSV here")
-    s.add_argument("--snapshot-profiles", dest="snapshot_profiles",
+    s.add_argument("--snapshot-profiles",
                    help="write every snapshot as CSV to PREFIXt<time>.csv")
-    s.add_argument("--preset", choices=["fig4"])
-    s.set_defaults(fn=_cmd_simulate)
 
-    q = sub.add_parser("psystem", help="p-system traveling waves")
-    _add_common(q)
+    q = _add_subcommand(sub, "psystem", _cmd_psystem, "p-system traveling waves")
     q.add_argument("--A", type=float)
     q.add_argument("--b", type=float)
-    q.add_argument("--v-minus", dest="v_minus", type=float, default=0.0)
-    q.add_argument("--sweep-b", dest="sweep_b",
-                   help="b-sweep start:stop:step (clipped to -1/2)")
-    q.add_argument("--u-minus", dest="u_minus", type=float,
+    q.add_argument("--v-minus", type=float, default=0.0)
+    q.add_argument("--sweep-b", help="b-sweep start:stop:step (clipped to -1/2)")
+    q.add_argument("--u-minus", type=float,
                    help="kinetic map: the unique u_plus for this u_minus")
     q.add_argument("--shoot", action="store_true")
-    q.add_argument("--preset", choices=["fig5"])
-    q.set_defaults(fn=_cmd_psystem)
 
     return ap
 
@@ -485,23 +462,44 @@ def _load_config(path):
     return data
 
 
+def _config_flags(args):
+    """The entries of ``args.config`` as flags of ``args.command``.
+
+    ``args`` is the parse of the command line alone, so its attributes are
+    the subcommand's options.  A switch (``store_true``) takes true or false.
+    """
+    config = _load_config(args.config)
+    options = set(vars(args)) - {"command", "fn", "config"}
+    unknown = sorted(set(config) - options)
+    if unknown:
+        raise UCWavesError("unknown config keys: " + ", ".join(unknown))
+    flags = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if isinstance(getattr(args, key), bool):
+            if value not in (True, False):
+                raise UCWavesError(f"config key {key!r} takes true or false")
+            flags += [flag] if value else []
+        elif value is not None:
+            flags.append(f"{flag}={value}")
+    return flags
+
+
 def main(argv=None):
+    argv = sys.argv[1:] if argv is None else list(argv)
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
         if args.config:
-            config = _load_config(args.config)
-            known = set(vars(args))
-            unknown = [k for k in config if k not in known]
-            if unknown:
-                raise UCWavesError(
-                    "unknown config keys: " + ", ".join(sorted(unknown)))
-            sub = build_parser()
-            for action in sub._subparsers._group_actions:
-                if args.command in action.choices:
-                    action.choices[args.command].set_defaults(**config)
-            args = sub.parse_args(argv)
-        return args.fn(args)
+            at = argv.index(args.command) + 1
+            args = ap.parse_args(argv[:at] + _config_flags(args) + argv[at:])
+        preset = PRESETS.get(args.command, {}).get(vars(args).get("preset"), {})
+        for key, value in preset.items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+        params = {k: repr(v) for k, v in vars(args).items()
+                  if v is not None and k not in _NOT_ECHOED}
+        return args.fn(args, params)
     except UCWavesError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")

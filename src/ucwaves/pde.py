@@ -161,10 +161,11 @@ _GHOSTS = {
 
 
 class _Operator:
-    """u_t of one config: the ghost-cell stencil and the implicit solve."""
+    """u_t of one config (stencil and implicit solve) and its time step."""
 
     def __init__(self, cfg: SimConfig):
         self.beta, self.bc = cfg.beta, cfg.bc
+        self.dt = cfg.dt if cfg.dt is not None else default_dt(cfg)
         self.left, self.right = _GHOSTS[cfg.bc]
         _, self.dx = x_grid(cfg)
         n, dx, mu = cfg.nx, self.dx, cfg.mu
@@ -209,13 +210,13 @@ _operator = functools.lru_cache(maxsize=16)(_Operator)  # keyed on the config
 
 def step(state: SimState, cfg: SimConfig, dt=None):
     """Advance one time step with RK4 on the implicitly defined u_t."""
-    u_t = _operator(cfg).u_t
-    h = dt if dt is not None else (cfg.dt if cfg.dt is not None else default_dt(cfg))
+    op = _operator(cfg)
+    h = dt if dt is not None else op.dt
     u = state.u
-    k1 = u_t(u)
-    k2 = u_t(u + 0.5 * h * k1)
-    k3 = u_t(u + 0.5 * h * k2)
-    k4 = u_t(u + h * k3)
+    k1 = op.u_t(u)
+    k2 = op.u_t(u + 0.5 * h * k1)
+    k3 = op.u_t(u + 0.5 * h * k2)
+    k4 = op.u_t(u + h * k3)
     return SimState(state.t + h, u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
                     state.dx, state.x0)
 
@@ -226,11 +227,10 @@ def simulate(cfg: SimConfig, snapshot_times=()):
     Snapshots are recorded at the steps nearest the requested times (always
     including the final state).
     """
-    _operator(cfg)  # a periodic pole on a grid mode fails before any step
+    dt0 = _operator(cfg).dt  # a periodic pole on a grid mode fails here
     state = initial_profile(cfg)
     if cfg.t_end == 0.0:
         return SimResult(state, (state,))
-    dt0 = cfg.dt if cfg.dt is not None else default_dt(cfg)
     nsteps = max(1, int(round(cfg.t_end / dt0)))
     h = cfg.t_end / nsteps
     want = sorted(set(min(nsteps, max(0, int(round(t / h)))) for t in snapshot_times))

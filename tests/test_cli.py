@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ucwaves.cli import main
+from ucwaves.cli import PRESETS, build_parser, main
 
 GAMMA6 = repr(1 / math.sqrt(6))
 
@@ -68,6 +68,14 @@ def test_riemann_json(tmp_path):
     assert all(c["passed"] is True for c in payload["admissibility"])
 
 
+@pytest.mark.parametrize("grid", ["bogus", "-1:1:x,-1:1:3"])
+def test_riemann_bad_classify_grid(grid, capsys):
+    assert run_cli(["riemann", "--gamma", "0.4", f"--classify-grid={grid}"]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "UCWavesError"
+    assert repr(grid) in record["message"]
+
+
 def test_riemann_classify_grid(tmp_path):
     out = tmp_path / "map.csv"
     rc = run_cli(["riemann", "--gamma", GAMMA6,
@@ -130,6 +138,21 @@ def test_psystem_sweep(tmp_path):
     rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert rows[0].split(",")[0] == "b"
     assert len(rows) == 1 + 6
+
+
+def test_psystem_sweep_honours_v_minus(tmp_path):
+    out = tmp_path / "ps.csv"
+    assert run_cli(["psystem", "--A", "4", "--sweep-b=-0.75:-0.5:0.05",
+                    "--v-minus", "1.0", "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert "# v_minus = 1.0" in lines
+    header, *rows = [ln.split(",") for ln in lines if not ln.startswith("#")]
+    assert len(rows) == 6
+    for row in rows:
+        p = dict(zip(header, map(float, row)))
+        assert p["v_minus"] == 1.0
+        assert p["v_plus"] == pytest.approx(
+            p["v_minus"] - p["s"] * (p["u_plus"] - p["u_minus"]), abs=1e-15)
 
 
 def test_simulate_small_run(tmp_path):
@@ -200,19 +223,47 @@ def test_config_file_with_override(tmp_path):
 
 def test_config_flat_key_value(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("gamma = 0.40824829\nuL = 0.4\nuR = -0.8\n# comment\n")
+    cfg.write_text("gamma = 0.40824829\nuL = 0.4\nuR = -0.8\n# comment\n"
+                   "verify = true\n")
     out = tmp_path / "out.json"
     assert run_cli(["riemann", "--config", str(cfg), "--output", str(out)]) == 0
-    assert json.loads(out.read_text())["pattern"] == "SΣ"
+    payload = json.loads(out.read_text())
+    assert payload["pattern"] == "SΣ"
+    assert payload["params"]["verify"] == "True"
+    assert all(c["passed"] is True for c in payload["admissibility"])
+
+
+def test_config_file_and_flags_write_the_same_bytes(tmp_path):
+    flags = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",
+             "--x-min=-10", "--x-max", "10", "--nx", "101", "--dt", "0.02",
+             "--t-end", "0.2", "--bc", "neumann"]
+    cfg = tmp_path / "sim.cfg"
+    cfg.write_text("uL = 0.4\nuR = -0.8\nbeta = 0.1\nmu = 0.06\nx_min = -10\n"
+                   "x_max = 10\nnx = 101\ndt = 0.02\nt_end = 0.2\nbc = neumann\n")
+    a, b = tmp_path / "flags.json", tmp_path / "config.json"
+    assert run_cli(["simulate", *flags, "--output", str(a)]) == 0
+    assert run_cli(["simulate", "--config", str(cfg), "--output", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert json.loads(a.read_text())["params"]["x_max"] == "10.0"
 
 
 def test_config_unknown_keys_rejected(tmp_path, capsys):
-    cfg = tmp_path / "bad.json"
-    cfg.write_text(json.dumps({"gamma": 0.4, "bogus_key": 1}))
-    rc = run_cli(["riemann", "--config", str(cfg)])
-    assert rc == 2
-    record = json.loads(capsys.readouterr().err)
-    assert "bogus_key" in record["message"]
+    riemann = {"gamma": 0.4, "uL": 0.1, "uR": 0.2}
+    simulate = {"uL": 0.4, "uR": -0.8, "beta": 0.1, "mu": 0.06, "x_min": -10,
+                "x_max": 10, "nx": 101, "dt": 0.02, "t_end": 0.2}
+    cases = [("riemann", {**riemann, "bogus_key": 1}, "bogus_key"),
+             ("riemann", {**riemann, "fn": 1}, "keys: fn"),
+             ("riemann", {**riemann, "command": "kinetics"}, "keys: command"),
+             ("simulate", {**simulate, "bc": "bogus"}, "'bogus'")]
+    for command, entries, needle in cases:
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps(entries))
+        try:
+            rc = run_cli([command, "--config", str(cfg)])
+        except SystemExit as exc:  # a bad config value fails as its flag would
+            rc = exc.code
+        assert rc == 2, entries
+        assert needle in capsys.readouterr().err
 
 
 def test_preset_fig1(tmp_path):
@@ -222,6 +273,28 @@ def test_preset_fig1(tmp_path):
     assert rc == 0
     rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert len(rows) == 1 + 22
+
+
+def test_preset_yields_to_flags_and_config(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("points = 5\n")
+    out = tmp_path / "fig1.csv"
+    assert run_cli(["kinetics", "--preset", "fig1", "--gamma", "0.3",
+                    "--config", str(cfg), "--output", str(out)]) == 0
+    lines = out.read_text().splitlines()
+    assert "# gamma = 0.3" in lines and "# points = 5" in lines
+    rows = [ln.split(",") for ln in lines if not ln.startswith("#")][1:]
+    assert len(rows) == 10
+    assert all(float(row[6]) == 0.3 for row in rows)  # the gamma column
+
+
+@pytest.mark.parametrize("command", sorted(PRESETS))
+def test_presets_fill_only_options_without_default(command):
+    # a preset fills options left None, so it must name no option that has
+    # a built-in default
+    defaults = vars(build_parser().parse_args([command]))
+    for options in PRESETS[command].values():
+        assert all(defaults[key] is None for key in options)
 
 
 def test_preset_fig5(tmp_path):

@@ -234,6 +234,25 @@ def test_auto_time_step():
     assert res.final.t == pytest.approx(0.2, abs=1e-12)
 
 
+def test_default_time_step_resolved_once_per_config():
+    from ucwaves.pde import default_dt
+
+    calls = []
+
+    def fn(x):
+        calls.append(1)
+        return 0.4 - 0.6 * (1.0 + np.tanh(x))
+
+    cfg = SimConfig(beta=BETA, mu=MU, x_min=-10.0, x_max=10.0, nx=201,
+                    t_end=1.0, initial=CustomProfile(fn))
+    state = initial_profile(cfg)
+    calls.clear()
+    for _ in range(3):
+        state = step(state, cfg)
+    assert len(calls) == 1  # dt is resolved once, with the cached operator
+    assert state.t == pytest.approx(3 * default_dt(cfg), rel=1e-15)
+
+
 def test_snapshots_recorded():
     cfg = smoothed_cfg(t_end=1.0, dt=0.01)
     res = simulate(cfg, snapshot_times=[0.0, 0.5, 1.0])
