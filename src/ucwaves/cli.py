@@ -18,7 +18,6 @@ import argparse
 import dataclasses
 import json
 import math
-import operator
 import sys
 from enum import Enum
 
@@ -99,7 +98,7 @@ def _write_csv(path, params, header, rows):
 def _write_records(path, params, cls, records):
     """CSV with one column per field of the dataclass ``cls``."""
     names = [f.name for f in dataclasses.fields(cls)]
-    _write_csv(path, params, names, map(operator.attrgetter(*names), records))
+    _write_csv(path, params, names, map(dataclasses.astuple, records))
 
 
 def _write_text(path, text):

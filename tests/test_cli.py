@@ -251,19 +251,21 @@ def test_config_unknown_keys_rejected(tmp_path, capsys):
     riemann = {"gamma": 0.4, "uL": 0.1, "uR": 0.2}
     simulate = {"uL": 0.4, "uR": -0.8, "beta": 0.1, "mu": 0.06, "x_min": -10,
                 "x_max": 10, "nx": 101, "dt": 0.02, "t_end": 0.2}
-    cases = [("riemann", {**riemann, "bogus_key": 1}, "bogus_key"),
-             ("riemann", {**riemann, "fn": 1}, "keys: fn"),
-             ("riemann", {**riemann, "command": "kinetics"}, "keys: command"),
-             ("simulate", {**simulate, "bc": "bogus"}, "'bogus'")]
-    for command, entries, needle in cases:
-        cfg = tmp_path / "bad.json"
+    cfg = tmp_path / "bad.json"
+    for entries, needle in [({**riemann, "bogus_key": 1}, "bogus_key"),
+                            ({**riemann, "fn": 1}, "keys: fn"),
+                            ({**riemann, "command": "kinetics"}, "keys: command")]:
         cfg.write_text(json.dumps(entries))
-        try:
-            rc = run_cli([command, "--config", str(cfg)])
-        except SystemExit as exc:  # a bad config value fails as its flag would
-            rc = exc.code
-        assert rc == 2, entries
-        assert needle in capsys.readouterr().err
+        assert run_cli(["riemann", "--config", str(cfg)]) == 2, entries
+        record = json.loads(capsys.readouterr().err)
+        assert record["error"] == "UCWavesError"
+        assert needle in record["message"], entries
+    # A bad config value fails in argparse, as its flag would.
+    cfg.write_text(json.dumps({**simulate, "bc": "bogus"}))
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["simulate", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "'bogus'" in capsys.readouterr().err
 
 
 def test_preset_fig1(tmp_path):
