@@ -18,6 +18,7 @@ import argparse
 import dataclasses
 import json
 import math
+import operator
 import sys
 from enum import Enum
 
@@ -98,7 +99,7 @@ def _write_csv(path, params, header, rows):
 def _write_records(path, params, cls, records):
     """CSV with one column per field of the dataclass ``cls``."""
     names = [f.name for f in dataclasses.fields(cls)]
-    _write_csv(path, params, names, map(dataclasses.astuple, records))
+    _write_csv(path, params, names, map(operator.attrgetter(*names), records))
 
 
 def _write_text(path, text):
