@@ -179,7 +179,16 @@ def _cmd_kinetics(args, params):
     return 0
 
 
+def _require(args, names):
+    """Raise UCWavesError naming every option in ``names`` still unset."""
+    missing = [k for k in names if getattr(args, k) is None]
+    if missing:
+        raise UCWavesError(f"{args.command} missing required options: "
+                           + ", ".join("--" + k.replace("_", "-") for k in missing))
+
+
 def _cmd_phase(args, params):
+    _require(args, ["gamma", "u_minus", "u_plus"])
     s = args.s if args.s is not None else rh_speed(args.u_minus, args.u_plus)
     prob = phaseplane.TWProblem(args.gamma, s, args.u_minus)
     if args.lax_check:
@@ -258,13 +267,8 @@ def _build_sim_config(args):
 
 
 def _cmd_simulate(args, params):
-    required = ["beta", "mu", "x_min", "x_max", "nx", "t_end"]
-    missing = [k for k in required if getattr(args, k) is None]
-    if args.initial == "smoothed" and (args.uL is None or args.uR is None):
-        missing += [k for k in ("uL", "uR") if getattr(args, k) is None]
-    if missing:
-        raise UCWavesError("simulate missing required options: "
-                           + ", ".join("--" + k.replace("_", "-") for k in missing))
+    _require(args, ["beta", "mu", "x_min", "x_max", "nx", "t_end"]
+             + (["uL", "uR"] if args.initial == "smoothed" else []))
     cfg = _build_sim_config(args)
     snap_times = ()
     if args.snapshot_every:
@@ -372,9 +376,9 @@ def build_parser():
 
     p = _add_subcommand(sub, "phase", _cmd_phase,
                         "traveling-wave phase-plane shooting")
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--u-minus", type=float, required=True)
-    p.add_argument("--u-plus", type=float, required=True)
+    p.add_argument("--gamma", type=float, help="required (flag or config file)")
+    p.add_argument("--u-minus", type=float, help="required (flag or config file)")
+    p.add_argument("--u-plus", type=float, help="required (flag or config file)")
     p.add_argument("--s", type=float,
                    help="wave speed (default: Rankine-Hugoniot speed)")
     p.add_argument("--lax-check", action="store_true",

@@ -23,3 +23,13 @@ class DegenerateSpeedError(UCWavesError):
 
 class NoSaddleError(UCWavesError):
     """The outside equilibria are not saddle points (p-system: s*A > 0)."""
+
+
+class SimulationDivergedError(UCWavesError):
+    """A simulation step produced a non-finite value (the run blew up)."""
+
+    def __init__(self, t, step):
+        super().__init__(f"simulation diverged: u is not finite at t = {t:.6g} "
+                         f"(step {step})")
+        self.t = t
+        self.step = step

@@ -66,9 +66,9 @@ class ShockPair:
 
 
 def flux(u):
-    """Cubic flux f(u) = u - u**3."""
+    """Cubic flux f(u) = u - u**3, by multiplication (a power is far slower)."""
     u = np.asarray(u) if not np.isscalar(u) else u
-    return u - u**3
+    return u - u * u * u
 
 
 def char_speed(u):

@@ -117,6 +117,22 @@ def test_phase_lax_check(tmp_path):
     assert json.loads(out.read_text())["verdict"] == "connects"
 
 
+def test_phase_options_from_config(tmp_path, capsys):
+    cfg = tmp_path / "phase.json"
+    cfg.write_text(json.dumps({"gamma": float(GAMMA6),
+                               "u_minus": 0.32851421960867366,
+                               "u_plus": -0.5475236993477894}))
+    out = tmp_path / "phase.json.out"
+    assert run_cli(["phase", "--config", str(cfg), "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["verdict"] == "connects"
+    cfg.write_text(json.dumps({"gamma": float(GAMMA6), "u_minus": 0.3285}))
+    assert run_cli(["phase", "--config", str(cfg)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "UCWavesError"
+    assert "--u-plus" in record["message"]
+    assert "--gamma" not in record["message"]
+
+
 def test_psystem_point_and_shoot(tmp_path):
     out = tmp_path / "p.json"
     rc = run_cli(["psystem", "--A", "4", "--b", "-0.6", "--shoot",
@@ -207,6 +223,17 @@ def test_simulate_missing_options(capsys):
     assert rc == 2
     record = json.loads(capsys.readouterr().err)
     assert "beta" in record["message"] and "nx" in record["message"]
+
+
+def test_simulate_blow_up_exits_2(tmp_path, capsys):
+    out = tmp_path / "sim.json"
+    rc = run_cli(["simulate", "--preset", "fig4", "--nx", "1801", "--dt", "2",
+                  "--output", str(out)])
+    assert rc == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SimulationDivergedError"
+    assert "not finite" in record["message"]
 
 
 def test_config_file_with_override(tmp_path):

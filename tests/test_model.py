@@ -20,6 +20,18 @@ def test_flux_values():
     assert flux(0.4) == pytest.approx(0.336, abs=1e-15)
 
 
+def test_flux_by_multiplication_matches_the_power():
+    # relative to the size of the terms: u - u**3 cancels near u = +-1
+    rng = np.random.default_rng(0)
+    signs = rng.choice([-1.0, 1.0], 10_000)
+    u = np.concatenate([rng.uniform(-3.0, 3.0, 10_000),
+                        signs * 10.0 ** rng.uniform(-8.0, 3.0, 10_000)])
+    err = np.abs(flux(u) - (u - u**3)) / (np.abs(u) + np.abs(u) ** 3)
+    assert err.max() <= 1e-15
+    for x in u[:100]:
+        assert abs(flux(float(x)) - (x - x**3)) <= 1e-15 * (abs(x) + abs(x) ** 3)
+
+
 def test_char_speed_values():
     assert char_speed(0.0) == 1.0
     assert char_speed(1 / np.sqrt(3)) == pytest.approx(0.0, abs=1e-15)

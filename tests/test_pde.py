@@ -1,25 +1,39 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucwaves import (
     BoundaryCondition,
     Branch,
     CustomProfile,
     SimConfig,
+    SimulationDivergedError,
     SmoothedRiemann,
     TravelingWaveSeed,
+    UCWavesError,
+    char_speed,
     detect_fronts,
     dispersion_lambda,
+    fit_front_speeds,
     initial_profile,
     locus_point,
     simulate,
     step,
 )
 from ucwaves.errors import DomainError
-from ucwaves.pde import total_mass, traveling_wave_profile, x_grid
+from ucwaves.pde import (
+    DEFAULT_CFL,
+    DEFAULT_SYMBOL_SAFETY,
+    default_dt,
+    total_mass,
+    traveling_wave_profile,
+    x_grid,
+)
 
 GAMMA = 1 / math.sqrt(6)
 BETA, MU = 0.1, 0.06
@@ -182,7 +196,7 @@ def test_grid_convergence_of_plateaus():
 def test_sonic_composite_realized_by_pde():
     # classical R + attached sonic shock (data outside the kinetic range):
     # the front must travel at the tangency speed f'(0.1) = 0.97
-    from ucwaves import fit_front_speeds, solve
+    from ucwaves import solve
 
     sol = solve(0.2, -0.2, GAMMA)
     assert sol.pattern == "RS"
@@ -224,19 +238,92 @@ def test_neumann_boundary_runs():
 
 
 def test_auto_time_step():
-    from ucwaves.pde import default_dt
+    # mu > 0: a share of RK4's real-axis limit over the sum of the half-widths
+    # of the box |Im| <= min(a/(2 sqrt(mu)), a/dx), |Re| <= min(beta/mu,
+    # 4 beta/dx^2) that holds the discrete symbol (a = max(1, max|f'(u0)|));
+    # mu < 0: the CFL step DEFAULT_CFL*dx/a
+    def closed_form(beta, mu, dx, a):
+        bound_im = min(a / (2.0 * math.sqrt(mu)), a / dx)
+        bound_re = min(beta / mu, 4.0 * beta / dx**2)
+        return DEFAULT_SYMBOL_SAFETY * 2.78 / (bound_im + bound_re)
 
-    cfg = smoothed_cfg(dt=None, t_end=0.2)
-    h = default_dt(cfg)
-    assert 0.0 < h < 0.05  # CFL-like: ~0.4 * dx / max|f'|
+    cfg = smoothed_cfg(dt=None, t_end=0.2)  # |f'| <= 0.92 on [-0.8, 0.4]
+    assert default_dt(cfg) == pytest.approx(closed_form(BETA, MU, 0.05, 1.0),
+                                            rel=1e-15)
+    steep = smoothed_cfg(dt=None, initial=SmoothedRiemann(1.0, 1.0, GAMMA))
+    assert default_dt(steep) == pytest.approx(closed_form(BETA, MU, 0.05, 2.0),
+                                              rel=1e-15)  # f'(1) = -2
+    coarse = smoothed_cfg(dt=None, nx=5)  # dx = 5: both dx terms bind
+    assert default_dt(coarse) == pytest.approx(closed_form(BETA, MU, 5.0, 1.0),
+                                               rel=1e-15)
+    unstable = smoothed_cfg(dt=None, mu=-MU)
+    assert default_dt(unstable) == pytest.approx(DEFAULT_CFL * 0.05, rel=1e-15)
     res = simulate(cfg)
     assert np.all(np.isfinite(res.final.u))
     assert res.final.t == pytest.approx(0.2, abs=1e-12)
 
 
-def test_default_time_step_resolved_once_per_config():
-    from ucwaves.pde import default_dt
+@settings(max_examples=200, deadline=None)
+@given(beta=st.floats(1e-3, 10.0), mu=st.floats(1e-3, 10.0),
+       u_left=st.floats(-2.0, 2.0), u_right=st.floats(-2.0, 2.0),
+       length=st.floats(0.5, 200.0), nx=st.integers(3, 300))
+def test_default_step_keeps_every_grid_mode_rk4_stable(beta, mu, u_left, u_right,
+                                                        length, nx):
+    # every state u of the initial profile has |f'(u)| <= a; each periodic
+    # grid mode theta about it has the symbol
+    # (-beta*sigma - i*f'(u)*sin(theta)/dx) / (1 + mu*sigma)
+    cfg = SimConfig(beta=beta, mu=mu, x_min=0.0, x_max=length, nx=nx, t_end=1.0,
+                    bc=BoundaryCondition.PERIODIC,
+                    initial=SmoothedRiemann(u_left, u_right, 1.0))
+    dx = initial_profile(cfg).dx
+    speeds = char_speed(initial_profile(cfg).u)[:, None]
+    theta = np.linspace(0.0, np.pi, 513)
+    sigma = 4.0 * np.sin(theta / 2.0) ** 2 / dx**2
+    lam = (-beta * sigma - 1j * speeds * np.sin(theta) / dx) / (1.0 + mu * sigma)
+    h = default_dt(cfg)
+    # the box argument itself holds at the full RK4 limit, not only with the
+    # safety factor
+    for dt in (h, h / DEFAULT_SYMBOL_SAFETY):
+        z = dt * lam
+        amp = np.abs(1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0)
+        assert amp.max() <= 1.0 + 1e-12
 
+
+def test_default_step_matches_a_quarter_step():
+    # S-Sigma data at dx = 0.05.  Measured against dt/4: plateaus move by
+    # 1.3e-4 and front speeds by 9.4e-5 (at DEFAULT_SYMBOL_SAFETY = 0.5 by
+    # 5.5e-4 and 9.7e-4); the Riemann solver's oracle allows 1 % of a
+    # plateau (5e-3) and 2 % of a speed (7e-3)
+    tol = 5e-4
+    base = dict(beta=BETA, mu=MU, x_min=-10.0, x_max=35.2, nx=905, t_end=50.0,
+                initial=SmoothedRiemann(0.4, -0.8, GAMMA))
+    h = default_dt(SimConfig(**base))
+    snaps = np.arange(25.0, 50.0 + 1e-9, 2.0)
+    runs = []
+    for dt in (h, h / 4.0):
+        cfg = SimConfig(**base, dt=dt)
+        res = simulate(cfg, snapshot_times=snaps)
+        runs.append(([p.value for p in detect_fronts(res.final).plateaus],
+                     [f.speed for f in fit_front_speeds(cfg, res, transient="exp")]))
+    (plateaus, speeds), (plateaus4, speeds4) = runs
+    assert len(plateaus) == len(plateaus4) == 3
+    assert len(speeds) == len(speeds4) == 2
+    assert np.abs(np.subtract(plateaus, plateaus4)).max() < tol
+    assert np.abs(np.subtract(speeds, speeds4)).max() < tol
+
+
+def test_blown_up_run_raises():
+    cfg = SimConfig(beta=BETA, mu=MU, x_min=-30.0, x_max=60.0, nx=1801,
+                    t_end=50.0, dt=2.0, initial=SmoothedRiemann(0.4, -0.8, GAMMA))
+    with pytest.raises(SimulationDivergedError) as err, warnings.catch_warnings():
+        warnings.simplefilter("error")  # the error, not overflow warnings
+        simulate(cfg)
+    assert isinstance(err.value, UCWavesError)
+    assert 0 < err.value.step < 25
+    assert err.value.t == pytest.approx(2.0 * err.value.step)
+
+
+def test_default_time_step_resolved_once_per_config():
     calls = []
 
     def fn(x):
