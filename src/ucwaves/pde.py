@@ -84,6 +84,12 @@ class CustomProfile:
         return u
 
 
+def _not_finite(**values):
+    """One complaint per value that is NaN or infinite (None is skipped)."""
+    return [f"{name}={value!r} (must be finite)" for name, value in values.items()
+            if value is not None and not np.isfinite(value)]
+
+
 @dataclass(frozen=True)
 class SimConfig:
     beta: float
@@ -97,7 +103,8 @@ class SimConfig:
     bc: BoundaryCondition = BoundaryCondition.DIRICHLET_FARFIELD
 
     def __post_init__(self):
-        bad = []
+        bad = _not_finite(beta=self.beta, mu=self.mu, x_min=self.x_min,
+                          x_max=self.x_max, t_end=self.t_end, dt=self.dt)
         if self.beta <= 0:
             bad.append(f"beta={self.beta!r} (must be > 0)")
         if self.mu == 0:

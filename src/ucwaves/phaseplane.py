@@ -276,7 +276,18 @@ def _shoot_backward_to_node(prob: TWProblem, saddle_u, node_u, tol):
         return min(U_BOX - abs(y[0]), V_BOX - abs(y[1]))
     ev_box.terminal = True
 
-    sol = solve_ivp(rhs, (0.0, 5000.0), y0, method="RK45", rtol=RTOL, atol=ATOL,
+    # integrate long enough to leave the saddle from the seed and then close
+    # in on the node, each at its slowest linear rate under the reversed
+    # flow (twice that, at least 5000): weak shocks near u = 0 are slow at
+    # both ends.  The node is a focus when the discriminant is negative.
+    disc = t * t + 4.0 * prob.c_prime(node_u)
+    r_node = 0.5 * (t - np.sqrt(disc)) if disc >= 0.0 else 0.5 * t
+    span = abs(node_u - saddle_u)
+    horizon = 5000.0
+    if r_node > 0.0:
+        horizon = max(horizon, 2.0 * (np.log(span / SEED_OFFSET) / abs(lam_s)
+                                      + np.log(span / tol) / r_node))
+    sol = solve_ivp(rhs, (0.0, horizon), y0, method="RK45", rtol=RTOL, atol=ATOL,
                     events=[ev_close, ev_box])
     dist = np.hypot(sol.y[0] - node_u, sol.y[1])
     traj = np.column_stack([-sol.t, sol.y[0], sol.y[1]])

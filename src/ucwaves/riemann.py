@@ -1,17 +1,19 @@
 """Nonclassical Riemann solver for u_t + (u - u^3)_x = 0.
 
-Construction: start from the classical Lax-Oleinik (convex/concave
-envelope) solution, which for the cubic flux is one of {constant, R, S,
-R+attached S}.  A classical crossing shock stops having a traveling-wave
-profile exactly when its left state passes the middle equilibrium
-u_0 = -u_R - psi(u_R) of the kinetic triple ending at u_R (psi is the
-kinetic inverse map).  Beyond that threshold the fastest jump is replaced
-by the undercompressive shock psi(u_R) -> u_R from the kinetic locus and
-the remaining Riemann problem u_L -> psi(u_R) is solved classically (a Lax
-shock or a rarefaction on the same convexity side).  At the threshold both
-representations coincide (equal speeds, collinear chord), so the regions
-tile the plane; everything is mirrored through u -> -u for data ending on
-the positive kinetic range.
+The flux is odd, so the solution for data (u_L, u_R) with u_R > 0 is the
+mirror image u -> -u of the solution for (-u_L, -u_R): ``solve`` maps every
+problem onto u_R <= 0 and builds the waves back on the original states.
+On that half-plane the pattern depends only on where u_L lies against the
+breakpoints of u_R: u_R itself, the tangent point -u_R/2 (classical
+Lax-Oleinik envelope: constant, R, S or R + attached S) and, when u_R lies
+inside the kinetic range, the kinetic state psi(u_R) and the middle
+equilibrium u_0 = -u_R - psi(u_R) of the kinetic triple ending at u_R.  A
+classical crossing shock stops having a traveling-wave profile exactly when
+u_L passes u_0.  Beyond that threshold the fastest jump is replaced by the
+undercompressive shock psi(u_R) -> u_R and the remaining Riemann problem
+u_L -> psi(u_R) is solved classically (a Lax shock or a rarefaction on the
+same convexity side).  At the threshold both representations coincide
+(equal speeds, collinear chord), so the regions tile the plane.
 
 An undercompressive shock is supersonic on both sides, so no wave can
 follow it: patterns are "", R, S, RS, S(Sigma), R(Sigma), (Sigma).
@@ -19,6 +21,7 @@ follow it: patterns are "", R, S, RS, S(Sigma), R(Sigma), (Sigma).
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -44,13 +47,6 @@ class WaveKind(Enum):
     UNDERCOMPRESSIVE_SHOCK = "undercompressive_shock"
 
 
-_LABEL = {
-    WaveKind.RAREFACTION: "R",
-    WaveKind.LAX_SHOCK: "S",
-    WaveKind.UNDERCOMPRESSIVE_SHOCK: SIGMA,
-}
-
-
 @dataclass(frozen=True)
 class Wave:
     """One elementary wave; speed_range collapses to (s, s) for shocks."""
@@ -59,10 +55,6 @@ class Wave:
     left_state: float
     right_state: float
     speed_range: tuple
-
-    @property
-    def label(self):
-        return _LABEL[self.kind]
 
 
 @dataclass(frozen=True)
@@ -94,51 +86,44 @@ def _fan(u_l, u_r):
                 (char_speed(u_l), char_speed(u_r)))
 
 
-def _classical(u_l, u_r):
-    """Lax-Oleinik envelope solution for the cubic flux (no kinetic waves)."""
-    if u_l > u_r:
-        if u_r >= 0.0:
-            return [_fan(u_l, u_r)]
-        if u_l <= 0.0:
-            return [_shock(u_l, u_r)]
-        tangent = -0.5 * u_r
-        if u_l <= tangent + EQ_TOL:
-            return [_shock(u_l, u_r)]
-        return [_fan(u_l, tangent), _shock(tangent, u_r)]
-    else:
-        if u_l >= 0.0:
-            return [_shock(u_l, u_r)]
-        if u_r <= 0.0:
-            return [_fan(u_l, u_r)]
-        tangent = -0.5 * u_r
-        if u_r >= -2.0 * u_l - EQ_TOL:
-            return [_shock(u_l, u_r)]
-        return [_fan(u_l, tangent), _shock(tangent, u_r)]
+#: wave constructor for each letter of a pattern
+_WAVE = {"R": _fan, "S": _shock,
+         SIGMA: partial(_shock, kind=WaveKind.UNDERCOMPRESSIVE_SHOCK)}
 
 
-def _nonclassical(u_l, u_r, gamma):
-    """Waves when the solution ends in an undercompressive shock into u_r < 0,
-    or None when the classical construction stands."""
-    if not 0.0 < gamma < GAMMA_MAX:
+def _check_input(gamma, *states):
+    """Raise DomainError unless gamma is positive and every state finite."""
+    if not 0.0 < gamma < np.inf:
+        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
+    for values in states:
+        if not np.isfinite(values).all():
+            raise DomainError(f"states must be finite, got {values!r}")
+
+
+def _kinetic_pair(u_r, gamma):
+    """(psi(u_r), u_0) when u_r <= 0 lies inside the kinetic range, else None."""
+    if not gamma < GAMMA_MAX:
         return None
     lo, hi = u_plus_bounds(gamma)
     if not lo + EQ_TOL < u_r < hi - EQ_TOL:
         return None
     u_m = kinetic_u_minus(u_r, gamma)
-    threshold = -u_r - u_m  # middle equilibrium of the kinetic triple
-    if u_l <= threshold + EQ_TOL:
-        return None
-    sigma = _shock(u_m, u_r, WaveKind.UNDERCOMPRESSIVE_SHOCK)
-    if abs(u_l - u_m) <= EQ_TOL:
-        return [sigma]
-    if u_l < u_m:
-        return [_shock(u_l, u_m), sigma]
-    return [_fan(u_l, u_m), sigma]
+    return u_m, -u_r - u_m  # u_0: middle equilibrium of the kinetic triple
 
 
-def _mirrored(waves):
-    return [Wave(w.kind, -w.left_state, -w.right_state, w.speed_range)
-            for w in waves]
+def _pattern(u_l, u_r, kinetic):
+    """Pattern label of the data (u_l, u_r <= 0); kinetic is _kinetic_pair(u_r)."""
+    if kinetic is not None:
+        u_m, u_0 = kinetic
+        if u_l > u_0 + EQ_TOL:
+            if abs(u_l - u_m) <= EQ_TOL:
+                return SIGMA
+            return ("S" if u_l < u_m else "R") + SIGMA
+    if u_l == u_r:
+        return ""
+    if u_l < u_r or u_r == 0.0:
+        return "R"
+    return "S" if u_l <= -0.5 * u_r + EQ_TOL else "RS"
 
 
 def _check_ordering(waves, u_l, u_r):
@@ -158,22 +143,18 @@ def _check_ordering(waves, u_l, u_r):
 def solve(u_left, u_right, gamma):
     """Self-similar solution of the Riemann problem with TW-admissible shocks.
 
-    gamma > 0 is required; for gamma >= sqrt(3/8) the kinetic locus is empty
-    and only classical patterns occur.
+    gamma > 0 and finite states are required; for gamma >= sqrt(3/8) the
+    kinetic locus is empty and only classical patterns occur.
     """
-    if gamma <= 0.0:
-        raise DomainError(f"gamma must be positive, got {gamma!r}")
-    if u_left == u_right:
-        return RiemannSolution(u_left, u_right, gamma, (), "")
-    waves = _nonclassical(u_left, u_right, gamma)
-    if waves is None:
-        mirrored = _nonclassical(-u_left, -u_right, gamma)
-        if mirrored is not None:
-            waves = _mirrored(mirrored)
-    if waves is None:
-        waves = _classical(u_left, u_right)
+    _check_input(gamma, u_left, u_right)
+    sign = -1.0 if u_right > 0.0 else 1.0  # maps the data onto u_R <= 0
+    kinetic = _kinetic_pair(sign * u_right, gamma)
+    pattern = _pattern(sign * u_left, sign * u_right, kinetic)
+    states = [u_left, u_right]
+    if len(pattern) == 2:  # the middle state is psi or the tangent point
+        states.insert(1, sign * kinetic[0] if pattern[1] == SIGMA else -0.5 * u_right)
+    waves = [_WAVE[c](a, b) for c, a, b in zip(pattern, states, states[1:])]
     _check_ordering(waves, u_left, u_right)
-    pattern = "".join(w.label for w in waves)
     return RiemannSolution(u_left, u_right, gamma, tuple(waves), pattern)
 
 
@@ -200,11 +181,15 @@ def classify_plane(gamma, u_left_values, u_right_values):
     """Pattern label for every cell of a (u_L, u_R) grid.
 
     Returns an object array of shape (len(u_left_values), len(u_right_values)).
+    The kinetic pair depends only on u_R, so it is found once per column.
     """
+    _check_input(gamma, u_left_values, u_right_values)
     out = np.empty((len(u_left_values), len(u_right_values)), dtype=object)
-    for i, ul in enumerate(u_left_values):
-        for j, ur in enumerate(u_right_values):
-            out[i, j] = solve(float(ul), float(ur), gamma).pattern
+    for j, ur in enumerate(map(float, u_right_values)):
+        sign = -1.0 if ur > 0.0 else 1.0
+        kinetic = _kinetic_pair(sign * ur, gamma)
+        for i, ul in enumerate(u_left_values):
+            out[i, j] = _pattern(sign * float(ul), sign * ur, kinetic)
     return out
 
 

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from ucwaves import kinetic_u_minus
 from ucwaves.cli import PRESETS, build_parser, main
 
 GAMMA6 = repr(1 / math.sqrt(6))
@@ -66,6 +67,18 @@ def test_riemann_json(tmp_path):
     assert payload["states"][1] == pytest.approx(0.5288, abs=1e-4)
     assert payload["evaluate"]["u"] == pytest.approx(0.5288, abs=1e-4)
     assert all(c["passed"] is True for c in payload["admissibility"])
+
+
+@pytest.mark.parametrize("offset", [5e-12, -5e-11])
+def test_riemann_sigma_data_within_eq_tol(offset, tmp_path):
+    u_l = kinetic_u_minus(-0.7, float(GAMMA6)) + offset
+    out = tmp_path / "sol.json"
+    rc = run_cli(["riemann", "--gamma", GAMMA6, f"--uL={u_l!r}", "--uR=-0.7",
+                  "--verify", "--output", str(out)])
+    assert rc == 0
+    payload = json.loads(out.read_text())
+    assert payload["pattern"] == "Σ"
+    assert [c["passed"] for c in payload["admissibility"]] == [True]
 
 
 @pytest.mark.parametrize("grid", ["bogus", "-1:1:x,-1:1:3"])
@@ -234,6 +247,24 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "SimulationDivergedError"
     assert "not finite" in record["message"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--dt", "nan"], ["simulate", "--t-end", "inf"],
+    ["simulate", "--beta", "nan"],
+    ["riemann", "--gamma", "nan", "--uL", "0.4", "--uR=-0.8"],
+    ["riemann", "--gamma", GAMMA6, "--uL", "nan", "--uR=-0.8"],
+    ["riemann", "--gamma", "0", "--classify-grid=-1:1:3,-1:1:3"],
+])
+def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
+    sim = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",
+           "--x-min=-10", "--x-max", "10", "--nx", "101", "--t-end", "0.4"]
+    out = tmp_path / "out"
+    extra = sim if argv[0] == "simulate" else []
+    assert run_cli(argv[:1] + extra + argv[1:] + ["--output", str(out)]) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "DomainError"
 
 
 def test_config_file_with_override(tmp_path):

@@ -55,6 +55,13 @@ def test_config_validation_lists_all_fields():
         assert field in msg
 
 
+@pytest.mark.parametrize("field", ["beta", "mu", "x_min", "x_max", "t_end", "dt"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(field, value):
+    with pytest.raises(DomainError, match=f"{field}={value!r} \\(must be finite\\)"):
+        smoothed_cfg(**{field: value})
+
+
 def test_initial_profile_midpoint_and_far_field():
     cfg = smoothed_cfg(x_min=-40.0, x_max=40.0, nx=1601)
     state = initial_profile(cfg)

@@ -3,19 +3,25 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from ucwaves import (
+    GAMMA_MAX,
     WaveKind,
     char_speed,
     classify_plane,
     evaluate,
+    flux,
     kinetic_u_minus,
     rh_speed,
     solve,
+    u_plus_bounds,
     verify_solution,
 )
 from ucwaves.errors import DomainError
-from ucwaves.riemann import solution_from_dict, solution_to_dict
+from ucwaves.riemann import EQ_TOL, solution_from_dict, solution_to_dict
 
 GAMMA = 1 / math.sqrt(6)
 
@@ -140,6 +146,8 @@ def test_gamma_validation():
         solve(0.4, -0.8, 0.0)
     with pytest.raises(DomainError):
         solve(0.4, -0.8, -0.3)
+    with pytest.raises(DomainError):
+        classify_plane(0.0, [0.4], [-0.8])
 
 
 def test_wave_ordering_and_adjacency():
@@ -193,3 +201,106 @@ def test_json_round_trip():
     payload = json.dumps(solution_to_dict(sol))
     back = solution_from_dict(json.loads(payload))
     assert back == sol
+
+
+@pytest.mark.parametrize("offset", [5e-12, -5e-12, 5e-11, -5e-11])
+@pytest.mark.parametrize("mirror", [1.0, -1.0])
+def test_sigma_data_within_eq_tol(offset, mirror):
+    # u_L within EQ_TOL of psi(u_R): the single undercompressive wave starts
+    # at u_L itself and stays on the locus to far below verify's 1e-8
+    u_l = mirror * (kinetic_u_minus(-0.7, GAMMA) + offset)
+    sol = solve(u_l, mirror * -0.7, GAMMA)
+    assert sol.pattern == "Σ"
+    assert sol.waves[0].left_state == u_l
+    assert all(c.passed for c in verify_solution(sol))
+
+
+@pytest.mark.parametrize("args", [
+    (math.nan, -0.8, 0.4), (0.4, math.nan, 0.4), (0.4, -0.8, math.nan),
+    (0.4, -0.8, math.inf), (math.inf, -0.8, 0.4), (0.4, -math.inf, 0.4),
+])
+def test_non_finite_input_raises(args):
+    with pytest.raises(DomainError):
+        solve(*args)
+    u_l, u_r, gamma = args
+    with pytest.raises(DomainError):
+        classify_plane(gamma, [0.1, u_l], [u_r, 0.2])
+
+
+@pytest.mark.parametrize("u_l,u_r,gamma", [
+    (0.0, -0.025, 0.3995), (0.0, 0.025, 0.3995), (0.025, 0.05, 0.65),
+])
+def test_weak_lax_shocks_next_to_zero_verify(u_l, u_r, gamma):
+    # weak shocks: the linear rates at the saddle and the node are small, so
+    # the backward shoot needs longer than the old fixed horizon of 5000
+    sol = solve(u_l, u_r, gamma)
+    assert sol.pattern == "S"
+    checks = verify_solution(sol)
+    assert [c.detail for c in checks] == ["profile shoot: connects"]
+
+
+STATE = st.floats(-1.3, 1.3)
+GAMMAS = st.floats(0.05, 0.7)
+#: speeds of states with |u| <= 1.3 lie in [1 - 3*1.3**2, 1], inside |r| <= M
+M = 6.0
+
+
+def _speeds(*sols):
+    return sorted({r for sol in sols for w in sol.waves for r in w.speed_range})
+
+
+@settings(max_examples=300, deadline=None)
+@given(u_l=STATE, u_r=STATE | st.just(0.0), gamma=GAMMAS)
+def test_integral_balance(u_l, u_r, gamma):
+    # conservation over |x/t| <= M: integral of u = M(u_L + u_R) - [f];
+    # quad on the pieces between wave speeds is accurate to 7e-9 on 3000
+    # random data (worst for fans that end next to u = 0, where u(r) is
+    # sqrt-like), so 1e-7 leaves a margin
+    sol = solve(u_l, u_r, gamma)
+    lhs, _ = quad(lambda r: evaluate(sol, r), -M, M, points=_speeds(sol) or None,
+                  limit=200)
+    rhs = M * (u_l + u_r) - (flux(u_r) - flux(u_l))
+    assert abs(lhs - rhs) <= 1e-7
+
+
+@settings(max_examples=300, deadline=None)
+@given(u_l=STATE, u_r=STATE | st.just(0.0), gamma=GAMMAS)
+@example(u_l=-0.25 - 0.6 * EQ_TOL, u_r=0.5, gamma=0.7)  # tangent, EQ_TOL/2 band
+def test_mirror_symmetry(u_l, u_r, gamma):
+    sol = solve(u_l, u_r, gamma)
+    mirror = solve(-u_l, -u_r, gamma)
+    assert mirror.pattern == sol.pattern
+    assert mirror.states == [-u for u in sol.states]
+    assert ([w.speed_range for w in mirror.waves]
+            == [w.speed_range for w in sol.waves])
+
+
+@settings(max_examples=100, deadline=None)
+@given(values=st.lists(STATE, min_size=1, max_size=8), gamma=GAMMAS)
+def test_classify_plane_matches_per_cell_solve(values, gamma):
+    axis = values + [0.0]  # u_R = 0 column; shared axes hold the diagonal
+    pat = classify_plane(gamma, axis, axis)
+    for i, u_l in enumerate(axis):
+        for j, u_r in enumerate(axis):
+            assert pat[i, j] == solve(u_l, u_r, gamma).pattern
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma=st.floats(0.01, GAMMA_MAX - 1e-4), frac=st.floats(1e-4, 1 - 1e-4))
+def test_evaluate_is_continuous_across_the_threshold(gamma, frac):
+    # on either side of u_0 the classical crossing shock and the S + Sigma
+    # pair differ by an O(delta) plateau; the two left states differ by
+    # 2*delta over at most M + 1 of r, so the L1 gap stays below
+    # 2(M + 1)*delta = 14*delta (measured up to 13.9998*delta)
+    lo, hi = u_plus_bounds(gamma)
+    u_r = lo + (hi - lo) * frac
+    u_0 = -u_r - kinetic_u_minus(u_r, gamma)
+    gaps = []
+    for delta in (1e-2, 1e-3, 1e-4):
+        below, above = solve(u_0 - delta, u_r, gamma), solve(u_0 + delta, u_r, gamma)
+        assert "Σ" in above.pattern and "Σ" not in below.pattern
+        gap, _ = quad(lambda r: abs(evaluate(above, r) - evaluate(below, r)),
+                      -M, M, points=_speeds(below, above), limit=200)
+        assert gap <= 2 * (M + 1) * delta * (1 + 1e-6)
+        gaps.append(gap)
+    assert gaps[0] > gaps[1] > gaps[2]
