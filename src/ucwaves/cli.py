@@ -25,7 +25,7 @@ from enum import Enum
 import numpy as np
 
 from . import kinetics, pde, phaseplane, psystem, riemann
-from .errors import UCWavesError
+from .errors import UCWavesError, _check_finite
 from .kinetics import Branch
 from .model import rh_speed
 
@@ -246,6 +246,7 @@ def _cmd_riemann(args, params):
 
 def _build_sim_config(args):
     beta, mu = args.beta, args.mu
+    _check_finite("simulate options", mu=mu)
     gamma = beta / np.sqrt(mu) if mu > 0 else None
     if args.initial == "smoothed":
         steep = args.steepness if args.steepness is not None else gamma

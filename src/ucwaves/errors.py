@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 class UCWavesError(Exception):
     """Base class for all ucwaves errors."""
@@ -33,3 +35,16 @@ class SimulationDivergedError(UCWavesError):
                          f"(step {step})")
         self.t = t
         self.step = step
+
+
+def _not_finite(**values):
+    """One complaint per value that is NaN or infinite (None is skipped)."""
+    return [f"{name}={value!r} (must be finite)" for name, value in values.items()
+            if value is not None and not np.isfinite(value)]
+
+
+def _check_finite(what, **values):
+    """Raise DomainError naming every value that is NaN or infinite."""
+    bad = _not_finite(**values)
+    if bad:
+        raise DomainError(f"invalid {what}: " + "; ".join(bad))

@@ -154,7 +154,7 @@ def _u_minus_of_a(a, gamma, branch):
     return locus_point(a, gamma, branch).u_minus
 
 
-def kinetic_u_plus_candidates(u_minus, gamma, atol=1e-11):
+def kinetic_u_plus_candidates(u_minus, gamma):
     """All right states u_+ paired with the given u_- (0, 1 or 2 of them).
 
     Scans both monotone pieces of the parametric family: u_- is increasing

@@ -23,7 +23,7 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import DomainError, SimulationDivergedError
+from .errors import DomainError, SimulationDivergedError, _check_finite, _not_finite
 from .kinetics import KineticPoint
 from .model import char_speed, flux
 
@@ -49,6 +49,10 @@ class SmoothedRiemann:
     u_left: float
     u_right: float
     steepness: float
+
+    def __post_init__(self):
+        _check_finite("SmoothedRiemann", u_left=self.u_left,
+                      u_right=self.u_right, steepness=self.steepness)
 
     def profile(self, x, mu):
         return 0.5 * ((self.u_right - self.u_left) * np.tanh(self.steepness * x)
@@ -82,12 +86,6 @@ class CustomProfile:
         if u.shape != x.shape:
             raise DomainError("custom profile must return one value per grid point")
         return u
-
-
-def _not_finite(**values):
-    """One complaint per value that is NaN or infinite (None is skipped)."""
-    return [f"{name}={value!r} (must be finite)" for name, value in values.items()
-            if value is not None and not np.isfinite(value)]
 
 
 @dataclass(frozen=True)

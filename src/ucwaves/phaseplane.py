@@ -1,11 +1,10 @@
 """Traveling-wave phase-plane analysis and heteroclinic shooting.
 
-The scalar traveling-wave ODE in the stretched variable xi is the Lienard
-form system
-
-    u' = v,    v' = T*v + P(u),
-
-with T = gamma/sqrt(s) and P(u) = u^3 - u - (u_-^3 - u_-) + s*(u - u_-).
+Both traveling-wave ODEs, of the scalar law and of the p-system (``psystem``),
+are Lienard forms u' = v, v' = T*v + P(u) in the stretched variable xi: an
+object with the attribute ``T`` and the methods ``P(u)``, ``dP(u)``.  The
+scalar form ``TWProblem`` has T = gamma/sqrt(s) and
+P(u) = u^3 - u - (u_-^3 - u_-) + s*(u - u_-).
 Saddle-saddle connections (undercompressive profiles) are verified by a
 bidirectional graph march: along a heteroclinic the orbit is a monotone
 graph v = v(u), so each arc solves dv/du = T + P(u)/v away from its saddle,
@@ -23,7 +22,7 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DegenerateSpeedError, DomainError
+from .errors import DegenerateSpeedError, DomainError, _check_finite
 from .kinetics import KineticPoint
 
 #: defaults fixed by design: RK45 with these tolerances, seed offset along
@@ -65,13 +64,15 @@ class OrbitResult:
 
 @dataclass(frozen=True)
 class TWProblem:
-    """Parameters of the scalar traveling-wave ODE (requires s > 0)."""
+    """Lienard form of the scalar traveling-wave ODE (requires s > 0)."""
 
     gamma: float
     s: float
     u_minus: float
 
     def __post_init__(self):
+        _check_finite("TWProblem", gamma=self.gamma, s=self.s,
+                      u_minus=self.u_minus)
         if self.s <= 0:
             raise DegenerateSpeedError(
                 f"traveling-wave reduction requires s > 0, got s={self.s!r}"
@@ -85,11 +86,16 @@ class TWProblem:
     def equilibria(self):
         return equilibria(self.u_minus, self.s)
 
-    def c(self, u):
-        """Equilibrium cubic c(u) = u^3 - u - (u_-^3 - u_-) + s*(u - u_-)."""
+    @property
+    def T(self):
+        """Damping coefficient gamma/sqrt(s)."""
+        return self.gamma / np.sqrt(self.s)
+
+    def P(self, u):
+        """Equilibrium cubic P(u) = u^3 - u - (u_-^3 - u_-) + s*(u - u_-)."""
         return u**3 - u - (self.u_minus**3 - self.u_minus) + self.s * (u - self.u_minus)
 
-    def c_prime(self, u):
+    def dP(self, u):
         return 3.0 * u**2 - 1.0 + self.s
 
 
@@ -112,50 +118,36 @@ def equilibria(u_minus, s):
     return tuple(uniq)
 
 
-def vector_field(u, v, prob: TWProblem):
+def vector_field(u, v, form):
     """Right-hand side (u', v') of the first-order traveling-wave system."""
-    return v, prob.gamma / np.sqrt(prob.s) * v + prob.c(u)
+    return v, form.T * v + form.P(u)
 
 
-def jacobian(u, prob: TWProblem):
-    return np.array([
-        [0.0, 1.0],
-        [prob.c_prime(u), prob.gamma / np.sqrt(prob.s)],
-    ])
+def jacobian(u, form):
+    """Jacobian of (u', v') at (u, v) (it does not depend on v)."""
+    return np.array([[0.0, 1.0], [form.dP(u), form.T]])
 
 
-def eigenvalues(u, prob: TWProblem):
+def eigenvalues(u, form):
     """Eigenvalues (lam_plus, lam_minus) at an equilibrium.
 
-    lam = (T +- sqrt(T^2 + 4*c'(u)))/2 with T = gamma/sqrt(s); real with
-    opposite signs at the outside equilibria, complex with positive real
-    part possible at the middle one.
+    lam = (T +- sqrt(T^2 + 4*P'(u)))/2: real with opposite signs at a saddle
+    (P' > 0), a complex pair with real part T/2 possible at the middle
+    equilibrium.
     """
-    t = prob.gamma / np.sqrt(prob.s)
-    disc = t * t + 4.0 * prob.c_prime(u)
-    root = np.sqrt(complex(disc))
-    lp, lm = 0.5 * (t + root), 0.5 * (t - root)
-    if disc >= 0.0:
-        return lp.real, lm.real
-    return lp, lm
+    t = form.T
+    disc = t * t + 4.0 * form.dP(u)
+    root = np.sqrt(disc) if disc >= 0.0 else np.sqrt(complex(disc))
+    return 0.5 * (t + root), 0.5 * (t - root)
 
 
-# ---------------------------------------------------------------------------
-# generic shooting engine for u' = v, v' = T*v + P(u)
-
-
-def _lienard_eigs(T, dP_val):
-    disc = T * T + 4.0 * max(dP_val, 0.0)
-    r = np.sqrt(disc)
-    return 0.5 * (T + r), 0.5 * (T - r)
-
-
-def _march_arc(T, P, u0, v0, u_end, vmax):
+def _march_arc(form, u0, v0, u_end, vmax):
     """Integrate the graph ODE dv/du = T + P(u)/v from (u0, v0) to u_end.
 
     Terminates on a fold (v crossing zero, detected robustly by a sign
     change of v relative to its launch sign) or on |v| exceeding vmax.
     """
+    T, P = form.T, form.P
     sgn_v = 1.0 if v0 > 0 else -1.0
 
     def rhs(u, y):
@@ -174,66 +166,56 @@ def _march_arc(T, P, u0, v0, u_end, vmax):
                     events=[ev_fold, ev_big])
     if sol.t_events[0].size:
         return "fold", sol.t, sol.y[0]
-    if sol.t_events[1].size:
-        return "big", sol.t, sol.y[0]
-    if not sol.success:
-        return "error", sol.t, sol.y[0]
-    return "ok", sol.t, sol.y[0]
+    ok = sol.success and not sol.t_events[1].size
+    return "ok" if ok else "diverges", sol.t, sol.y[0]
 
 
-def _xi_along_graph(u, v):
-    """Reconstruct xi by trapezoidal integration of dxi = du / v."""
+def _graph_orbit(u, v, verdict, dist):
+    """OrbitResult of a graph-marched arc, xi by the trapezoid rule on du / v."""
     xi = np.zeros_like(u)
     if len(u) > 1:
         du = np.diff(u)
         xi[1:] = np.cumsum(du * 0.5 * (1.0 / v[1:] + 1.0 / v[:-1]))
-    return xi
+    return OrbitResult(np.column_stack([xi, u, v]), verdict, float(dist))
 
 
-def shoot_saddle_connection(T, P, dP, u_from, u_to, tol=CONNECTION_TOL,
-                            seed_offset=SEED_OFFSET, vmax=V_BOX):
-    """Bidirectional saddle-saddle shooting for u' = v, v' = T*v + P(u).
+def shoot_saddle_connection(form, u_from, u_to, tol=CONNECTION_TOL, vmax=V_BOX):
+    """Bidirectional saddle-saddle shooting for the Lienard form ``form``.
 
     Requires dP > 0 (saddle) at both equilibria; dP = 0 is accepted at
     u_from (saddle-node endpoint, exit along the T-eigendirection).  Marches
     the unstable-manifold graph from u_from and the stable-manifold graph
     from u_to to the midpoint section and compares them there.
     """
-    if dP(u_from) < -1e-9 or dP(u_to) <= 0.0:
+    if form.dP(u_from) < -1e-9 or form.dP(u_to) <= 0.0:
         raise DomainError("shooting requires saddle equilibria at both ends")
     sgn = 1.0 if u_to > u_from else -1.0
     umid = 0.5 * (u_from + u_to)
 
-    lam_u, _ = _lienard_eigs(T, dP(u_from))
-    st_f, uf, vf = _march_arc(T, P, u_from + sgn * seed_offset,
-                              sgn * seed_offset * lam_u, umid, vmax)
+    lam_u, _ = eigenvalues(u_from, form)
+    st_f, uf, vf = _march_arc(form, u_from + sgn * SEED_OFFSET,
+                              sgn * SEED_OFFSET * lam_u, umid, vmax)
+    closest = np.hypot(uf - u_to, vf).min() if uf.size else np.inf
     if st_f != "ok":
-        traj = np.column_stack([_xi_along_graph(uf, vf), uf, vf])
+        verdict = Verdict.DIVERGES
         if st_f == "fold":
             verdict = Verdict.MISSES_ABOVE if sgn < 0 else Verdict.MISSES_BELOW
-        else:
-            verdict = Verdict.DIVERGES
-        dist = float(np.hypot(uf - u_to, vf).min()) if uf.size else np.inf
-        return OrbitResult(traj, verdict, dist)
+        return _graph_orbit(uf, vf, verdict, closest)
 
-    _, lam_s = _lienard_eigs(T, dP(u_to))
-    st_b, ub, vb = _march_arc(T, P, u_to - sgn * seed_offset,
-                              -sgn * seed_offset * lam_s, umid, vmax)
+    _, lam_s = eigenvalues(u_to, form)
+    st_b, ub, vb = _march_arc(form, u_to - sgn * SEED_OFFSET,
+                              -sgn * SEED_OFFSET * lam_s, umid, vmax)
     if st_b != "ok":
-        traj = np.column_stack([_xi_along_graph(uf, vf), uf, vf])
-        dist = float(np.hypot(uf - u_to, vf).min())
-        return OrbitResult(traj, Verdict.DIVERGES, dist)
+        return _graph_orbit(uf, vf, Verdict.DIVERGES, closest)
 
     defect = float(vf[-1] - vb[-1])
     # both arcs end exactly at the midpoint section; keep one copy
     uu = np.concatenate([uf, ub[::-1][1:]])
     vv = np.concatenate([vf, vb[::-1][1:]])
-    traj = np.column_stack([_xi_along_graph(uu, vv), uu, vv])
     if abs(defect) < tol:
-        return OrbitResult(traj, Verdict.CONNECTS, abs(defect))
+        return _graph_orbit(uu, vv, Verdict.CONNECTS, abs(defect))
     verdict = Verdict.MISSES_ABOVE if defect > 0 else Verdict.MISSES_BELOW
-    dist = float(np.hypot(uf - u_to, vf).min())
-    return OrbitResult(traj, verdict, dist)
+    return _graph_orbit(uu, vv, verdict, closest)
 
 
 def shoot_unstable(prob: TWProblem, from_u, toward, tol=CONNECTION_TOL,
@@ -248,22 +230,20 @@ def shoot_unstable(prob: TWProblem, from_u, toward, tol=CONNECTION_TOL,
     """
     if backward:
         return _shoot_backward_to_node(prob, from_u, toward, tol)
-    T = prob.gamma / np.sqrt(prob.s)
-    return shoot_saddle_connection(T, prob.c, prob.c_prime, from_u, toward,
-                                   tol=tol)
+    return shoot_saddle_connection(prob, from_u, toward, tol=tol)
 
 
-def _shoot_backward_to_node(prob: TWProblem, saddle_u, node_u, tol):
+def _shoot_backward_to_node(form, saddle_u, node_u, tol):
     """Reverse-xi integration of the saddle's stable manifold."""
-    if prob.c_prime(saddle_u) <= 0:
+    if form.dP(saddle_u) <= 0:
         raise DomainError(f"u={saddle_u!r} is not a saddle of the problem")
-    t = prob.gamma / np.sqrt(prob.s)
+    T, P = form.T, form.P
 
     def rhs(_, y):
         u, v = y
-        return (-v, -(t * v + prob.c(u)))
+        return (-v, -(T * v + P(u)))
 
-    _, lam_s = _lienard_eigs(t, prob.c_prime(saddle_u))
+    _, lam_s = eigenvalues(saddle_u, form)
     sgn = 1.0 if node_u > saddle_u else -1.0
     y0 = (saddle_u + sgn * SEED_OFFSET, sgn * SEED_OFFSET * lam_s)
 
@@ -279,9 +259,8 @@ def _shoot_backward_to_node(prob: TWProblem, saddle_u, node_u, tol):
     # integrate long enough to leave the saddle from the seed and then close
     # in on the node, each at its slowest linear rate under the reversed
     # flow (twice that, at least 5000): weak shocks near u = 0 are slow at
-    # both ends.  The node is a focus when the discriminant is negative.
-    disc = t * t + 4.0 * prob.c_prime(node_u)
-    r_node = 0.5 * (t - np.sqrt(disc)) if disc >= 0.0 else 0.5 * t
+    # both ends.  At a focus that rate is the real part T/2.
+    r_node = eigenvalues(node_u, form)[1].real
     span = abs(node_u - saddle_u)
     horizon = 5000.0
     if r_node > 0.0:

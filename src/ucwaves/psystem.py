@@ -1,9 +1,11 @@
 """Traveling waves for the p-system with cubic stress and BBM-type dispersion.
 
-The wave profile solves u' = w, s*A*w' = s*w + s^2*(u - u_-) - (u^3 - u_-^3),
-whose outside equilibria are saddles exactly when s and A have opposite
-signs.  With the definiteness convention A > 0, u_- > 0, s < 0, the
-saddle-saddle family is parametrized by b = u_+/u_- on (-1, -1/2):
+The wave profile solves u' = w, s*A*w' = s*w + s^2*(u - u_-) - (u^3 - u_-^3):
+each locus point is that Lienard form of ``phaseplane``, T = 1/A and
+P(u) = -(u^3 - u_-^3 - s^2*(u - u_-))/(s*A).  Its outside equilibria are
+saddles exactly when s and A have opposite signs.  With the definiteness
+convention A > 0, u_- > 0, s < 0, the saddle-saddle family is parametrized
+by b = u_+/u_- on (-1, -1/2):
 
     u_-(b) = (2 / (9*(1+b)^2)) * sqrt(b^2 + b + 1) / A,   u_+ = b*u_-(b).
 
@@ -25,7 +27,7 @@ from dataclasses import dataclass, replace
 
 from scipy.optimize import brentq
 
-from .errors import DomainError, NoLocusError, NoSaddleError
+from .errors import DomainError, NoLocusError, NoSaddleError, _check_finite
 from .phaseplane import (
     CONNECTION_TOL,
     OrbitResult,
@@ -35,7 +37,7 @@ from .phaseplane import (
 
 @dataclass(frozen=True)
 class PSystemLocusPoint:
-    """One undercompressive traveling wave of the p-system."""
+    """One undercompressive p-system wave, also the Lienard form of its ODE."""
 
     b: float
     A: float
@@ -47,9 +49,21 @@ class PSystemLocusPoint:
     v_minus: float
     v_plus: float
 
+    @property
+    def T(self):
+        return 1.0 / self.A
+
+    def P(self, u):
+        um, s = self.u_minus, self.s
+        return -(u**3 - um**3 - s * s * (u - um)) / (s * self.A)
+
+    def dP(self, u):
+        return -(3.0 * u * u - self.s * self.s) / (self.s * self.A)
+
 
 def psys_threshold(A):
     """Smallest u_- carrying an undercompressive wave: 4*sqrt(3)/(9*A)."""
+    _check_finite("psys_threshold", A=A)
     if A <= 0:
         raise DomainError("threshold defined for A > 0; map A < 0 via psys_symmetry")
     return 4.0 * math.sqrt(3.0) / (9.0 * A)
@@ -62,6 +76,7 @@ def psys_locus(b, A, v_minus=0.0):
     coalescence u_0 = u_+ (equal to the existence threshold).  The second
     component states satisfy v_+ = v_- - s*(u_+ - u_-).
     """
+    _check_finite("psys_locus", b=b, A=A, v_minus=v_minus)
     if A <= 0:
         raise DomainError("psys_locus fixes A > 0; map A < 0 via psys_symmetry")
     if not -1.0 < b <= -0.5:
@@ -84,6 +99,7 @@ def psys_kinetic_u_plus(u_minus, A):
 
     Inverts the monotone decreasing map b -> u_-(b) on (-1, -1/2).
     """
+    _check_finite("psys_kinetic_u_plus", u_minus=u_minus)
     thr = psys_threshold(A)
     if u_minus <= thr:
         raise NoLocusError(
@@ -100,20 +116,6 @@ def psys_kinetic_u_plus(u_minus, A):
             raise NoLocusError(f"failed to bracket u_minus={u_minus!r}")
     b = brentq(f, b_lo, -0.5, xtol=1e-15, rtol=8.9e-16)
     return b * u_minus
-
-
-def _lienard_form(point: PSystemLocusPoint):
-    """Coefficients of the equivalent system u' = w, w' = T*w + P(u)."""
-    um, s, A = point.u_minus, point.s, point.A
-    T = 1.0 / A
-
-    def P(u):
-        return -(u**3 - um**3 - s * s * (u - um)) / (s * A)
-
-    def dP(u):
-        return -(3.0 * u * u - s * s) / (s * A)
-
-    return T, P, dP
 
 
 def resolved_parabola_coefficient(point: PSystemLocusPoint):
@@ -136,13 +138,12 @@ def psys_shoot(point: PSystemLocusPoint, tol=CONNECTION_TOL):
             f"outside equilibria are saddles only for s*A < 0, "
             f"got s={point.s!r}, A={point.A!r}"
         )
-    T, P, dP = _lienard_form(point)
     k = resolved_parabola_coefficient(point)
     span = abs(point.u_minus - point.u_plus)
     vmax = 50.0 * (1.0 + abs(k) * span**2)
     lower, upper = sorted((point.u_minus, point.u_plus))
     start, end = (lower, upper) if k < 0 else (upper, lower)
-    return shoot_saddle_connection(T, P, dP, start, end, tol=tol, vmax=vmax)
+    return shoot_saddle_connection(point, start, end, tol=tol, vmax=vmax)
 
 
 def psys_parabola_residual(orbit: OrbitResult, point: PSystemLocusPoint):

@@ -32,7 +32,7 @@ from .kinetics import (
     kinetic_u_minus,
     u_plus_bounds,
 )
-from .model import char_speed, rh_speed
+from .model import ShockKind, char_speed, classify_shock, rh_speed
 from .phaseplane import TWProblem, Verdict, shoot_unstable
 
 #: tolerance for tangency/threshold equalities in the construction
@@ -206,12 +206,12 @@ def verify_solution(sol: RiemannSolution, shoot_tol=1e-6):
 
     Undercompressive shocks must sit on the kinetic locus (pairing residual
     < 1e-8); strict Lax shocks with s > 0 must possess a phase-plane profile
-    (backward shoot from the saddle into the middle equilibrium).  Sonic
-    (attached) shocks and negative-speed Lax shocks are accepted by
-    construction: for s < 0 the traveling wave runs from the middle
-    equilibrium into an attracting outside equilibrium of a damped field and
-    exists unconditionally, and the phase-plane reduction used here is
-    restricted to s > 0.
+    (backward shoot from the saddle into the middle equilibrium).  Attached
+    shocks (sonic or characteristic by ``classify_shock`` within EQ_TOL) and
+    negative-speed Lax shocks are accepted by construction: for s < 0 the
+    traveling wave runs from the middle equilibrium into an attracting
+    outside equilibrium of a damped field and exists unconditionally, and
+    the phase-plane reduction used here is restricted to s > 0.
     """
     checks = []
     for i, w in enumerate(sol.waves):
@@ -228,12 +228,11 @@ def verify_solution(sol: RiemannSolution, shoot_tol=1e-6):
                                     f"kinetic residual {res:.3e}"))
         else:
             s = w.speed_range[0]
-            sl = s - char_speed(w.left_state)
-            sr = s - char_speed(w.right_state)
+            pair = classify_shock(w.left_state, w.right_state, atol=EQ_TOL)
             if s <= 0.0:
                 checks.append(WaveCheck(i, w.kind, True,
                                         "s <= 0: profile exists unconditionally"))
-            elif min(abs(sl), abs(sr)) <= EQ_TOL:
+            elif pair.sonic or pair.kind is ShockKind.CHARACTERISTIC:
                 checks.append(WaveCheck(i, w.kind, True, "sonic attachment"))
             else:
                 prob = TWProblem(sol.gamma, s, w.left_state)

@@ -255,6 +255,12 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     ["riemann", "--gamma", "nan", "--uL", "0.4", "--uR=-0.8"],
     ["riemann", "--gamma", GAMMA6, "--uL", "nan", "--uR=-0.8"],
     ["riemann", "--gamma", "0", "--classify-grid=-1:1:3,-1:1:3"],
+    ["simulate", "--uL", "nan"], ["simulate", "--steepness", "inf"],
+    ["simulate", "--mu", "nan"],
+    ["phase", "--gamma", "nan", "--u-minus", "0.5", "--u-plus=-0.8"],
+    ["phase", "--gamma", "0.4", "--s", "nan", "--u-minus", "0.5", "--u-plus=-0.8"],
+    ["psystem", "--A", "nan", "--b=-0.7", "--shoot"],
+    ["psystem", "--A", "nan", "--u-minus", "1"],
 ])
 def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
     sim = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",

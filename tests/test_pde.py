@@ -62,6 +62,14 @@ def test_config_rejects_non_finite_values(field, value):
         smoothed_cfg(**{field: value})
 
 
+@pytest.mark.parametrize("field", ["u_left", "u_right", "steepness"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_smoothed_riemann_rejects_non_finite_values(field, value):
+    args = {"u_left": 0.4, "u_right": -0.8, "steepness": GAMMA, field: value}
+    with pytest.raises(DomainError, match=f"{field}={value!r} \\(must be finite\\)"):
+        SmoothedRiemann(**args)
+
+
 def test_initial_profile_midpoint_and_far_field():
     cfg = smoothed_cfg(x_min=-40.0, x_max=40.0, nx=1601)
     state = initial_profile(cfg)

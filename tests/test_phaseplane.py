@@ -29,6 +29,14 @@ def test_problem_requires_positive_speed():
         TWProblem(GAMMA, -0.3, 0.4)
 
 
+@pytest.mark.parametrize("field", ["gamma", "s", "u_minus"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_problem_rejects_non_finite_values(field, value):
+    args = {"gamma": GAMMA, "s": 0.3, "u_minus": 0.4, field: value}
+    with pytest.raises(DomainError, match=f"{field}={value!r} \\(must be finite\\)"):
+        TWProblem(**args)
+
+
 def test_equilibria_three_roots():
     roots = equilibria(0.6, 0.25)
     assert roots == pytest.approx((-0.9928203230275509, 0.3928203230275509, 0.6),
@@ -84,7 +92,7 @@ def test_eigenvalues_saddle_signs():
     for u in (p.u_minus, p.u_plus):
         lp, lm = eigenvalues(u, prob)
         assert lp > 0 > lm
-        assert lp * lm == pytest.approx(-prob.c_prime(u), rel=1e-12)
+        assert lp * lm == pytest.approx(-prob.dP(u), rel=1e-12)
 
 
 def test_eigenvalues_middle_unstable():
@@ -100,9 +108,9 @@ def test_eigenvalues_zero_gamma_symmetric():
     prob = TWProblem(1e-300, 0.5, 0.6)
     for u in prob.equilibria:
         lp, lm = eigenvalues(u, prob)
-        if prob.c_prime(u) > 0:
+        if prob.dP(u) > 0:
             assert lp == pytest.approx(-lm, rel=1e-10)
-            assert lp == pytest.approx(math.sqrt(prob.c_prime(u)), rel=1e-10)
+            assert lp == pytest.approx(math.sqrt(prob.dP(u)), rel=1e-10)
 
 
 @pytest.mark.parametrize("a,branch", [

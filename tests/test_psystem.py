@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucwaves import (
     NoLocusError,
     NoSaddleError,
     Verdict,
+    eigenvalues,
     psys_kinetic_u_plus,
     psys_locus,
     psys_parabola_residual,
@@ -15,6 +18,7 @@ from ucwaves import (
     psys_threshold,
 )
 from ucwaves.errors import DomainError
+from ucwaves.phaseplane import jacobian
 
 B_GRID = [-0.95, -0.9, -0.85, -0.8, -0.75, -0.7, -0.65, -0.6, -0.55]
 A_GRID = [0.5, 1.0, 2.0, 4.0]
@@ -194,3 +198,40 @@ def test_shoot_after_a_flip(symmetries, start):
 def test_unknown_symmetry_rejected():
     with pytest.raises(DomainError):
         psys_symmetry(psys_locus(-0.6, 4.0), "rotate")
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_input_raises(value):
+    calls = [(psys_threshold, value), (psys_locus, -0.7, value),
+             (psys_locus, value, 1.0), (psys_locus, -0.7, 1.0, value),
+             (psys_kinetic_u_plus, 1.0, value), (psys_kinetic_u_plus, value, 1.0)]
+    for fn, *args in calls:
+        with pytest.raises(DomainError, match="must be finite"):
+            fn(*args)
+
+
+QUADRANTS = [(), ("odd",), ("a_flip",), ("odd", "a_flip")]
+
+
+@settings(max_examples=300, deadline=None)
+@given(b=st.floats(-1.0, -0.5 - 1e-9, exclude_min=True),
+       A=st.floats(0.2, 5.0), symmetries=st.sampled_from(QUADRANTS))
+def test_lienard_form_at_outside_equilibria(b, A, symmetries):
+    # a locus point is the Lienard form u' = w, w' = T*w + P(u): both states
+    # are roots of P and saddles, with the eigenvalues of the Jacobian.
+    # dP(u_+) is O(b + 1/2), so within rounding of the coalescence at
+    # b = -1/2 its sign is not resolved; b stays 1e-9 away.
+    p = psys_locus(b, A)
+    for which in symmetries:
+        p = psys_symmetry(p, which)
+    um, s = p.u_minus, p.s
+    for u in (p.u_minus, p.u_plus):
+        scale = (abs(u) ** 3 + abs(um) ** 3 + s * s * abs(u - um)) / abs(s * p.A)
+        assert abs(p.P(u)) <= 1e-12 * scale
+        lp, lm = eigenvalues(u, p)
+        assert not isinstance(lp, complex) and not isinstance(lm, complex)
+        assert lp > 0 > lm
+        jac = jacobian(u, p)
+        ref = np.sort(np.linalg.eigvals(jac))
+        np.testing.assert_allclose([lm, lp], ref, rtol=1e-10,
+                                   atol=1e-13 * np.abs(jac).max())

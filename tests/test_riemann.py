@@ -21,7 +21,13 @@ from ucwaves import (
     verify_solution,
 )
 from ucwaves.errors import DomainError
-from ucwaves.riemann import EQ_TOL, solution_from_dict, solution_to_dict
+from ucwaves.riemann import (
+    EQ_TOL,
+    RiemannSolution,
+    Wave,
+    solution_from_dict,
+    solution_to_dict,
+)
 
 GAMMA = 1 / math.sqrt(6)
 
@@ -304,3 +310,16 @@ def test_evaluate_is_continuous_across_the_threshold(gamma, frac):
         assert gap <= 2 * (M + 1) * delta * (1 + 1e-6)
         gaps.append(gap)
     assert gaps[0] > gaps[1] > gaps[2]
+
+
+def test_near_characteristic_shock_counts_as_attached():
+    # states within EQ_TOL of each other (CHARACTERISTIC), whose speed
+    # misses both characteristic speeds by more than EQ_TOL: attached, not shot
+    u_l = 0.55
+    u_r = u_l - 0.9 * EQ_TOL
+    s = rh_speed(u_l, u_r)
+    assert s > 0.0 and abs(s - char_speed(u_l)) > EQ_TOL
+    sol = RiemannSolution(u_l, u_r, GAMMA,
+                          (Wave(WaveKind.LAX_SHOCK, u_l, u_r, (s, s)),), "S")
+    assert [(c.passed, c.detail) for c in verify_solution(sol)] == [
+        (True, "sonic attachment")]
