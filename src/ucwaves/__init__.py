@@ -8,6 +8,7 @@ from .errors import (
     NoLocusError,
     NoSaddleError,
     PoleError,
+    ShootingBudgetError,
     SimulationDivergedError,
     UCWavesError,
 )

@@ -16,6 +16,7 @@ names in ``_NOT_ECHOED``.
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import operator
@@ -442,6 +443,12 @@ def build_parser():
     return ap
 
 
+@functools.cache
+def _parser():
+    """The parser of ``main``, built once per process: parsing leaves it as is."""
+    return build_parser()
+
+
 def _load_config(path):
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
@@ -492,7 +499,7 @@ def _config_flags(args):
 
 def main(argv=None):
     argv = sys.argv[1:] if argv is None else list(argv)
-    ap = build_parser()
+    ap = _parser()
     try:
         args = ap.parse_args(argv)
         if args.config:

@@ -27,6 +27,10 @@ class NoSaddleError(UCWavesError):
     """The outside equilibria are not saddle points (p-system: s*A > 0)."""
 
 
+class ShootingBudgetError(UCWavesError):
+    """A phase-plane shot spent its budget of right-hand-side evaluations."""
+
+
 class SimulationDivergedError(UCWavesError):
     """A simulation step produced a non-finite value (the run blew up)."""
 

@@ -14,6 +14,15 @@ connection certificate (reported as ``terminal_distance``).  Lax profiles
 (node-to-saddle) are verified by integrating the saddle's stable manifold
 backward in xi until it falls into the node, which is attracting for the
 reversed flow.
+
+Every shot runs through ``_integrate``: DOP853 (Hairer, Norsett & Wanner,
+Solving ODEs I), except stiff backward shots, which use BDF with the
+analytic Jacobian (Hairer & Wanner, Solving ODEs II).  The reversed flow
+decays at a rate of order T off the manifold while the shot moves along it
+at its slow rates, as slow as ~|P'|/T; an explicit method then takes ~T
+steps per unit of xi, BDF a few hundred steps in all.  A shot that spends
+more than MAX_NFEV right-hand-side evaluations raises
+``ShootingBudgetError``.
 """
 
 from dataclasses import dataclass
@@ -22,13 +31,25 @@ from enum import Enum
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .errors import DegenerateSpeedError, DomainError, _check_finite
+from .errors import (
+    DegenerateSpeedError,
+    DomainError,
+    ShootingBudgetError,
+    _check_finite,
+)
 from .kinetics import KineticPoint
 
-#: defaults fixed by design: RK45 with these tolerances, seed offset along
-#: the eigenvector, connection tolerance, and bounding box |u|<=3, |v|<=10.
+#: defaults fixed by design: the tolerances of every shot, the right-hand-side
+#: evaluations one shot may spend, the stiffness above which a backward shot
+#: runs implicitly, seed offset along the eigenvector (times max(1, |u|)),
+#: connection tolerance, and bounding box |u|<=3, |v|<=10.
 RTOL = 1e-10
 ATOL = 1e-12
+MAX_NFEV = 100_000
+#: An explicit step is stable up to ~1/T, so T * _slow_time counts the steps
+#: an explicit shot needs.  On the Lax cells of the fig3 grid DOP853 and BDF
+#: take the same time near 2000 (~0.1 s a shot); below, DOP853 is faster.
+STIFF_RATIO = 2000.0
 SEED_OFFSET = 1e-8
 CONNECTION_TOL = 1e-6
 U_BOX = 3.0
@@ -135,10 +156,48 @@ def eigenvalues(u, form):
     (P' > 0), a complex pair with real part T/2 possible at the middle
     equilibrium.
     """
-    t = form.T
-    disc = t * t + 4.0 * form.dP(u)
-    root = np.sqrt(disc) if disc >= 0.0 else np.sqrt(complex(disc))
-    return 0.5 * (t + root), 0.5 * (t - root)
+    t, dp = form.T, form.dP(u)
+    disc = t * t + 4.0 * dp
+    if disc < 0.0:
+        root = np.sqrt(complex(disc))
+        return 0.5 * (t + root), 0.5 * (t - root)
+    # the root of larger modulus first, the other from lam_plus*lam_minus =
+    # -dP: (T - sqrt(T^2 + 4 dP))/2 cancels to noise at large T
+    sign = 1.0 if t >= 0.0 else -1.0
+    far = 0.5 * (t + sign * np.sqrt(disc))
+    near = -dp / far if far else 0.0
+    return (far, near) if sign > 0.0 else (near, far)
+
+
+def _integrate(rhs, span, y0, events, jac=None):
+    """One shot through ``solve_ivp`` at RTOL/ATOL: DOP853, or BDF when the
+    Jacobian ``jac`` of a stiff flow is given.
+
+    Raises ShootingBudgetError once the shot asks for more than MAX_NFEV
+    evaluations of ``rhs``.
+    """
+    method, options = ("DOP853", {}) if jac is None else ("BDF", {"jac": jac})
+    nfev = 0
+
+    def counted(t, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > MAX_NFEV:
+            raise ShootingBudgetError(
+                f"{method} shot stopped at t = {t:.6g} of [{span[0]:.6g}, "
+                f"{span[1]:.6g}] after {MAX_NFEV} right-hand-side evaluations")
+        return rhs(t, y)
+
+    return solve_ivp(counted, span, y0, method=method, rtol=RTOL, atol=ATOL,
+                     events=events, **options)
+
+
+def _seed(u, sgn, lam):
+    """Launch point off the equilibrium u on the side ``sgn`` of the
+    eigenvector of ``lam``, SEED_OFFSET * max(1, |u|) away in u: a step
+    near it must stay above the spacing of floats at u."""
+    du = sgn * SEED_OFFSET * max(1.0, abs(u))
+    return u + du, du * lam
 
 
 def _march_arc(form, u0, v0, u_end, vmax):
@@ -162,8 +221,7 @@ def _march_arc(form, u0, v0, u_end, vmax):
         return abs(y[0]) - vmax
     ev_big.terminal = True
 
-    sol = solve_ivp(rhs, (u0, u_end), [v0], method="RK45", rtol=RTOL, atol=ATOL,
-                    events=[ev_fold, ev_big])
+    sol = _integrate(rhs, (u0, u_end), [v0], [ev_fold, ev_big])
     if sol.t_events[0].size:
         return "fold", sol.t, sol.y[0]
     ok = sol.success and not sol.t_events[1].size
@@ -193,8 +251,7 @@ def shoot_saddle_connection(form, u_from, u_to, tol=CONNECTION_TOL, vmax=V_BOX):
     umid = 0.5 * (u_from + u_to)
 
     lam_u, _ = eigenvalues(u_from, form)
-    st_f, uf, vf = _march_arc(form, u_from + sgn * SEED_OFFSET,
-                              sgn * SEED_OFFSET * lam_u, umid, vmax)
+    st_f, uf, vf = _march_arc(form, *_seed(u_from, sgn, lam_u), umid, vmax)
     closest = np.hypot(uf - u_to, vf).min() if uf.size else np.inf
     if st_f != "ok":
         verdict = Verdict.DIVERGES
@@ -203,8 +260,7 @@ def shoot_saddle_connection(form, u_from, u_to, tol=CONNECTION_TOL, vmax=V_BOX):
         return _graph_orbit(uf, vf, verdict, closest)
 
     _, lam_s = eigenvalues(u_to, form)
-    st_b, ub, vb = _march_arc(form, u_to - sgn * SEED_OFFSET,
-                              -sgn * SEED_OFFSET * lam_s, umid, vmax)
+    st_b, ub, vb = _march_arc(form, *_seed(u_to, -sgn, lam_s), umid, vmax)
     if st_b != "ok":
         return _graph_orbit(uf, vf, Verdict.DIVERGES, closest)
 
@@ -233,6 +289,18 @@ def shoot_unstable(prob: TWProblem, from_u, toward, tol=CONNECTION_TOL,
     return shoot_saddle_connection(prob, from_u, toward, tol=tol)
 
 
+def _slow_time(form, saddle_u, node_u, tol):
+    """Time the reversed flow takes to leave the saddle from the seed and then
+    close in on the node to ``tol``, each at its slowest linear rate (at a
+    focus the real part T/2); 0 when the node does not attract it."""
+    r_node = eigenvalues(node_u, form)[1].real
+    if r_node <= 0.0:
+        return 0.0
+    span = abs(node_u - saddle_u)
+    lam_s = eigenvalues(saddle_u, form)[1]
+    return np.log(span / SEED_OFFSET) / abs(lam_s) + np.log(span / tol) / r_node
+
+
 def _shoot_backward_to_node(form, saddle_u, node_u, tol):
     """Reverse-xi integration of the saddle's stable manifold."""
     if form.dP(saddle_u) <= 0:
@@ -245,10 +313,12 @@ def _shoot_backward_to_node(form, saddle_u, node_u, tol):
 
     _, lam_s = eigenvalues(saddle_u, form)
     sgn = 1.0 if node_u > saddle_u else -1.0
-    y0 = (saddle_u + sgn * SEED_OFFSET, sgn * SEED_OFFSET * lam_s)
+    y0 = _seed(saddle_u, sgn, lam_s)
 
+    # fires at half the tolerance, so that the root-finder's error on the
+    # located point cannot carry its distance past tol
     def ev_close(_, y):
-        return np.hypot(y[0] - node_u, y[1]) - tol
+        return np.hypot(y[0] - node_u, y[1]) - 0.5 * tol
     ev_close.terminal = True
     ev_close.direction = -1
 
@@ -256,18 +326,14 @@ def _shoot_backward_to_node(form, saddle_u, node_u, tol):
         return min(U_BOX - abs(y[0]), V_BOX - abs(y[1]))
     ev_box.terminal = True
 
-    # integrate long enough to leave the saddle from the seed and then close
-    # in on the node, each at its slowest linear rate under the reversed
-    # flow (twice that, at least 5000): weak shocks near u = 0 are slow at
-    # both ends.  At a focus that rate is the real part T/2.
-    r_node = eigenvalues(node_u, form)[1].real
-    span = abs(node_u - saddle_u)
-    horizon = 5000.0
-    if r_node > 0.0:
-        horizon = max(horizon, 2.0 * (np.log(span / SEED_OFFSET) / abs(lam_s)
-                                      + np.log(span / tol) / r_node))
-    sol = solve_ivp(rhs, (0.0, horizon), y0, method="RK45", rtol=RTOL, atol=ATOL,
-                    events=[ev_close, ev_box])
+    # integrate twice the slow time, at least 5000: weak shocks near u = 0
+    # are slow at both ends
+    t_slow = _slow_time(form, saddle_u, node_u, tol)
+    horizon = max(5000.0, 2.0 * t_slow)
+    # the reversed flow's Jacobian is minus the forward one
+    stiff = T * t_slow > STIFF_RATIO
+    jac = (lambda _, y: -jacobian(y[0], form)) if stiff else None
+    sol = _integrate(rhs, (0.0, horizon), y0, [ev_close, ev_box], jac=jac)
     dist = np.hypot(sol.y[0] - node_u, sol.y[1])
     traj = np.column_stack([-sol.t, sol.y[0], sol.y[1]])
     if sol.t_events[0].size:

@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from ucwaves import kinetic_u_minus
+from ucwaves import kinetic_u_minus, phaseplane
 from ucwaves.cli import PRESETS, build_parser, main
 
 GAMMA6 = repr(1 / math.sqrt(6))
@@ -87,6 +87,28 @@ def test_riemann_bad_classify_grid(grid, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "UCWavesError"
     assert repr(grid) in record["message"]
+
+
+STIFF_CELL = ["riemann", "--uL", "0", "--uR", "0.9999999999999998",
+              "--gamma", "0.4", "--verify"]
+
+
+def test_riemann_verify_stiff_lax_cell(tmp_path):
+    # a fig3 grid cell: the Lax shock has s = 4.4e-16, so T = 1.9e7
+    out = tmp_path / "cell.json"
+    assert run_cli(STIFF_CELL + ["--output", str(out)]) == 0
+    checks = json.loads(out.read_text())["admissibility"]
+    assert [c["passed"] for c in checks] == [True]
+
+
+def test_shot_over_budget_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(phaseplane, "MAX_NFEV", 50)
+    out = tmp_path / "cell.json"
+    assert run_cli(STIFF_CELL + ["--output", str(out)]) == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "ShootingBudgetError"
 
 
 def test_riemann_classify_grid(tmp_path):

@@ -2,10 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from ucwaves import (
+    GAMMA_MAX,
     Branch,
     DegenerateSpeedError,
+    ShootingBudgetError,
     TWProblem,
     Verdict,
     eigenvalues,
@@ -14,10 +19,13 @@ from ucwaves import (
     parabola_residual,
     rh_speed,
     shoot_unstable,
+    solve,
     vector_field,
+    verify_solution,
 )
+from ucwaves import phaseplane
 from ucwaves.errors import DomainError
-from ucwaves.phaseplane import jacobian
+from ucwaves.phaseplane import STIFF_RATIO, jacobian
 
 GAMMA = 1 / math.sqrt(6)
 
@@ -189,3 +197,92 @@ def test_trajectory_endpoints():
     assert abs(u[-1] - p.u_plus) < 1e-6
     # xi increases along the orbit
     assert np.all(np.diff(res.trajectory[:, 0]) > 0)
+
+
+def _lax_problem(gamma, s, u_node=0.0, side=1.0):
+    """The problem at speed s with middle equilibrium u_node, and its outside
+    saddle on ``side`` (+1 above, -1 below)."""
+    prob = TWProblem(gamma, s, u_node)
+    low, _, high = prob.equilibria
+    return prob, high if side > 0 else low
+
+
+def _lax_shot(gamma, s, u_node=0.0, side=1.0):
+    """Backward shot from that saddle into u_node."""
+    prob, saddle = _lax_problem(gamma, s, u_node, side)
+    return shoot_unstable(prob, saddle, u_node, backward=True)
+
+
+def test_eigenvalues_accurate_at_large_damping():
+    # (T - sqrt(T^2 + 4 dP))/2 cancels to noise: at T = 1e9 it reads 0
+    prob = TWProblem(0.4, (0.4 / 1e9) ** 2, 0.0)
+    for u in prob.equilibria:
+        lp, lm = eigenvalues(u, prob)
+        assert lp * lm == pytest.approx(-prob.dP(u), rel=1e-12)
+        assert lp + lm == pytest.approx(prob.T, rel=1e-12)
+
+
+def test_shot_budget_raises_typed_error(monkeypatch):
+    monkeypatch.setattr(phaseplane, "MAX_NFEV", 50)
+    p = locus_point(0.6, GAMMA, Branch.MINUS)
+    with pytest.raises(ShootingBudgetError, match="50 right-hand-side"):
+        shoot_unstable(TWProblem.from_kinetic_point(p), p.u_minus, p.u_plus)
+    for T in (1.0, 1e3):  # DOP853 and BDF
+        with pytest.raises(ShootingBudgetError):
+            _lax_shot(0.4, (0.4 / T) ** 2)
+
+
+def test_stiff_lax_cell_verifies():
+    # s = 4.4e-16, T = 1.9e7: an explicit method takes ~T^2 steps here
+    sol = solve(0.0, 0.9999999999999998, 0.4)
+    checks = verify_solution(sol)
+    assert [c.detail for c in checks] == ["profile shoot: connects"]
+    assert all(c.passed for c in checks)
+
+
+# s down to 1e-16: double-precision Riemann data near |u| = 1 give no
+# smaller positive speed.  gamma from 0.01: as T -> 0 the middle equilibrium
+# becomes a center and the reversed orbit spirals ~1/T times into it, so the
+# cost of a shot grows like 1/T (T > 10 gamma here).
+@settings(max_examples=30, deadline=None)
+@given(log_s=st.floats(-16.0, -2.0), gamma=st.floats(0.01, 0.7),
+       side=st.sampled_from([1.0, -1.0]))
+def test_small_speed_lax_shots_connect_within_budget(log_s, gamma, side):
+    res = _lax_shot(gamma, 10.0 ** log_s, side=side)
+    assert res.verdict is Verdict.CONNECTS
+    assert res.terminal_distance <= 1e-6
+
+
+def test_weak_lax_shock_of_a_sigma_pattern_verifies():
+    # a fig3 grid cell: the Lax shock of S + Sigma has |u_R - u_L| = 1e-3 and
+    # T = 4.2, but slow rates ~1e-3; DOP853 would spend ~3.6e5 evaluations
+    sol = solve(-0.575, 1.1, 0.55 * GAMMA_MAX)
+    assert sol.pattern == "SΣ"
+    checks = verify_solution(sol)
+    assert checks[0].detail == "profile shoot: connects"
+    assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize("u_node,side", [(0.0, 1.0), (0.2, 1.0), (0.2, -1.0),
+                                         (-0.4, -1.0)])
+def test_explicit_and_implicit_shots_agree_at_the_threshold(u_node, side,
+                                                            monkeypatch):
+    methods = []
+    solve_ivp = phaseplane.solve_ivp
+
+    def recorded(*args, method, **kwargs):
+        methods.append(method)
+        return solve_ivp(*args, method=method, **kwargs)
+
+    def excess(T):  # over STIFF_RATIO, of the shot at T
+        prob, saddle = _lax_problem(gamma, (gamma / T) ** 2, u_node, side)
+        return T * phaseplane._slow_time(prob, saddle, u_node, 1e-6) - STIFF_RATIO
+
+    monkeypatch.setattr(phaseplane, "solve_ivp", recorded)
+    gamma = 0.4
+    t_star = brentq(excess, 1.0, 100.0)
+    below, above = (_lax_shot(gamma, (gamma / (t_star * f)) ** 2, u_node, side)
+                    for f in (1.0 - 1e-3, 1.0 + 1e-3))
+    assert methods == ["DOP853", "BDF"]
+    assert below.verdict is above.verdict is Verdict.CONNECTS
+    assert max(below.terminal_distance, above.terminal_distance) <= 1e-6

@@ -133,6 +133,16 @@ def test_shoot_connects_and_orientation():
     assert np.all(w_interior > 0)
 
 
+@pytest.mark.parametrize("b,A", [(-0.995, 0.5), (-0.999, 0.5), (-0.999, 4.0)])
+def test_shoot_connects_at_large_states(b, A):
+    # |u| from 1.8e4 to 4.4e5: an absolute 1e-8 seed is a few thousand
+    # float spacings of u, below DOP853's smallest step
+    p = psys_locus(b, A)
+    res = psys_shoot(p)
+    assert res.verdict is Verdict.CONNECTS
+    assert res.terminal_distance < 1e-6
+
+
 def test_shoot_rejects_perturbed():
     p = psys_locus(-0.6, 4.0)
     for fac in (1.05, 0.95):
