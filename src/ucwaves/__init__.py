@@ -26,7 +26,6 @@ from .kinetics import (
     u_plus_bounds,
 )
 from .model import (
-    ScalarParams,
     ShockKind,
     ShockPair,
     char_speed,
@@ -56,7 +55,6 @@ from .phaseplane import (
     equilibria,
     parabola_residual,
     shoot_unstable,
-    vector_field,
 )
 from .psystem import (
     PSystemLocusPoint,

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from . import kinetics, pde, phaseplane, psystem, riemann
-from .errors import UCWavesError, _check_finite
+from .errors import DomainError, UCWavesError, _check_finite
 from .kinetics import Branch
 from .model import rh_speed
 
@@ -123,12 +123,19 @@ def _parse_sweep(arg):
     return start + step_ * np.arange(n)
 
 
+def _count(name, n):
+    """A number of points, which must be at least 1."""
+    if n < 1:
+        raise DomainError(f"{name}={n!r} (must be >= 1)")
+    return n
+
+
 def _parse_grid(arg):
     """uLmin:uLmax:n,uRmin:uRmax:n, the two axes of the classification grid."""
     try:
         (l0, l1, nl), (r0, r1, nr) = (axis.split(":") for axis in arg.split(","))
-        return (np.linspace(float(l0), float(l1), int(nl)),
-                np.linspace(float(r0), float(r1), int(nr)))
+        return (np.linspace(float(l0), float(l1), _count("grid n", int(nl))),
+                np.linspace(float(r0), float(r1), _count("grid n", int(nr))))
     except ValueError:
         raise UCWavesError(
             f"bad grid {arg!r}; expected uLmin:uLmax:n,uRmin:uRmax:n")
@@ -139,10 +146,11 @@ def _parse_grid(arg):
 
 
 def _cmd_kinetics(args, params):
+    n_points = _count("points", 101 if args.points is None else args.points)
     if args.preset == "fig2":
         points = [p for n in range(1, 11)
                   for p in kinetics.locus_sweep(n / 10.0 * kinetics.GAMMA_MAX,
-                                                args.points or 101)]
+                                                n_points)]
         _write_records(args.output, params, kinetics.KineticPoint, points)
         return 0
     if args.gamma is None:
@@ -171,7 +179,7 @@ def _cmd_kinetics(args, params):
     if args.sweep_a:
         a_values = np.minimum(_parse_sweep(args.sweep_a), at)
     else:
-        a_values = np.linspace(0.5, at, args.points or 101)
+        a_values = np.linspace(0.5, at, n_points)
     branches = {"plus": [Branch.PLUS], "minus": [Branch.MINUS],
                 "both": [Branch.PLUS, Branch.MINUS]}[args.branch]
     points = [kinetics.locus_point(a, g, br) for br in branches

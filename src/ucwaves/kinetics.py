@@ -89,10 +89,9 @@ def locus_point(a, gamma, branch):
             f"a={a!r} outside the locus range [1/2, a_tilde={at!r}]"
         )
     a = min(max(a, 0.5), at)
-    d = discriminant(a, gamma)
-    if d < -1e-13:
-        raise NoLocusError(f"negative discriminant D({a!r}, {gamma!r}) = {d!r}")
-    d = max(d, 0.0)
+    # D >= 0 on [1/2, a_tilde]; below 0 it is rounding, about 2e-16/(1 - a)
+    # next to a_tilde, which nears the pole a = 1 as gamma -> 0
+    d = max(discriminant(a, gamma), 0.0)
     sgn = 1.0 if branch is Branch.PLUS else -1.0
     x = (1.0 + sgn * math.sqrt(d)) / (2.0 * (1.0 - a + a * a))
     u_plus = -math.sqrt(x)
@@ -143,9 +142,16 @@ def kinetic_u_minus(u_plus, gamma):
     m = -u_plus
     # keep the bracket inside {s > 0}: q = 1 at u_- = (m + sqrt(4 - 3m^2))/2
     u_s0 = 0.5 * (m + math.sqrt(max(4.0 - 3.0 * m * m, 0.0)))
-    hi = min(m, u_s0)
+    lo, hi = 0.5 * m, min(m, u_s0)
+    # the residual is < 0 at lo and > 0 at hi, but rounding hides the sign of
+    # an end the root sits on (lo at the bounds, u_s0 as s -> 0): that end
+    # is then the root
+    if _connection_residual(lo, u_plus, gamma) >= 0.0:
+        return lo
+    if _connection_residual(hi, u_plus, gamma) <= 0.0:
+        return hi
     return brentq(
-        _connection_residual, 0.5 * m, hi, args=(u_plus, gamma),
+        _connection_residual, lo, hi, args=(u_plus, gamma),
         xtol=1e-14, rtol=8.9e-16,
     )
 
@@ -218,8 +224,8 @@ def entropy_integral(u_minus, u_plus):
     return antideriv(u_minus) - antideriv(u_plus)
 
 
-def locus_sweep(gamma, n=101):
-    """KineticPoints on an a-grid over both branches (plus first)."""
+def locus_sweep(gamma, n):
+    """KineticPoints on an n-point a-grid over both branches (plus first)."""
     at = a_tilde(gamma)
     grid = np.linspace(0.5, at, n)
     points = [locus_point(a, gamma, Branch.PLUS) for a in grid]

@@ -6,36 +6,17 @@ Also provides the linear dispersion relation of the regularized equation
 u_t + f(u)_x = beta*u_xx + mu*u_xxt about a constant state.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import DomainError, PoleError
+from .errors import PoleError
 
-#: Absolute tolerance used in shock classification; all states are O(1).
-CLASSIFY_ATOL = 1e-12
-
-
-@dataclass(frozen=True)
-class ScalarParams:
-    """Dissipation/dispersion coefficients of the regularized equation.
-
-    gamma = beta/sqrt(mu) is the single combined parameter the traveling-wave
-    analysis depends on; it is defined only for mu > 0.
-    """
-
-    beta: float
-    mu: float
-    gamma: float = field(init=False)
-
-    def __post_init__(self):
-        if self.beta < 0:
-            raise DomainError(f"beta must be >= 0, got {self.beta}")
-        if self.mu == 0:
-            raise DomainError("mu must be nonzero")
-        g = self.beta / np.sqrt(self.mu) if self.mu > 0 else float("nan")
-        object.__setattr__(self, "gamma", g)
+#: Absolute tolerance of "a speed equals a characteristic speed" (tangent
+#: chords, sonic and characteristic shocks) and of the Riemann solver's
+#: threshold equalities; all states are O(1).
+EQ_TOL = 1e-10
 
 
 class ShockKind(Enum):
@@ -50,7 +31,7 @@ class ShockPair:
     """A candidate discontinuity (u_minus, u_plus) with its RH speed.
 
     ``sonic`` is set when the speed equals the characteristic speed on one
-    side to within CLASSIFY_ATOL (tangent chord); such pairs are classified
+    side to within EQ_TOL (tangent chord); such pairs are classified
     INADMISSIBLE and handled separately by the Riemann solver.
 
     ``kind`` is a pointwise classification by characteristic inequalities
@@ -86,20 +67,20 @@ def rh_speed(u_minus, u_plus):
     return 1.0 - (u_plus**2 + u_plus * u_minus + u_minus**2)
 
 
-def classify_shock(u_minus, u_plus, atol=CLASSIFY_ATOL):
+def classify_shock(u_minus, u_plus):
     """Classify the pair by the Lax inequalities (strict).
 
     LAX when 1 - 3u_+^2 < s < 1 - 3u_-^2, UNDERCOMPRESSIVE_CANDIDATE when s
     exceeds the characteristic speed on both sides (supersonic-supersonic),
     CHARACTERISTIC for coincident states.  Equality with either
-    characteristic speed (within atol) yields INADMISSIBLE with sonic=True.
+    characteristic speed (within EQ_TOL) yields INADMISSIBLE with sonic=True.
     """
     s = rh_speed(u_minus, u_plus)
-    if abs(u_plus - u_minus) <= atol:
+    if abs(u_plus - u_minus) <= EQ_TOL:
         return ShockPair(u_minus, u_plus, s, ShockKind.CHARACTERISTIC)
     cl = char_speed(u_minus)
     cr = char_speed(u_plus)
-    sonic = abs(s - cl) <= atol or abs(s - cr) <= atol
+    sonic = abs(s - cl) <= EQ_TOL or abs(s - cr) <= EQ_TOL
     if sonic:
         kind = ShockKind.INADMISSIBLE
     elif cr < s < cl:

@@ -34,6 +34,9 @@ DEFAULT_CFL = 0.4  # mu < 0: share of the CFL step dx/max|f'|
 #: a 13x smaller step; at 1.0 the front speeds leave that tolerance.
 DEFAULT_SYMBOL_SAFETY = 0.35
 _RK4_REAL_LIMIT = 2.78  # RK4 is stable on [-2.78, 0] (and on i*[-2.83, 2.83])
+#: Grid points a flat run needs to count as a plateau, and the scale of the
+#: gap across which two runs of nearly equal value merge (4 * MIN_RUN).
+MIN_RUN = 25
 
 
 class BoundaryCondition(Enum):
@@ -72,7 +75,10 @@ class TravelingWaveSeed:
     center: float = 0.0
 
     def profile(self, x, mu):
-        return traveling_wave_profile(self.point, mu, x, self.center)
+        um, up, s = self.point.u_minus, self.point.u_plus, self.point.s
+        xi = (np.asarray(x) - self.center) / np.sqrt(mu * s)
+        gap = um - up
+        return 0.5 * (um + up) - 0.5 * gap * np.tanh(gap * xi / (2.0 * np.sqrt(2.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,13 +148,6 @@ def x_grid(cfg: SimConfig):
         return cfg.x_min + dx * np.arange(cfg.nx), dx
     x = np.linspace(cfg.x_min, cfg.x_max, cfg.nx)
     return x, x[1] - x[0]
-
-
-def traveling_wave_profile(point: KineticPoint, mu, x, center=0.0):
-    um, up, s = point.u_minus, point.u_plus, point.s
-    xi = (np.asarray(x) - center) / np.sqrt(mu * s)
-    gap = um - up
-    return 0.5 * (um + up) - 0.5 * gap * np.tanh(gap * xi / (2.0 * np.sqrt(2.0)))
 
 
 def initial_profile(cfg: SimConfig):
@@ -301,9 +300,9 @@ class FrontReport:
     fronts: tuple
 
 
-def detect_fronts(state: SimState, plateau_tol=0.01, min_run=25):
-    """Locate plateaus (flat runs of |du/dx| < plateau_tol) and the fronts
-    between them.
+def detect_fronts(state: SimState, plateau_tol=0.01):
+    """Locate plateaus (flat runs of |du/dx| < plateau_tol, at least MIN_RUN
+    points long) and the fronts between them.
 
     Each flat run is trimmed to the contiguous stretch of nearly constant
     value around its flattest point (a slowly-varying ramp or a dispersive
@@ -324,7 +323,7 @@ def detect_fronts(state: SimState, plateau_tol=0.01, min_run=25):
             j = i
             while j + 1 < n and flat[j + 1]:
                 j += 1
-            if j - i + 1 >= min_run:
+            if j - i + 1 >= MIN_RUN:
                 raw.append((i, j))
             i = j + 1
         else:
@@ -345,7 +344,7 @@ def detect_fronts(state: SimState, plateau_tol=0.01, min_run=25):
         j1 = k
         while j1 + 1 <= i1 and abs(u[j1 + 1] - v_anchor) <= merge_tol:
             j1 += 1
-        if j1 - j0 + 1 >= min_run:
+        if j1 - j0 + 1 >= MIN_RUN:
             runs.append((j0, j1))
     if not runs:
         return FrontReport((), ())
@@ -358,7 +357,7 @@ def detect_fronts(state: SimState, plateau_tol=0.01, min_run=25):
     for r in runs[1:]:
         prev = groups[-1][-1]
         close_value = abs(run_value(*r) - run_value(*prev)) < merge_tol
-        close_gap = r[0] - prev[1] <= 4 * min_run
+        close_gap = r[0] - prev[1] <= 4 * MIN_RUN
         if close_value and close_gap:
             groups[-1].append(r)
         else:
@@ -429,7 +428,7 @@ def _level_crossings(state: SimState, level, direction):
 
 
 def fit_front_speeds(cfg: SimConfig, result: SimResult, plateau_tol=0.01,
-                     min_run=25, transient="linear"):
+                     transient="linear"):
     """Estimate front speeds from position vs time over the recorded
     snapshots.
 
@@ -440,7 +439,7 @@ def fit_front_speeds(cfg: SimConfig, result: SimResult, plateau_tol=0.01,
     term to absorb the slow settling of fronts emerging from smoothed data
     (requires at least five points, otherwise linear).
     """
-    rep = detect_fronts(result.final, plateau_tol=plateau_tol, min_run=min_run)
+    rep = detect_fronts(result.final, plateau_tol=plateau_tol)
     snaps = sorted((s for s in result.snapshots if s.t > 0.0), key=lambda s: s.t)
     if len(snaps) < 2:
         return []

@@ -22,7 +22,8 @@ decays at a rate of order T off the manifold while the shot moves along it
 at its slow rates, as slow as ~|P'|/T; an explicit method then takes ~T
 steps per unit of xi, BDF a few hundred steps in all.  A shot that spends
 more than MAX_NFEV right-hand-side evaluations raises
-``ShootingBudgetError``.
+``ShootingBudgetError``; a backward shot stiffer than MAX_STIFF_RATIO, where
+BDF itself fails, raises ``DegenerateSpeedError`` before it starts.
 """
 
 from dataclasses import dataclass
@@ -39,7 +40,7 @@ from .errors import (
 )
 from .kinetics import KineticPoint
 
-#: defaults fixed by design: the tolerances of every shot, the right-hand-side
+#: constants fixed by design: the tolerances of every shot, the right-hand-side
 #: evaluations one shot may spend, the stiffness above which a backward shot
 #: runs implicitly, seed offset along the eigenvector (times max(1, |u|)),
 #: connection tolerance, and bounding box |u|<=3, |v|<=10.
@@ -50,6 +51,11 @@ MAX_NFEV = 100_000
 #: an explicit shot needs.  On the Lax cells of the fig3 grid DOP853 and BDF
 #: take the same time near 2000 (~0.1 s a shot); below, DOP853 is faster.
 STIFF_RATIO = 2000.0
+#: Above this T * _slow_time BDF itself fails: at u_- = 0 and 0.3, gamma =
+#: 0.05, 0.4 and 0.6, shots return wrong ``diverges`` verdicts or spend their
+#: budget from 1.4e32, and lu_factor overflows from 6.6e293.  Such a shot is
+#: refused before it starts.
+MAX_STIFF_RATIO = 1e30
 SEED_OFFSET = 1e-8
 CONNECTION_TOL = 1e-6
 U_BOX = 3.0
@@ -137,11 +143,6 @@ def equilibria(u_minus, s):
         if not uniq or abs(u - uniq[-1]) > 1e-12:
             uniq.append(u)
     return tuple(uniq)
-
-
-def vector_field(u, v, form):
-    """Right-hand side (u', v') of the first-order traveling-wave system."""
-    return v, form.T * v + form.P(u)
 
 
 def jacobian(u, form):
@@ -237,13 +238,14 @@ def _graph_orbit(u, v, verdict, dist):
     return OrbitResult(np.column_stack([xi, u, v]), verdict, float(dist))
 
 
-def shoot_saddle_connection(form, u_from, u_to, tol=CONNECTION_TOL, vmax=V_BOX):
+def shoot_saddle_connection(form, u_from, u_to, vmax=V_BOX):
     """Bidirectional saddle-saddle shooting for the Lienard form ``form``.
 
     Requires dP > 0 (saddle) at both equilibria; dP = 0 is accepted at
     u_from (saddle-node endpoint, exit along the T-eigendirection).  Marches
     the unstable-manifold graph from u_from and the stable-manifold graph
-    from u_to to the midpoint section and compares them there.
+    from u_to to the midpoint section and compares them there; they connect
+    when the defect is below CONNECTION_TOL.
     """
     if form.dP(u_from) < -1e-9 or form.dP(u_to) <= 0.0:
         raise DomainError("shooting requires saddle equilibria at both ends")
@@ -268,14 +270,13 @@ def shoot_saddle_connection(form, u_from, u_to, tol=CONNECTION_TOL, vmax=V_BOX):
     # both arcs end exactly at the midpoint section; keep one copy
     uu = np.concatenate([uf, ub[::-1][1:]])
     vv = np.concatenate([vf, vb[::-1][1:]])
-    if abs(defect) < tol:
+    if abs(defect) < CONNECTION_TOL:
         return _graph_orbit(uu, vv, Verdict.CONNECTS, abs(defect))
     verdict = Verdict.MISSES_ABOVE if defect > 0 else Verdict.MISSES_BELOW
     return _graph_orbit(uu, vv, verdict, closest)
 
 
-def shoot_unstable(prob: TWProblem, from_u, toward, tol=CONNECTION_TOL,
-                   backward=False):
+def shoot_unstable(prob: TWProblem, from_u, toward, backward=False):
     """Shoot a manifold of the equilibrium ``from_u`` toward ``toward``.
 
     With backward=False (default) both states must be saddle-type outside
@@ -285,8 +286,8 @@ def shoot_unstable(prob: TWProblem, from_u, toward, tol=CONNECTION_TOL,
     ``toward``; convergence into that node/focus establishes a Lax profile.
     """
     if backward:
-        return _shoot_backward_to_node(prob, from_u, toward, tol)
-    return shoot_saddle_connection(prob, from_u, toward, tol=tol)
+        return _shoot_backward_to_node(prob, from_u, toward)
+    return shoot_saddle_connection(prob, from_u, toward)
 
 
 def _slow_time(form, saddle_u, node_u, tol):
@@ -301,8 +302,9 @@ def _slow_time(form, saddle_u, node_u, tol):
     return np.log(span / SEED_OFFSET) / abs(lam_s) + np.log(span / tol) / r_node
 
 
-def _shoot_backward_to_node(form, saddle_u, node_u, tol):
-    """Reverse-xi integration of the saddle's stable manifold."""
+def _shoot_backward_to_node(form, saddle_u, node_u):
+    """Reverse-xi integration of the saddle's stable manifold; it connects
+    when it closes in on the node to CONNECTION_TOL."""
     if form.dP(saddle_u) <= 0:
         raise DomainError(f"u={saddle_u!r} is not a saddle of the problem")
     T, P = form.T, form.P
@@ -316,9 +318,9 @@ def _shoot_backward_to_node(form, saddle_u, node_u, tol):
     y0 = _seed(saddle_u, sgn, lam_s)
 
     # fires at half the tolerance, so that the root-finder's error on the
-    # located point cannot carry its distance past tol
+    # located point cannot carry its distance past CONNECTION_TOL
     def ev_close(_, y):
-        return np.hypot(y[0] - node_u, y[1]) - 0.5 * tol
+        return np.hypot(y[0] - node_u, y[1]) - 0.5 * CONNECTION_TOL
     ev_close.terminal = True
     ev_close.direction = -1
 
@@ -328,7 +330,11 @@ def _shoot_backward_to_node(form, saddle_u, node_u, tol):
 
     # integrate twice the slow time, at least 5000: weak shocks near u = 0
     # are slow at both ends
-    t_slow = _slow_time(form, saddle_u, node_u, tol)
+    t_slow = _slow_time(form, saddle_u, node_u, CONNECTION_TOL)
+    if T * t_slow > MAX_STIFF_RATIO:
+        raise DegenerateSpeedError(
+            f"backward shot at T = {T:.6g} is too stiff to integrate: T times "
+            f"its slow time is {T * t_slow:.3g}, above {MAX_STIFF_RATIO:.0e}")
     horizon = max(5000.0, 2.0 * t_slow)
     # the reversed flow's Jacobian is minus the forward one
     stiff = T * t_slow > STIFF_RATIO

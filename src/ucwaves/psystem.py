@@ -28,11 +28,7 @@ from dataclasses import dataclass, replace
 from scipy.optimize import brentq
 
 from .errors import DomainError, NoLocusError, NoSaddleError, _check_finite
-from .phaseplane import (
-    CONNECTION_TOL,
-    OrbitResult,
-    shoot_saddle_connection,
-)
+from .phaseplane import OrbitResult, shoot_saddle_connection
 
 
 @dataclass(frozen=True)
@@ -124,7 +120,7 @@ def resolved_parabola_coefficient(point: PSystemLocusPoint):
     return 1.5 * (point.u_minus + point.u_plus) / point.s
 
 
-def psys_shoot(point: PSystemLocusPoint, tol=CONNECTION_TOL):
+def psys_shoot(point: PSystemLocusPoint):
     """Verify the saddle-saddle connection of a locus point by shooting.
 
     Raises NoSaddleError unless s*A < 0.  Between the saddles w has the sign
@@ -143,7 +139,7 @@ def psys_shoot(point: PSystemLocusPoint, tol=CONNECTION_TOL):
     vmax = 50.0 * (1.0 + abs(k) * span**2)
     lower, upper = sorted((point.u_minus, point.u_plus))
     start, end = (lower, upper) if k < 0 else (upper, lower)
-    return shoot_saddle_connection(point, start, end, tol=tol, vmax=vmax)
+    return shoot_saddle_connection(point, start, end, vmax=vmax)
 
 
 def psys_parabola_residual(orbit: OrbitResult, point: PSystemLocusPoint):

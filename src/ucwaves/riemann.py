@@ -32,11 +32,8 @@ from .kinetics import (
     kinetic_u_minus,
     u_plus_bounds,
 )
-from .model import ShockKind, char_speed, classify_shock, rh_speed
+from .model import EQ_TOL, ShockKind, char_speed, classify_shock, rh_speed
 from .phaseplane import TWProblem, Verdict, shoot_unstable
-
-#: tolerance for tangency/threshold equalities in the construction
-EQ_TOL = 1e-10
 
 SIGMA = "Σ"
 
@@ -201,17 +198,18 @@ class WaveCheck:
     detail: str
 
 
-def verify_solution(sol: RiemannSolution, shoot_tol=1e-6):
+def verify_solution(sol: RiemannSolution):
     """Re-check admissibility of every wave in a solution.
 
     Undercompressive shocks must sit on the kinetic locus (pairing residual
     < 1e-8); strict Lax shocks with s > 0 must possess a phase-plane profile
-    (backward shoot from the saddle into the middle equilibrium).  Attached
-    shocks (sonic or characteristic by ``classify_shock`` within EQ_TOL) and
-    negative-speed Lax shocks are accepted by construction: for s < 0 the
-    traveling wave runs from the middle equilibrium into an attracting
-    outside equilibrium of a damped field and exists unconditionally, and
-    the phase-plane reduction used here is restricted to s > 0.
+    (backward shoot from the saddle into the middle equilibrium, to within
+    phaseplane.CONNECTION_TOL).  Attached shocks (sonic or characteristic by
+    ``classify_shock``, within EQ_TOL) and negative-speed Lax shocks are
+    accepted by construction: for s < 0 the traveling wave runs from the
+    middle equilibrium into an attracting outside equilibrium of a damped
+    field and exists unconditionally, and the phase-plane reduction used
+    here is restricted to s > 0.
     """
     checks = []
     for i, w in enumerate(sol.waves):
@@ -228,7 +226,7 @@ def verify_solution(sol: RiemannSolution, shoot_tol=1e-6):
                                     f"kinetic residual {res:.3e}"))
         else:
             s = w.speed_range[0]
-            pair = classify_shock(w.left_state, w.right_state, atol=EQ_TOL)
+            pair = classify_shock(w.left_state, w.right_state)
             if s <= 0.0:
                 checks.append(WaveCheck(i, w.kind, True,
                                         "s <= 0: profile exists unconditionally"))
@@ -239,7 +237,7 @@ def verify_solution(sol: RiemannSolution, shoot_tol=1e-6):
                 # for a strict Lax shock the right state is the outside
                 # saddle (s > f'(right)) and the left state the middle node
                 res = shoot_unstable(prob, w.right_state, w.left_state,
-                                     tol=shoot_tol, backward=True)
+                                     backward=True)
                 ok = res.verdict is Verdict.CONNECTS
                 checks.append(WaveCheck(i, w.kind, ok,
                                         f"profile shoot: {res.verdict.value}"))

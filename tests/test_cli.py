@@ -152,6 +152,22 @@ def test_phase_lax_check(tmp_path):
     assert json.loads(out.read_text())["verdict"] == "connects"
 
 
+def test_phase_lax_check_refuses_a_shot_too_stiff_for_bdf(tmp_path, capsys):
+    # T = gamma/sqrt(s): T times the shot's slow time is 3.7e29 at s = 1e-29,
+    # below phaseplane.MAX_STIFF_RATIO, and 3.7e300 at s = 1e-300
+    lax = ["phase", "--gamma", "0.4", "--u-minus", "0", "--u-plus", "1",
+           "--lax-check"]
+    out = tmp_path / "lax.json"
+    assert run_cli(lax + ["--s", "1e-29", "--output", str(out)]) == 0
+    assert json.loads(out.read_text())["verdict"] == "connects"
+    out.unlink()
+    assert run_cli(lax + ["--s", "1e-300", "--output", str(out)]) == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0])["error"] == "DegenerateSpeedError"
+
+
 def test_phase_options_from_config(tmp_path, capsys):
     cfg = tmp_path / "phase.json"
     cfg.write_text(json.dumps({"gamma": float(GAMMA6),
@@ -283,6 +299,10 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     ["phase", "--gamma", "0.4", "--s", "nan", "--u-minus", "0.5", "--u-plus=-0.8"],
     ["psystem", "--A", "nan", "--b=-0.7", "--shoot"],
     ["psystem", "--A", "nan", "--u-minus", "1"],
+    ["kinetics", "--gamma", "0.4", "--points", "0"],
+    ["kinetics", "--gamma", "0.4", "--points=-5"],
+    ["kinetics", "--preset", "fig2", "--points=-5"],
+    ["riemann", "--gamma", "0.4", "--classify-grid=-1:1:0,-1:1:3"],
 ])
 def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
     sim = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",

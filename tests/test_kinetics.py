@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ucwaves import (
     Branch,
@@ -11,6 +13,7 @@ from ucwaves import (
     a_tilde,
     discriminant,
     entropy_integral,
+    flux,
     kinetic_u_minus,
     kinetic_u_plus_candidates,
     locus_point,
@@ -257,3 +260,57 @@ def test_locus_sweep_shape():
     pts = locus_sweep(GAMMA, n=31)
     assert len(pts) == 62
     assert {p.branch for p in pts} == {Branch.PLUS, Branch.MINUS}
+
+
+@pytest.mark.parametrize("gamma,u_plus", [
+    (0.612368583404469, -0.8179433720339303),      # 8e-16 inside the lower bound
+    (9.944557797752658e-09, -8.625072211998486e-09),  # 2e-11 inside the upper
+    (1.1285747185090648e-08, -1.1547005377004287),  # root next to s = 0
+])
+def test_kinetic_u_minus_within_rounding_of_an_end(gamma, u_plus):
+    # rounding hides the residual's sign change at the end the root sits on
+    lo, hi = u_plus_bounds(gamma)
+    assert lo < u_plus < hi
+    u_minus = kinetic_u_minus(u_plus, gamma)
+    assert -0.5 * u_plus <= u_minus <= -u_plus
+    q = u_plus**2 + u_plus * u_minus + u_minus**2
+    pairing = math.sqrt(max(1.0 - q, 0.0)) * (u_plus + u_minus)
+    assert pairing == pytest.approx(-math.sqrt(2.0) / 3.0 * gamma, abs=1e-7)
+
+
+# gamma from 1e-3 (below it the inversion loses digits: 1e-7 at gamma = 1e-7)
+# to 1e-6 short of sqrt(3/8), where the range of u_+ closes like
+# sqrt(1 - gamma/GAMMA_MAX); positions 1e-9 of the range inside its ends,
+# where whether the paired u_- has a candidate is decided by rounding
+GAMMAS = st.floats(1e-3, GAMMA_MAX * (1.0 - 1e-6))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gamma=GAMMAS, t=st.floats(1e-9, 1.0 - 1e-9))
+@example(gamma=1e-3, t=0.5)  # a_tilde next to the pole a = 1: D rounds below 0
+def test_kinetic_maps_invert_each_other(gamma, t):
+    lo, hi = u_plus_bounds(gamma)
+    u_plus = lo + t * (hi - lo)
+    u_minus = kinetic_u_minus(u_plus, gamma)
+    cands = kinetic_u_plus_candidates(u_minus, gamma)
+    assert min(abs(c.u_plus - u_plus) for c in cands) < 1e-8
+    for c in cands:
+        assert c.u_minus == pytest.approx(u_minus, abs=1e-8)
+        if lo < c.u_plus < hi:
+            assert kinetic_u_minus(c.u_plus, gamma) == pytest.approx(u_minus,
+                                                                     abs=1e-8)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gamma=GAMMAS, f=st.floats(0.0, 1.0), branch=st.sampled_from(Branch))
+def test_locus_identities_at_random_points(gamma, f, branch):
+    p = locus_point(0.5 + f * (a_tilde(gamma) - 0.5), gamma, branch)
+    um, up = p.u_minus, p.u_plus
+    assert um == -p.a * up
+    assert p.u_zero == -(um + up)
+    # the chord slope of the flux, and the pairing equation
+    # sqrt(1 - (u_+^2 + u_+ u_- + u_-^2)) (u_+ + u_-) = -sqrt(2)/3 gamma
+    assert p.s == pytest.approx((flux(up) - flux(um)) / (up - um), abs=1e-12)
+    q = up * up + up * um + um * um
+    assert math.sqrt(1.0 - q) * (up + um) == pytest.approx(
+        -math.sqrt(2.0) / 3.0 * gamma, abs=1e-12)

@@ -3,7 +3,6 @@ import pytest
 
 from ucwaves import (
     PoleError,
-    ScalarParams,
     ShockKind,
     char_speed,
     classify_shock,
@@ -11,7 +10,6 @@ from ucwaves import (
     flux,
     rh_speed,
 )
-from ucwaves.errors import DomainError
 
 
 def test_flux_values():
@@ -119,12 +117,3 @@ def test_dispersion_damping_on_log_grid():
     for beta, mu in [(0.1, 0.06), (1.0, 1.0), (0.5, 2.0)]:
         lam = np.array([dispersion_lambda(0.3, beta, mu, x) for x in xi])
         assert np.all(lam.real < 0)
-
-
-def test_scalar_params():
-    p = ScalarParams(beta=0.1, mu=0.06)
-    assert p.gamma == pytest.approx(1 / np.sqrt(6), abs=1e-15)
-    with pytest.raises(DomainError):
-        ScalarParams(beta=-0.1, mu=0.06)
-    with pytest.raises(DomainError):
-        ScalarParams(beta=0.1, mu=0.0)

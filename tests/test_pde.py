@@ -31,7 +31,6 @@ from ucwaves.pde import (
     DEFAULT_SYMBOL_SAFETY,
     default_dt,
     total_mass,
-    traveling_wave_profile,
     x_grid,
 )
 
@@ -182,7 +181,7 @@ def test_traveling_wave_translates():
                     t_end=3.0, dt=0.005, initial=TravelingWaveSeed(p))
     res = simulate(cfg)
     x, _ = x_grid(cfg)
-    exact = traveling_wave_profile(p, MU, x, center=p.s * cfg.t_end)
+    exact = TravelingWaveSeed(p, center=p.s * cfg.t_end).profile(x, MU)
     err = np.abs(res.final.u - exact)
     # exclude clamped boundary neighborhoods
     interior = slice(50, -50)

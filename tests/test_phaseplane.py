@@ -20,7 +20,6 @@ from ucwaves import (
     rh_speed,
     shoot_unstable,
     solve,
-    vector_field,
     verify_solution,
 )
 from ucwaves import phaseplane
@@ -65,24 +64,26 @@ def test_equilibria_existence_condition():
             assert three == (1 - s > 3 * um * um / 4 + 1e-15)
 
 
+# the vector field of the profile ODE is (u', v') = (v, T*v + P(u))
+
+
 def test_vector_field_at_equilibria():
     p = locus_point(0.5, GAMMA, Branch.MINUS)
     prob = TWProblem.from_kinetic_point(p)
     for u in prob.equilibria:
-        assert vector_field(u, 0.0, prob) == pytest.approx((0.0, 0.0), abs=1e-13)
+        assert prob.P(u) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_vector_field_on_middle_equilibrium_with_slope():
     p = locus_point(0.5, GAMMA, Branch.MINUS)
     prob = TWProblem.from_kinetic_point(p)
-    du, dv = vector_field(p.u_zero, 1.0, prob)
-    assert du == 1.0
+    dv = prob.T * 1.0 + prob.P(p.u_zero)
     assert dv == pytest.approx(GAMMA / math.sqrt(p.s), abs=1e-12)
 
 
 def test_vector_field_rh_pair_is_equilibrium():
     prob = TWProblem(GAMMA, rh_speed(0.4, -0.8), 0.4)
-    assert vector_field(-0.8, 0.0, prob) == pytest.approx((0.0, 0.0), abs=1e-13)
+    assert prob.P(-0.8) == pytest.approx(0.0, abs=1e-13)
 
 
 def test_eigenvalues_match_jacobian():
