@@ -232,8 +232,10 @@ def _cmd_riemann(args, params):
     if args.classify_grid:
         ul_vals, ur_vals = _parse_grid(args.classify_grid)
         pat = riemann.classify_plane(args.gamma, ul_vals, ur_vals)
+        # each axis value is formatted once, not once per cell
+        uls, urs = map(_fmt, ul_vals), list(map(_fmt, ur_vals))
         rows = [(ul, ur, pat[i, j])
-                for i, ul in enumerate(ul_vals) for j, ur in enumerate(ur_vals)]
+                for i, ul in enumerate(uls) for j, ur in enumerate(urs)]
         _write_csv(args.output, params, ["u_left", "u_right", "pattern"], rows)
         return 0
     if args.uL is None or args.uR is None:

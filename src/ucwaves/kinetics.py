@@ -28,6 +28,9 @@ from .model import rh_speed
 GAMMA_MAX = math.sqrt(3.0 / 8.0)
 
 _A_ENDPOINT_ATOL = 1e-12
+#: brentq tolerances of both kinetic maps: a root is found to within
+#: _XTOL + _RTOL*|root|
+_XTOL, _RTOL = 1e-14, 8.9e-16
 
 
 class Branch(Enum):
@@ -150,10 +153,8 @@ def kinetic_u_minus(u_plus, gamma):
         return lo
     if _connection_residual(hi, u_plus, gamma) <= 0.0:
         return hi
-    return brentq(
-        _connection_residual, lo, hi, args=(u_plus, gamma),
-        xtol=1e-14, rtol=8.9e-16,
-    )
+    return brentq(_connection_residual, lo, hi, args=(u_plus, gamma),
+                  xtol=_XTOL, rtol=_RTOL)
 
 
 def _u_minus_of_a(a, gamma, branch):
@@ -171,10 +172,16 @@ def kinetic_u_plus_candidates(u_minus, gamma):
     at = a_tilde(gamma)
     out = []
 
+    # a = 1/2 gives the ends of the u_+ range, where kinetic_u_minus and
+    # u_plus_bounds place u_- only to within the root-finder's tolerance:
+    # u_minus that close to u_-(1/2) may lie just outside the branch's
+    # values, and that end is then the root
+    end_tol = _XTOL + _RTOL * abs(u_minus)
+
     def scan(a_lo, a_hi, branch):
         f_lo = _u_minus_of_a(a_lo, gamma, branch) - u_minus
         f_hi = _u_minus_of_a(a_hi, gamma, branch) - u_minus
-        if f_lo == 0.0:
+        if f_lo == 0.0 or (a_lo == 0.5 and abs(f_lo) <= end_tol):
             out.append(locus_point(a_lo, gamma, branch))
             return
         if f_hi == 0.0:
@@ -183,7 +190,7 @@ def kinetic_u_plus_candidates(u_minus, gamma):
         if f_lo * f_hi < 0:
             a_root = brentq(
                 lambda a: _u_minus_of_a(a, gamma, branch) - u_minus,
-                a_lo, a_hi, xtol=1e-14, rtol=8.9e-16,
+                a_lo, a_hi, xtol=_XTOL, rtol=_RTOL,
             )
             out.append(locus_point(a_root, gamma, branch))
 

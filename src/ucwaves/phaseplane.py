@@ -15,22 +15,30 @@ connection certificate (reported as ``terminal_distance``).  Lax profiles
 backward in xi until it falls into the node, which is attracting for the
 reversed flow.
 
-Every shot runs through ``_integrate``: DOP853 (Hairer, Norsett & Wanner,
-Solving ODEs I), except stiff backward shots, which use BDF with the
-analytic Jacobian (Hairer & Wanner, Solving ODEs II).  The reversed flow
-decays at a rate of order T off the manifold while the shot moves along it
-at its slow rates, as slow as ~|P'|/T; an explicit method then takes ~T
-steps per unit of xi, BDF a few hundred steps in all.  A shot that spends
-more than MAX_NFEV right-hand-side evaluations raises
-``ShootingBudgetError``; a backward shot stiffer than MAX_STIFF_RATIO, where
-BDF itself fails, raises ``DegenerateSpeedError`` before it starts.
+Every shot integrates with DOP853 (Hairer, Norsett & Wanner, Solving ODEs
+I), except stiff backward shots, which use BDF with the analytic Jacobian
+(Hairer & Wanner, Solving ODEs II).  The reversed flow decays at a rate of
+order T off the manifold while the shot moves along it at its slow rates, as
+slow as ~|P'|/T; an explicit method then takes ~T steps per unit of xi, BDF
+a few hundred steps in all.  Non-stiff backward shots run on scipy's
+compiled DOP853 (``scipy.integrate.ode``), whose per-step cost is a fraction
+of ``solve_ivp``'s on a 2-vector; they judge the node and the box at the end
+of each accepted step.  The graph march and BDF shots run through
+``_integrate`` (``solve_ivp``), whose events locate the crossing inside the
+step.  A shot that spends more than MAX_NFEV right-hand-side evaluations
+raises ``ShootingBudgetError``; a backward shot stiffer than
+MAX_STIFF_RATIO, where BDF itself fails, raises ``DegenerateSpeedError``
+before it starts.
 """
 
+import math
+import threading
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import solve_ivp
+from scipy.integrate import ode, solve_ivp
 
 from .errors import (
     DegenerateSpeedError,
@@ -157,15 +165,17 @@ def eigenvalues(u, form):
     (P' > 0), a complex pair with real part T/2 possible at the middle
     equilibrium.
     """
-    t, dp = form.T, form.dP(u)
+    t, dp = float(form.T), float(form.dP(u))
     disc = t * t + 4.0 * dp
     if disc < 0.0:
         root = np.sqrt(complex(disc))
         return 0.5 * (t + root), 0.5 * (t - root)
     # the root of larger modulus first, the other from lam_plus*lam_minus =
-    # -dP: (T - sqrt(T^2 + 4 dP))/2 cancels to noise at large T
+    # -dP: (T - sqrt(T^2 + 4 dP))/2 cancels to noise at large T.  From
+    # |T| ~ 1e154 T^2 overflows (to inf, as Python floats do without a
+    # warning), and sqrt(T^2 + 4 dP) is |T| to double precision.
     sign = 1.0 if t >= 0.0 else -1.0
-    far = 0.5 * (t + sign * np.sqrt(disc))
+    far = 0.5 * (t + sign * (np.sqrt(disc) if disc < math.inf else abs(t)))
     near = -dp / far if far else 0.0
     return (far, near) if sign > 0.0 else (near, far)
 
@@ -184,13 +194,116 @@ def _integrate(rhs, span, y0, events, jac=None):
         nonlocal nfev
         nfev += 1
         if nfev > MAX_NFEV:
-            raise ShootingBudgetError(
-                f"{method} shot stopped at t = {t:.6g} of [{span[0]:.6g}, "
-                f"{span[1]:.6g}] after {MAX_NFEV} right-hand-side evaluations")
+            raise _over_budget(method, t, span)
         return rhs(t, y)
 
     return solve_ivp(counted, span, y0, method=method, rtol=RTOL, atol=ATOL,
                      events=events, **options)
+
+
+def _over_budget(method, t, span):
+    return ShootingBudgetError(
+        f"{method} shot stopped at t = {t:.6g} of [{span[0]:.6g}, "
+        f"{span[1]:.6g}] after more than {MAX_NFEV} right-hand-side "
+        f"evaluations")
+
+
+class _Shot:
+    """One compiled backward shot: the field's T and P, the node it aims at,
+    its evaluation count, and its accepted steps (t, u, v)."""
+
+    __slots__ = ("T", "P", "node_u", "nfev", "steps", "connects")
+
+    def __init__(self, form, node_u):
+        self.T, self.P, self.node_u = form.T, form.P, node_u
+        self.nfev, self.steps, self.connects = 0, [], False
+
+
+#: The shot the shared integrator is running.  scipy's compiled DOP853
+#: wrapper (``_dop``, scipy 1.17) keeps a reference to every right-hand side
+#: and integrator handed to it, so a closure per shot would leak its problem
+#: and trajectory (13.6 MB over 960 shots of one cell).  All compiled shots
+#: share one integrator and one field function instead, which read the shot
+#: from here; _SHOT_LOCK keeps two threads from running it at once.
+_shot = None
+_SHOT_LOCK = threading.Lock()
+
+
+def _reversed_field(_, y):
+    shot = _shot
+    shot.nfev += 1
+    u, v = y.tolist()
+    return [-v, -(shot.T * v + shot.P(u))]
+
+
+def _step_end(t, y):
+    """Called after each accepted step: record it, and stop inside half the
+    tolerance of the node (so the recorded end is within CONNECTION_TOL),
+    outside the box, or over the evaluation budget."""
+    shot = _shot
+    u, v = y.tolist()
+    shot.steps.append((t, u, v))
+    if math.hypot(u - shot.node_u, v) < 0.5 * CONNECTION_TOL:
+        shot.connects = True
+        return -1
+    if abs(u) > U_BOX or abs(v) > V_BOX or shot.nfev > MAX_NFEV:
+        return -1
+    return 0
+
+
+# nsteps at the int32 limit: the evaluation budget, checked in _step_end,
+# bounds a shot instead
+_DOP853 = ode(_reversed_field).set_integrator(
+    "dop853", rtol=RTOL, atol=ATOL, nsteps=2**31 - 1)
+_DOP853.set_solout(_step_end)
+
+
+def _dop853_shot(form, node_u, y0, horizon):
+    """Backward shot on the compiled DOP853: (t, u, v, connects)."""
+    global _shot
+    shot = _Shot(form, node_u)
+    with _SHOT_LOCK:
+        _shot = shot
+        try:
+            _DOP853.set_initial_value(y0, 0.0)
+            # IWORK(4) < 0 turns off DOP853's stiffness test, which scipy
+            # does not expose: its interrupt (istate -4) would read as a
+            # miss.  A failed step (istate < 0) warns; the shot reads it as
+            # a miss, so the warning is silenced to keep stderr clean.
+            _DOP853._integrator.iwork[3] = -1
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                _DOP853.integrate(horizon)
+        finally:
+            _shot = None
+    t, u, v = np.array(shot.steps).T
+    if shot.nfev > MAX_NFEV and not shot.connects:
+        raise _over_budget("DOP853", t[-1], (0.0, horizon))
+    return t, u, v, shot.connects
+
+
+def _ivp_shot(form, node_u, y0, horizon, jac=None):
+    """Backward shot through ``_integrate``, BDF when the reversed flow's
+    Jacobian ``jac`` is given: (t, u, v, connects)."""
+    T, P = form.T, form.P
+
+    def rhs(_, y):
+        u, v = y
+        return (-v, -(T * v + P(u)))
+
+    # fires at half the tolerance, so that the root-finder's error on the
+    # located point cannot carry its distance past CONNECTION_TOL
+    def ev_close(_, y):
+        return np.hypot(y[0] - node_u, y[1]) - 0.5 * CONNECTION_TOL
+    ev_close.terminal = True
+    ev_close.direction = -1
+
+    def ev_box(_, y):
+        return min(U_BOX - abs(y[0]), V_BOX - abs(y[1]))
+    ev_box.terminal = True
+
+    sol = _integrate(rhs, (0.0, horizon), y0, [ev_close, ev_box], jac=jac)
+    return sol.t, sol.y[0], sol.y[1], bool(sol.t_events[0].size)
 
 
 def _seed(u, sgn, lam):
@@ -299,7 +412,8 @@ def _slow_time(form, saddle_u, node_u, tol):
         return 0.0
     span = abs(node_u - saddle_u)
     lam_s = eigenvalues(saddle_u, form)[1]
-    return np.log(span / SEED_OFFSET) / abs(lam_s) + np.log(span / tol) / r_node
+    return float(np.log(span / SEED_OFFSET) / abs(lam_s)
+                 + np.log(span / tol) / r_node)
 
 
 def _shoot_backward_to_node(form, saddle_u, node_u):
@@ -307,42 +421,30 @@ def _shoot_backward_to_node(form, saddle_u, node_u):
     when it closes in on the node to CONNECTION_TOL."""
     if form.dP(saddle_u) <= 0:
         raise DomainError(f"u={saddle_u!r} is not a saddle of the problem")
-    T, P = form.T, form.P
-
-    def rhs(_, y):
-        u, v = y
-        return (-v, -(T * v + P(u)))
-
     _, lam_s = eigenvalues(saddle_u, form)
     sgn = 1.0 if node_u > saddle_u else -1.0
     y0 = _seed(saddle_u, sgn, lam_s)
 
-    # fires at half the tolerance, so that the root-finder's error on the
-    # located point cannot carry its distance past CONNECTION_TOL
-    def ev_close(_, y):
-        return np.hypot(y[0] - node_u, y[1]) - 0.5 * CONNECTION_TOL
-    ev_close.terminal = True
-    ev_close.direction = -1
-
-    def ev_box(_, y):
-        return min(U_BOX - abs(y[0]), V_BOX - abs(y[1]))
-    ev_box.terminal = True
-
     # integrate twice the slow time, at least 5000: weak shocks near u = 0
-    # are slow at both ends
+    # are slow at both ends.  In Python floats the product overflows to inf
+    # at subnormal speeds, without a warning, and is refused.
+    T = float(form.T)
     t_slow = _slow_time(form, saddle_u, node_u, CONNECTION_TOL)
-    if T * t_slow > MAX_STIFF_RATIO:
+    stiffness = T * t_slow
+    if stiffness > MAX_STIFF_RATIO:
         raise DegenerateSpeedError(
             f"backward shot at T = {T:.6g} is too stiff to integrate: T times "
-            f"its slow time is {T * t_slow:.3g}, above {MAX_STIFF_RATIO:.0e}")
+            f"its slow time is {stiffness:.3g}, above {MAX_STIFF_RATIO:.0e}")
     horizon = max(5000.0, 2.0 * t_slow)
-    # the reversed flow's Jacobian is minus the forward one
-    stiff = T * t_slow > STIFF_RATIO
-    jac = (lambda _, y: -jacobian(y[0], form)) if stiff else None
-    sol = _integrate(rhs, (0.0, horizon), y0, [ev_close, ev_box], jac=jac)
-    dist = np.hypot(sol.y[0] - node_u, sol.y[1])
-    traj = np.column_stack([-sol.t, sol.y[0], sol.y[1]])
-    if sol.t_events[0].size:
+    if stiffness > STIFF_RATIO:
+        # the reversed flow's Jacobian is minus the forward one
+        t, u, v, connects = _ivp_shot(form, node_u, y0, horizon,
+                                      jac=lambda _, y: -jacobian(y[0], form))
+    else:
+        t, u, v, connects = _dop853_shot(form, node_u, y0, horizon)
+    dist = np.hypot(u - node_u, v)
+    traj = np.column_stack([-t, u, v])
+    if connects:
         return OrbitResult(traj, Verdict.CONNECTS, float(dist[-1]))
     return OrbitResult(traj, Verdict.DIVERGES, float(dist.min()))
 

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import pytest
 
@@ -154,18 +155,23 @@ def test_phase_lax_check(tmp_path):
 
 def test_phase_lax_check_refuses_a_shot_too_stiff_for_bdf(tmp_path, capsys):
     # T = gamma/sqrt(s): T times the shot's slow time is 3.7e29 at s = 1e-29,
-    # below phaseplane.MAX_STIFF_RATIO, and 3.7e300 at s = 1e-300
+    # below phaseplane.MAX_STIFF_RATIO, and 3.7e300 at s = 1e-300.  At
+    # s = 1e-308 that product overflows, and at the subnormal 5e-324 T^2
+    # does too: both are refused without a warning.
     lax = ["phase", "--gamma", "0.4", "--u-minus", "0", "--u-plus", "1",
            "--lax-check"]
     out = tmp_path / "lax.json"
     assert run_cli(lax + ["--s", "1e-29", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["verdict"] == "connects"
     out.unlink()
-    assert run_cli(lax + ["--s", "1e-300", "--output", str(out)]) == 2
-    assert not out.exists()
-    lines = capsys.readouterr().err.splitlines()
-    assert len(lines) == 1
-    assert json.loads(lines[0])["error"] == "DegenerateSpeedError"
+    for s in ("1e-300", "1e-308", "5e-324"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # stderr holds the record only
+            assert run_cli(lax + ["--s", s, "--output", str(out)]) == 2
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "DegenerateSpeedError"
 
 
 def test_phase_options_from_config(tmp_path, capsys):

@@ -1,8 +1,10 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -269,17 +271,22 @@ def test_weak_lax_shock_of_a_sigma_pattern_verifies():
 def test_explicit_and_implicit_shots_agree_at_the_threshold(u_node, side,
                                                             monkeypatch):
     methods = []
-    solve_ivp = phaseplane.solve_ivp
+    solve_ivp, dop853_shot = phaseplane.solve_ivp, phaseplane._dop853_shot
 
     def recorded(*args, method, **kwargs):
         methods.append(method)
         return solve_ivp(*args, method=method, **kwargs)
+
+    def compiled(*args):  # the explicit shot on scipy's compiled DOP853
+        methods.append("DOP853")
+        return dop853_shot(*args)
 
     def excess(T):  # over STIFF_RATIO, of the shot at T
         prob, saddle = _lax_problem(gamma, (gamma / T) ** 2, u_node, side)
         return T * phaseplane._slow_time(prob, saddle, u_node, 1e-6) - STIFF_RATIO
 
     monkeypatch.setattr(phaseplane, "solve_ivp", recorded)
+    monkeypatch.setattr(phaseplane, "_dop853_shot", compiled)
     gamma = 0.4
     t_star = brentq(excess, 1.0, 100.0)
     below, above = (_lax_shot(gamma, (gamma / (t_star * f)) ** 2, u_node, side)
@@ -287,3 +294,30 @@ def test_explicit_and_implicit_shots_agree_at_the_threshold(u_node, side,
     assert methods == ["DOP853", "BDF"]
     assert below.verdict is above.verdict is Verdict.CONNECTS
     assert max(below.terminal_distance, above.terminal_distance) <= 1e-6
+
+
+FIG3_AXIS = np.linspace(-1.2, 1.2, 97)
+
+
+# a fifth of the cells shoot a Lax profile; the rest are filtered out
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(f=st.floats(0.05, 1.1), i=st.integers(0, 96), j=st.integers(0, 96))
+def test_compiled_shot_agrees_with_solve_ivp_dop853(f, i, j):
+    sol = solve(float(FIG3_AXIS[i]), float(FIG3_AXIS[j]), f * GAMMA_MAX)
+    compiled = [c.detail for c in verify_solution(sol)]
+    assume(any(d.startswith("profile shoot") for d in compiled))
+    with pytest.MonkeyPatch.context() as mp:
+        # the same field and events through solve_ivp's DOP853
+        mp.setattr(phaseplane, "_dop853_shot", phaseplane._ivp_shot)
+        assert [c.detail for c in verify_solution(sol)] == compiled
+
+
+def test_compiled_shot_releases_its_problem():
+    prob, saddle = _lax_problem(0.4, 0.01)
+    first = weakref.ref(prob)
+    assert shoot_unstable(prob, saddle, 0.0, backward=True).verdict is Verdict.CONNECTS
+    assert _lax_shot(0.4, 0.02).verdict is Verdict.CONNECTS
+    del prob
+    gc.collect()
+    assert first() is None
