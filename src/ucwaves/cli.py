@@ -34,6 +34,9 @@ FLOAT_FMT = ".17g"
 
 _GAMMA6 = 1.0 / math.sqrt(6.0)
 
+#: the most points a --sweep-a or --sweep-b range may hold
+_MAX_SWEEP = 10**6
+
 #: The reference figures' options, {command: {preset: {option: value}}}.  A
 #: preset fills only options whose value is still None after flags and config
 #: file.  fig2 loops over ten gammas in ``_cmd_kinetics`` and fills nothing.
@@ -117,10 +120,13 @@ def _parse_sweep(arg):
         start, stop, step_ = (float(tok) for tok in arg.split(":"))
     except ValueError:
         raise UCWavesError(f"bad sweep {arg!r}; expected start:stop:step")
+    _check_finite(f"sweep {arg!r}", start=start, stop=stop, step=step_)
     if step_ <= 0 or stop < start:
         raise UCWavesError(f"bad sweep {arg!r}; need step > 0 and stop >= start")
-    n = int(np.floor((stop - start) / step_ + 1e-9)) + 1
-    return start + step_ * np.arange(n)
+    steps = (stop - start) / step_  # inf when stop - start overflows
+    if not steps < _MAX_SWEEP:
+        raise DomainError(f"bad sweep {arg!r}; more than {_MAX_SWEEP} points")
+    return start + step_ * np.arange(int(np.floor(steps + 1e-9)) + 1)
 
 
 def _count(name, n):

@@ -20,15 +20,16 @@ I), except stiff backward shots, which use BDF with the analytic Jacobian
 (Hairer & Wanner, Solving ODEs II).  The reversed flow decays at a rate of
 order T off the manifold while the shot moves along it at its slow rates, as
 slow as ~|P'|/T; an explicit method then takes ~T steps per unit of xi, BDF
-a few hundred steps in all.  Non-stiff backward shots run on scipy's
-compiled DOP853 (``scipy.integrate.ode``), whose per-step cost is a fraction
-of ``solve_ivp``'s on a 2-vector; they judge the node and the box at the end
-of each accepted step.  The graph march and BDF shots run through
-``_integrate`` (``solve_ivp``), whose events locate the crossing inside the
-step.  A shot that spends more than MAX_NFEV right-hand-side evaluations
-raises ``ShootingBudgetError``; a backward shot stiffer than
-MAX_STIFF_RATIO, where BDF itself fails, raises ``DegenerateSpeedError``
-before it starts.
+a few hundred steps in all.  Every backward shot is judged by one rule,
+``_Shot.stops``, at the end of each accepted step: it connects inside half
+of CONNECTION_TOL of the node and misses outside the box.  Two steppers feed
+it: scipy's compiled DOP853 (``scipy.integrate.ode``, whose per-step cost is
+a fraction of ``solve_ivp``'s on a 2-vector) and scipy's ``BDF`` stepped
+directly.  Only the graph march runs through ``solve_ivp``, whose events
+locate the fold inside the step.  A shot that spends more than MAX_NFEV
+right-hand-side evaluations raises ``ShootingBudgetError``; a backward shot
+stiffer than MAX_STIFF_RATIO, where BDF itself fails, raises
+``DegenerateSpeedError`` before it starts.
 """
 
 import math
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import ode, solve_ivp
+from scipy.integrate import BDF, ode, solve_ivp
 
 from .errors import (
     DegenerateSpeedError,
@@ -56,9 +57,10 @@ RTOL = 1e-10
 ATOL = 1e-12
 MAX_NFEV = 100_000
 #: An explicit step is stable up to ~1/T, so T * _slow_time counts the steps
-#: an explicit shot needs.  On the Lax cells of the fig3 grid DOP853 and BDF
-#: take the same time near 2000 (~0.1 s a shot); below, DOP853 is faster.
-STIFF_RATIO = 2000.0
+#: an explicit shot needs.  On the Lax cells of the fig3 grid the compiled
+#: DOP853 is faster than BDF up to about 1.2e4 and spends 3 to 4.5
+#: evaluations per unit, so that at 1e4 a shot stays under half of MAX_NFEV.
+STIFF_RATIO = 1e4
 #: Above this T * _slow_time BDF itself fails: at u_- = 0 and 0.3, gamma =
 #: 0.05, 0.4 and 0.6, shots return wrong ``diverges`` verdicts or spend their
 #: budget from 1.4e32, and lu_factor overflows from 6.6e293.  Such a shot is
@@ -180,27 +182,6 @@ def eigenvalues(u, form):
     return (far, near) if sign > 0.0 else (near, far)
 
 
-def _integrate(rhs, span, y0, events, jac=None):
-    """One shot through ``solve_ivp`` at RTOL/ATOL: DOP853, or BDF when the
-    Jacobian ``jac`` of a stiff flow is given.
-
-    Raises ShootingBudgetError once the shot asks for more than MAX_NFEV
-    evaluations of ``rhs``.
-    """
-    method, options = ("DOP853", {}) if jac is None else ("BDF", {"jac": jac})
-    nfev = 0
-
-    def counted(t, y):
-        nonlocal nfev
-        nfev += 1
-        if nfev > MAX_NFEV:
-            raise _over_budget(method, t, span)
-        return rhs(t, y)
-
-    return solve_ivp(counted, span, y0, method=method, rtol=RTOL, atol=ATOL,
-                     events=events, **options)
-
-
 def _over_budget(method, t, span):
     return ShootingBudgetError(
         f"{method} shot stopped at t = {t:.6g} of [{span[0]:.6g}, "
@@ -209,8 +190,8 @@ def _over_budget(method, t, span):
 
 
 class _Shot:
-    """One compiled backward shot: the field's T and P, the node it aims at,
-    its evaluation count, and its accepted steps (t, u, v)."""
+    """One backward shot: the field's T and P, the node it aims at, its
+    evaluation count, and its accepted steps (t, u, v)."""
 
     __slots__ = ("T", "P", "node_u", "nfev", "steps", "connects")
 
@@ -218,13 +199,24 @@ class _Shot:
         self.T, self.P, self.node_u = form.T, form.P, node_u
         self.nfev, self.steps, self.connects = 0, [], False
 
+    def stops(self, t, y):
+        """Record the step end (t, y); the shot stops inside half the
+        tolerance of the node (so the recorded end is within
+        CONNECTION_TOL), outside the box, or over the evaluation budget."""
+        u, v = y.tolist()
+        self.steps.append((t, u, v))
+        if math.hypot(u - self.node_u, v) < 0.5 * CONNECTION_TOL:
+            self.connects = True
+            return True
+        return abs(u) > U_BOX or abs(v) > V_BOX or self.nfev > MAX_NFEV
 
-#: The shot the shared integrator is running.  scipy's compiled DOP853
-#: wrapper (``_dop``, scipy 1.17) keeps a reference to every right-hand side
-#: and integrator handed to it, so a closure per shot would leak its problem
-#: and trajectory (13.6 MB over 960 shots of one cell).  All compiled shots
-#: share one integrator and one field function instead, which read the shot
-#: from here; _SHOT_LOCK keeps two threads from running it at once.
+
+#: The running shot.  scipy's compiled DOP853 wrapper (``_dop``, scipy 1.17)
+#: keeps a reference to every right-hand side and integrator handed to it,
+#: so a closure per shot would leak its problem and trajectory (13.6 MB over
+#: 960 shots of one cell).  All shots share one field function instead, and
+#: all compiled shots one integrator, which read the shot from here;
+#: _SHOT_LOCK keeps two threads from running a shot at once.
 _shot = None
 _SHOT_LOCK = threading.Lock()
 
@@ -237,73 +229,61 @@ def _reversed_field(_, y):
 
 
 def _step_end(t, y):
-    """Called after each accepted step: record it, and stop inside half the
-    tolerance of the node (so the recorded end is within CONNECTION_TOL),
-    outside the box, or over the evaluation budget."""
-    shot = _shot
-    u, v = y.tolist()
-    shot.steps.append((t, u, v))
-    if math.hypot(u - shot.node_u, v) < 0.5 * CONNECTION_TOL:
-        shot.connects = True
-        return -1
-    if abs(u) > U_BOX or abs(v) > V_BOX or shot.nfev > MAX_NFEV:
-        return -1
-    return 0
+    """solout of the compiled DOP853: -1 stops it."""
+    return -1 if _shot.stops(t, y) else 0
 
 
-# nsteps at the int32 limit: the evaluation budget, checked in _step_end,
+# nsteps at the int32 limit: the evaluation budget, checked in _Shot.stops,
 # bounds a shot instead
 _DOP853 = ode(_reversed_field).set_integrator(
     "dop853", rtol=RTOL, atol=ATOL, nsteps=2**31 - 1)
 _DOP853.set_solout(_step_end)
 
 
-def _dop853_shot(form, node_u, y0, horizon):
-    """Backward shot on the compiled DOP853: (t, u, v, connects)."""
+def _dop853(y0, horizon):
+    """Run the shot from y0 on the shared compiled DOP853."""
+    _DOP853.set_initial_value(y0, 0.0)
+    # IWORK(4) < 0 turns off DOP853's stiffness test, which scipy does not
+    # expose: its interrupt (istate -4) would read as a miss.  A failed
+    # step (istate < 0) warns; the shot reads it as a miss, so the warning
+    # is silenced to keep stderr clean.
+    _DOP853._integrator.iwork[3] = -1
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        _DOP853.integrate(horizon)
+
+
+def _step_through(solver):
+    """Step a scipy ``OdeSolver`` of _reversed_field until the shot stops,
+    the solver reaches its horizon, or a step fails (``step`` then returns
+    its message, and the unchanged end is not recorded again)."""
+    shot = _shot
+    while not shot.stops(solver.t, solver.y):
+        if solver.status != "running" or solver.step():
+            break
+
+
+def _backward_shot(form, node_u, y0, horizon, stiff):
+    """Shot of the reversed flow from y0: (t, u, v, connects).  A stiff shot
+    steps BDF with the analytic Jacobian, minus the forward one; the others
+    run on the compiled DOP853."""
     global _shot
     shot = _Shot(form, node_u)
     with _SHOT_LOCK:
         _shot = shot
         try:
-            _DOP853.set_initial_value(y0, 0.0)
-            # IWORK(4) < 0 turns off DOP853's stiffness test, which scipy
-            # does not expose: its interrupt (istate -4) would read as a
-            # miss.  A failed step (istate < 0) warns; the shot reads it as
-            # a miss, so the warning is silenced to keep stderr clean.
-            _DOP853._integrator.iwork[3] = -1
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", UserWarning)
-                _DOP853.integrate(horizon)
+            if stiff:
+                _step_through(BDF(_reversed_field, 0.0, y0, horizon,
+                                  rtol=RTOL, atol=ATOL,
+                                  jac=lambda _, y: -jacobian(y[0], form)))
+            else:
+                _dop853(y0, horizon)
         finally:
             _shot = None
     t, u, v = np.array(shot.steps).T
     if shot.nfev > MAX_NFEV and not shot.connects:
-        raise _over_budget("DOP853", t[-1], (0.0, horizon))
+        raise _over_budget("BDF" if stiff else "DOP853", t[-1], (0.0, horizon))
     return t, u, v, shot.connects
-
-
-def _ivp_shot(form, node_u, y0, horizon, jac=None):
-    """Backward shot through ``_integrate``, BDF when the reversed flow's
-    Jacobian ``jac`` is given: (t, u, v, connects)."""
-    T, P = form.T, form.P
-
-    def rhs(_, y):
-        u, v = y
-        return (-v, -(T * v + P(u)))
-
-    # fires at half the tolerance, so that the root-finder's error on the
-    # located point cannot carry its distance past CONNECTION_TOL
-    def ev_close(_, y):
-        return np.hypot(y[0] - node_u, y[1]) - 0.5 * CONNECTION_TOL
-    ev_close.terminal = True
-    ev_close.direction = -1
-
-    def ev_box(_, y):
-        return min(U_BOX - abs(y[0]), V_BOX - abs(y[1]))
-    ev_box.terminal = True
-
-    sol = _integrate(rhs, (0.0, horizon), y0, [ev_close, ev_box], jac=jac)
-    return sol.t, sol.y[0], sol.y[1], bool(sol.t_events[0].size)
 
 
 def _seed(u, sgn, lam):
@@ -322,8 +302,13 @@ def _march_arc(form, u0, v0, u_end, vmax):
     """
     T, P = form.T, form.P
     sgn_v = 1.0 if v0 > 0 else -1.0
+    nfev = 0
 
     def rhs(u, y):
+        nonlocal nfev
+        nfev += 1
+        if nfev > MAX_NFEV:
+            raise _over_budget("DOP853", u, (u0, u_end))
         return (T + P(u) / y[0],)
 
     def ev_fold(u, y):
@@ -335,7 +320,8 @@ def _march_arc(form, u0, v0, u_end, vmax):
         return abs(y[0]) - vmax
     ev_big.terminal = True
 
-    sol = _integrate(rhs, (u0, u_end), [v0], [ev_fold, ev_big])
+    sol = solve_ivp(rhs, (u0, u_end), [v0], method="DOP853", rtol=RTOL,
+                    atol=ATOL, events=[ev_fold, ev_big])
     if sol.t_events[0].size:
         return "fold", sol.t, sol.y[0]
     ok = sol.success and not sol.t_events[1].size
@@ -436,12 +422,8 @@ def _shoot_backward_to_node(form, saddle_u, node_u):
             f"backward shot at T = {T:.6g} is too stiff to integrate: T times "
             f"its slow time is {stiffness:.3g}, above {MAX_STIFF_RATIO:.0e}")
     horizon = max(5000.0, 2.0 * t_slow)
-    if stiffness > STIFF_RATIO:
-        # the reversed flow's Jacobian is minus the forward one
-        t, u, v, connects = _ivp_shot(form, node_u, y0, horizon,
-                                      jac=lambda _, y: -jacobian(y[0], form))
-    else:
-        t, u, v, connects = _dop853_shot(form, node_u, y0, horizon)
+    t, u, v, connects = _backward_shot(form, node_u, y0, horizon,
+                                       stiffness > STIFF_RATIO)
     dist = np.hypot(u - node_u, v)
     traj = np.column_stack([-t, u, v])
     if connects:

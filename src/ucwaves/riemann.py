@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, _check_finite
 from .kinetics import (
     GAMMA_MAX,
     _connection_residual,
@@ -162,6 +162,7 @@ def evaluate(sol: RiemannSolution, r):
     state of a shock with speed s.  Inside a fan the state follows
     u(r) = sign * sqrt((1 - r)/3) on the branch matching the fan's states.
     """
+    _check_finite("evaluate", r=r)
     state = sol.u_left
     for w in sol.waves:
         lo, hi = w.speed_range

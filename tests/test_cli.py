@@ -309,6 +309,14 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     ["kinetics", "--gamma", "0.4", "--points=-5"],
     ["kinetics", "--preset", "fig2", "--points=-5"],
     ["riemann", "--gamma", "0.4", "--classify-grid=-1:1:0,-1:1:3"],
+    ["riemann", "--gamma", "0.4", "--uL", "0.1", "--uR", "0.2",
+     "--evaluate-at", "nan"],
+    ["riemann", "--gamma", "0.4", "--uL", "0.1", "--uR", "0.2",
+     "--evaluate-at", "inf"],
+    ["kinetics", "--gamma", "0.4", "--sweep-a", "0.5:0.9:nan"],
+    ["kinetics", "--gamma", "0.4", "--sweep-a", "0.5:inf:0.1"],
+    ["kinetics", "--gamma", "0.4", "--sweep-a=0.5:0.9:1e-300"],
+    ["psystem", "--A", "4", "--sweep-b=-0.75:-0.5:1e-300"],
 ])
 def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
     sim = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
+from scipy.integrate import DOP853
 from scipy.optimize import brentq
 
 from ucwaves import (
@@ -271,22 +272,22 @@ def test_weak_lax_shock_of_a_sigma_pattern_verifies():
 def test_explicit_and_implicit_shots_agree_at_the_threshold(u_node, side,
                                                             monkeypatch):
     methods = []
-    solve_ivp, dop853_shot = phaseplane.solve_ivp, phaseplane._dop853_shot
+    step_through, dop853 = phaseplane._step_through, phaseplane._dop853
 
-    def recorded(*args, method, **kwargs):
-        methods.append(method)
-        return solve_ivp(*args, method=method, **kwargs)
+    def stepped(solver):  # a stiff shot steps scipy's BDF
+        methods.append(type(solver).__name__)
+        return step_through(solver)
 
     def compiled(*args):  # the explicit shot on scipy's compiled DOP853
         methods.append("DOP853")
-        return dop853_shot(*args)
+        return dop853(*args)
 
     def excess(T):  # over STIFF_RATIO, of the shot at T
         prob, saddle = _lax_problem(gamma, (gamma / T) ** 2, u_node, side)
         return T * phaseplane._slow_time(prob, saddle, u_node, 1e-6) - STIFF_RATIO
 
-    monkeypatch.setattr(phaseplane, "solve_ivp", recorded)
-    monkeypatch.setattr(phaseplane, "_dop853_shot", compiled)
+    monkeypatch.setattr(phaseplane, "_step_through", stepped)
+    monkeypatch.setattr(phaseplane, "_dop853", compiled)
     gamma = 0.4
     t_star = brentq(excess, 1.0, 100.0)
     below, above = (_lax_shot(gamma, (gamma / (t_star * f)) ** 2, u_node, side)
@@ -308,16 +309,21 @@ def test_compiled_shot_agrees_with_solve_ivp_dop853(f, i, j):
     compiled = [c.detail for c in verify_solution(sol)]
     assume(any(d.startswith("profile shoot") for d in compiled))
     with pytest.MonkeyPatch.context() as mp:
-        # the same field and events through solve_ivp's DOP853
-        mp.setattr(phaseplane, "_dop853_shot", phaseplane._ivp_shot)
+        # the same field and judge on scipy's Python DOP853
+        mp.setattr(phaseplane, "_dop853", lambda y0, horizon: (
+            phaseplane._step_through(DOP853(
+                phaseplane._reversed_field, 0.0, y0, horizon,
+                rtol=phaseplane.RTOL, atol=phaseplane.ATOL))))
         assert [c.detail for c in verify_solution(sol)] == compiled
 
 
 def test_compiled_shot_releases_its_problem():
-    prob, saddle = _lax_problem(0.4, 0.01)
-    first = weakref.ref(prob)
-    assert shoot_unstable(prob, saddle, 0.0, backward=True).verdict is Verdict.CONNECTS
-    assert _lax_shot(0.4, 0.02).verdict is Verdict.CONNECTS
-    del prob
-    gc.collect()
-    assert first() is None
+    for s in (0.01, (0.4 / 1e3) ** 2):  # compiled DOP853, then BDF
+        prob, saddle = _lax_problem(0.4, s)
+        first = weakref.ref(prob)
+        res = shoot_unstable(prob, saddle, 0.0, backward=True)
+        assert res.verdict is Verdict.CONNECTS
+        assert _lax_shot(0.4, 2 * s).verdict is Verdict.CONNECTS
+        del prob
+        gc.collect()
+        assert first() is None

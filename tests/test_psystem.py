@@ -163,32 +163,6 @@ def test_shoot_requires_saddles():
         psys_shoot(bad)
 
 
-def test_odd_symmetry_preserves_membership():
-    p = psys_locus(-0.6, 4.0)
-    q = psys_symmetry(p, "odd")
-    assert q.u_minus == -p.u_minus and q.u_plus == -p.u_plus
-    assert q.s == p.s and q.A == p.A
-    assert q.u_zero + q.u_plus + q.u_minus == pytest.approx(0.0, abs=1e-14)
-    assert q.s**2 == pytest.approx(
-        q.u_plus**2 + q.u_plus * q.u_minus + q.u_minus**2, rel=1e-12)
-    assert q.v_plus - q.v_minus == pytest.approx(-q.s * (q.u_plus - q.u_minus),
-                                                 abs=1e-14)
-    assert psys_symmetry(q, "odd") == p
-
-
-def test_a_flip_symmetry_preserves_membership():
-    p = psys_locus(-0.7, 2.0)
-    q = psys_symmetry(p, "a_flip")
-    assert q.A == -p.A and q.s == -p.s
-    assert q.s * q.A < 0  # saddle condition preserved
-    assert q.s**2 == pytest.approx(
-        q.u_plus**2 + q.u_plus * q.u_minus + q.u_minus**2, rel=1e-12)
-    assert q.k**2 == pytest.approx(-1 / (2 * q.A * q.s), rel=1e-12)
-    assert q.v_plus - q.v_minus == pytest.approx(-q.s * (q.u_plus - q.u_minus),
-                                                 abs=1e-14)
-    assert psys_symmetry(q, "a_flip") == p
-
-
 @pytest.mark.parametrize("symmetries, start", [
     ((), "u_plus"),
     (("odd",), "u_plus"),
@@ -221,6 +195,31 @@ def test_non_finite_input_raises(value):
 
 
 QUADRANTS = [(), ("odd",), ("a_flip",), ("odd", "a_flip")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(b=st.floats(-0.97, -0.52), A=st.floats(0.1, 10.0),
+       symmetries=st.sampled_from(QUADRANTS))
+def test_symmetries_preserve_membership(b, A, symmetries):
+    # the odd map and the A-flip carry a locus point to a locus point of
+    # another sign quadrant, and each undoes itself
+    p = base = psys_locus(b, A)
+    for which in symmetries:
+        q = psys_symmetry(p, which)
+        assert psys_symmetry(q, which) == p
+        p = q
+    odd = -1.0 if "odd" in symmetries else 1.0  # flips the states
+    flip = -1.0 if "a_flip" in symmetries else 1.0  # flips A and s
+    assert (p.u_minus, p.u_plus) == (odd * base.u_minus, odd * base.u_plus)
+    assert (p.A, p.s) == (flip * base.A, flip * base.s)
+    assert p.s * p.A < 0  # saddles
+    assert p.s**2 == pytest.approx(
+        p.u_plus**2 + p.u_plus * p.u_minus + p.u_minus**2, rel=1e-12)
+    assert abs(p.s) * p.k == pytest.approx(1.5 * (p.u_minus + p.u_plus), rel=1e-9)
+    assert p.k**2 == pytest.approx(-1 / (2 * p.A * p.s), rel=1e-12)
+    assert p.v_plus == p.v_minus - p.s * (p.u_plus - p.u_minus)
+    assert abs(p.u_zero + p.u_plus + p.u_minus) <= 1e-14 * abs(p.u_minus)
+    assert psys_shoot(p).verdict is Verdict.CONNECTS
 
 
 @settings(max_examples=300, deadline=None)
