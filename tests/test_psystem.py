@@ -163,6 +163,32 @@ def test_shoot_requires_saddles():
         psys_shoot(bad)
 
 
+def test_odd_symmetry_preserves_membership():
+    p = psys_locus(-0.6, 4.0)
+    q = psys_symmetry(p, "odd")
+    assert q.u_minus == -p.u_minus and q.u_plus == -p.u_plus
+    assert q.s == p.s and q.A == p.A
+    assert q.u_zero + q.u_plus + q.u_minus == pytest.approx(0.0, abs=1e-14)
+    assert q.s**2 == pytest.approx(
+        q.u_plus**2 + q.u_plus * q.u_minus + q.u_minus**2, rel=1e-12)
+    assert q.v_plus - q.v_minus == pytest.approx(-q.s * (q.u_plus - q.u_minus),
+                                                 abs=1e-14)
+    assert psys_symmetry(q, "odd") == p
+
+
+def test_a_flip_symmetry_preserves_membership():
+    p = psys_locus(-0.7, 2.0)
+    q = psys_symmetry(p, "a_flip")
+    assert q.A == -p.A and q.s == -p.s
+    assert q.s * q.A < 0  # saddle condition preserved
+    assert q.s**2 == pytest.approx(
+        q.u_plus**2 + q.u_plus * q.u_minus + q.u_minus**2, rel=1e-12)
+    assert q.k**2 == pytest.approx(-1 / (2 * q.A * q.s), rel=1e-12)
+    assert q.v_plus - q.v_minus == pytest.approx(-q.s * (q.u_plus - q.u_minus),
+                                                 abs=1e-14)
+    assert psys_symmetry(q, "a_flip") == p
+
+
 @pytest.mark.parametrize("symmetries, start", [
     ((), "u_plus"),
     (("odd",), "u_plus"),
