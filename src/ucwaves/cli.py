@@ -152,6 +152,14 @@ def _parse_grid(arg):
 
 
 def _cmd_kinetics(args, params):
+    modes = [flag for flag, given in (("--u-plus", args.u_plus is not None),
+                                      ("--u-minus", args.u_minus is not None),
+                                      ("--sweep-a", args.sweep_a is not None),
+                                      ("--preset fig2", args.preset == "fig2"))
+             if given]
+    if len(modes) > 1:
+        raise UCWavesError("kinetics takes one of --u-plus, --u-minus, "
+                           "--sweep-a, --preset fig2; got " + ", ".join(modes))
     n_points = _count("points", 101 if args.points is None else args.points)
     if args.preset == "fig2":
         points = [p for n in range(1, 11)

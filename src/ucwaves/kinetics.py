@@ -12,25 +12,42 @@ which is solved parametrically with u_- = -a*u_+ for 1/2 <= a <= a_tilde(gamma):
 The family exists for 0 < gamma < sqrt(3/8); both branches merge at
 a = a_tilde where D = 0, and at a = 1/2 the middle equilibrium collides
 with u_- (tangent chord).  Both endpoints are included and flagged.
+
+Both kinetic maps solve the pairing equation in w = u_- + u_+, given one
+known state k (u_+ for kinetic_u_minus, u_- for kinetic_u_plus_candidates):
+with q = w^2 - k*w + k^2 it reads r(w; k) = w*sqrt(1 - q) + sqrt(2)/3*gamma
+= 0.  As gamma -> 0, a_tilde = 1 - O(gamma) crowds the pole a = 1, and the
+ratio a loses the digits of w, which is O(gamma) on the minus branch; w
+itself keeps them, so brentq needs only a relative tolerance.  The roots
+lie between the a = 1/2 end w = -u_- = u_+/2 and w = 0, where s = 1 - q >= 0.
+There r has one interior minimum, at w* = (3k - sqrt(32 - 23k^2))/8, so the
+brackets [lo, w*] and [w*, hi] hold at most one root each; for k = u_+, w*
+lies below the bracket, which holds exactly one.  Two end rules:
+
+- the a = 1/2 end is a root when u_+ = 2w lies within rounding of
+  u_plus_bounds (a closed-form test: the rounding of sqrt(1 - 3u_-^2)
+  hides the sign of r there);
+- s is computed as a product that vanishes at the q = 1 ends, so r is
+  exactly sqrt(2)/3*gamma > 0 at an s = 0 end, which never hides a root.
 """
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import brentq
 
-from .errors import DomainError, NoLocusError, PoleError
+from .errors import DomainError, NoLocusError, PoleError, _check_finite
 from .model import rh_speed
 
 #: No undercompressive locus exists at or beyond this dissipation ratio.
 GAMMA_MAX = math.sqrt(3.0 / 8.0)
 
 _A_ENDPOINT_ATOL = 1e-12
-#: brentq tolerances of both kinetic maps: a root is found to within
-#: _XTOL + _RTOL*|root|
-_XTOL, _RTOL = 1e-14, 8.9e-16
+#: brentq's relative tolerance on w = u_- + u_+ in both kinetic maps
+_RTOL = 8.9e-16
 
 
 class Branch(Enum):
@@ -101,12 +118,17 @@ def locus_point(a, gamma, branch):
     u_minus = -a * u_plus
     u_zero = -(u_minus + u_plus)
     s = rh_speed(u_minus, u_plus)
-    endpoint = None
+    return KineticPoint(a, branch, u_minus, u_zero, u_plus, s, gamma,
+                        _endpoint(a, at))
+
+
+def _endpoint(a, at):
+    """"a_half" or "a_tilde" when the ratio a is at that end of [1/2, at]."""
     if abs(a - 0.5) <= _A_ENDPOINT_ATOL:
-        endpoint = "a_half"
-    elif abs(a - at) <= _A_ENDPOINT_ATOL:
-        endpoint = "a_tilde"
-    return KineticPoint(a, branch, u_minus, u_zero, u_plus, s, gamma, endpoint)
+        return "a_half"
+    if abs(a - at) <= _A_ENDPOINT_ATOL:
+        return "a_tilde"
+    return None
 
 
 def u_plus_bounds(gamma):
@@ -119,98 +141,117 @@ def u_plus_bounds(gamma):
     _check_gamma(gamma)
     inner = math.sqrt(max(1.0 - 8.0 * gamma**2 / 3.0, 0.0))
     lower = -math.sqrt(2.0 / 3.0 * (1.0 + inner))
-    upper = -math.sqrt(2.0 / 3.0 * (1.0 - inner))
+    # 1 - inner = (8/3)*gamma^2/(1 + inner) keeps the digits as gamma -> 0
+    upper = -4.0 / 3.0 * gamma / math.sqrt(1.0 + inner)
     return lower, upper
 
 
-def _connection_residual(u_minus, u_plus, gamma):
-    """Residual of the pairing equation; zero exactly on the locus."""
-    q = u_plus**2 + u_minus * u_plus + u_minus**2
-    return (u_minus + u_plus) * math.sqrt(max(1.0 - q, 0.0)) + math.sqrt(2.0) / 3.0 * gamma
+def _s0_ends(k):
+    """The w where q = w^2 - k*w + k^2 = 1 (k/2 twice if q > 1 for all w)."""
+    root = math.sqrt(max(4.0 - 3.0 * k * k, 0.0))
+    return 0.5 * (k - root), 0.5 * (k + root)
+
+
+def _pairing(w, k, gamma):
+    """The pairing residual r(w; k)/gamma of the pair (k, w - k).
+
+    s = 1 - q is taken as (w - w_lo)*(w_hi - w) between the ends w_lo, w_hi
+    of _s0_ends(k), so it is exactly 0 there, and as 0 beyond them.
+    Dividing by gamma keeps the values, and brentq's products of them,
+    clear of underflow as gamma -> 0.
+    """
+    w_lo, w_hi = _s0_ends(k)
+    s = max((w - w_lo) * (w_hi - w), 0.0)
+    return w / gamma * math.sqrt(s) + math.sqrt(2.0) / 3.0
+
+
+def _at_a_half(u_plus, gamma):
+    """Whether u_+ lies at an end of u_plus_bounds(gamma) to within rounding.
+
+    Rounding of r moves the end's sign change by up to _RTOL*|u_+|/inner,
+    inner = sqrt(1 - 8*gamma^2/3) = 3/4*(lower^2 - upper^2).  The two ends
+    merge as inner -> 0, into a double root that rounding moves by
+    sqrt(_RTOL).
+    """
+    lower, upper = u_plus_bounds(gamma)
+    inner = 0.75 * (lower * lower - upper * upper)
+    tol = _RTOL / max(inner, math.sqrt(_RTOL))
+    return min(abs(u_plus / lower - 1.0), abs(u_plus / upper - 1.0)) <= tol
+
+
+def _pairing_roots(k, w_half, gamma):
+    """The roots w of r(w; k) (none, one or two), in increasing order.
+
+    w_half = -u_- = u_+/2 is the a = 1/2 end.  Between it and the ends of
+    s >= 0, r falls to its one interior minimum at w* and rises to r > 0
+    at its upper end, so [lo, w*] and [w*, hi] hold at most one root each.
+    """
+    w_lo, w_hi = _s0_ends(k)
+    lo, hi = max(w_half, w_lo), min(w_hi, 0.0)
+    if lo == w_half and _at_a_half(2.0 * lo, gamma):
+        f_lo = 0.0  # rounding hides the sign of r there
+    else:
+        f_lo = _pairing(lo, k, gamma)
+    w_star = (3.0 * k - math.sqrt(32.0 - 23.0 * k * k)) / 8.0
+    brackets = []
+    if lo < w_star < hi:
+        f_star = _pairing(w_star, k, gamma)
+        if f_lo >= 0.0 > f_star:
+            brackets.append((lo, w_star, f_lo))
+        lo, f_lo = w_star, f_star
+    if f_lo <= 0.0:
+        brackets.append((lo, hi, f_lo))
+    # brentq needs xtol > 0, but w needs only a relative tolerance
+    return [a if f_a == 0.0 else brentq(_pairing, a, b, args=(k, gamma),
+                                        xtol=math.ulp(0.0), rtol=_RTOL)
+            for a, b, f_a in brackets]
+
+
+def _check_map_input(name, gamma, **state):
+    """Raise unless gamma is in range and normal and the state finite."""
+    _check_gamma(gamma)
+    _check_finite(name, **state)
+    if gamma < sys.float_info.min:  # w/gamma would overflow
+        raise DomainError(f"gamma={gamma!r} is subnormal")
 
 
 def kinetic_u_minus(u_plus, gamma):
     """Kinetic function inverse: the unique left state paired with u_+.
 
-    u_+ must lie strictly inside u_plus_bounds(gamma).  The root is
-    bracketed on (|u_+|/2, |u_+|), where the pairing residual changes sign
-    exactly once.
+    u_+ must lie strictly inside u_plus_bounds(gamma).  w* lies below the
+    a = 1/2 end w = u_+/2 there, so r(w; u_+) rises through 0 exactly once.
     """
-    _check_gamma(gamma)
+    _check_map_input("kinetic_u_minus", gamma, u_plus=u_plus)
     lower, upper = u_plus_bounds(gamma)
     if not lower < u_plus < upper:
         raise NoLocusError(
             f"u_plus={u_plus!r} outside the locus range ({lower!r}, {upper!r})"
         )
-    m = -u_plus
-    # keep the bracket inside {s > 0}: q = 1 at u_- = (m + sqrt(4 - 3m^2))/2
-    u_s0 = 0.5 * (m + math.sqrt(max(4.0 - 3.0 * m * m, 0.0)))
-    lo, hi = 0.5 * m, min(m, u_s0)
-    # the residual is < 0 at lo and > 0 at hi, but rounding hides the sign of
-    # an end the root sits on (lo at the bounds, u_s0 as s -> 0): that end
-    # is then the root
-    if _connection_residual(lo, u_plus, gamma) >= 0.0:
-        return lo
-    if _connection_residual(hi, u_plus, gamma) <= 0.0:
-        return hi
-    return brentq(_connection_residual, lo, hi, args=(u_plus, gamma),
-                  xtol=_XTOL, rtol=_RTOL)
-
-
-def _u_minus_of_a(a, gamma, branch):
-    return locus_point(a, gamma, branch).u_minus
+    w_half = 0.5 * u_plus
+    roots = _pairing_roots(u_plus, w_half, gamma)
+    # only rounding at the a = 1/2 end could hide the root, which is then there
+    return (roots[0] if roots else w_half) - u_plus
 
 
 def kinetic_u_plus_candidates(u_minus, gamma):
     """All right states u_+ paired with the given u_- (0, 1 or 2 of them).
 
-    Scans both monotone pieces of the parametric family: u_- is increasing
-    in a on the minus branch, and increases then decreases on the plus
-    branch, so a horizontal line can meet the curve twice.
+    The roots w of r(w; u_-), ordered by u_+.  A pair is on the plus branch
+    when q > 1/2: the branches merge at q = 1/2.
     """
-    _check_gamma(gamma)
+    _check_map_input("kinetic_u_plus_candidates", gamma, u_minus=u_minus)
+    if not 0.0 < u_minus < 1.0:  # u_- > 0, and q > u_-^2 on [-u_-, 0)
+        return []
     at = a_tilde(gamma)
     out = []
-
-    # a = 1/2 gives the ends of the u_+ range, where kinetic_u_minus and
-    # u_plus_bounds place u_- only to within the root-finder's tolerance:
-    # u_minus that close to u_-(1/2) may lie just outside the branch's
-    # values, and that end is then the root
-    end_tol = _XTOL + _RTOL * abs(u_minus)
-
-    def scan(a_lo, a_hi, branch):
-        f_lo = _u_minus_of_a(a_lo, gamma, branch) - u_minus
-        f_hi = _u_minus_of_a(a_hi, gamma, branch) - u_minus
-        if f_lo == 0.0 or (a_lo == 0.5 and abs(f_lo) <= end_tol):
-            out.append(locus_point(a_lo, gamma, branch))
-            return
-        if f_hi == 0.0:
-            out.append(locus_point(a_hi, gamma, branch))
-            return
-        if f_lo * f_hi < 0:
-            a_root = brentq(
-                lambda a: _u_minus_of_a(a, gamma, branch) - u_minus,
-                a_lo, a_hi, xtol=_XTOL, rtol=_RTOL,
-            )
-            out.append(locus_point(a_root, gamma, branch))
-
-    scan(0.5, at, Branch.MINUS)
-    # plus branch: locate the interior maximum of u_-(a), then scan both sides
-    res = minimize_scalar(
-        lambda a: -_u_minus_of_a(a, gamma, Branch.PLUS),
-        bounds=(0.5, at), method="bounded",
-        options={"xatol": 1e-12},
-    )
-    a_peak = float(res.x)
-    scan(0.5, a_peak, Branch.PLUS)
-    scan(a_peak, at, Branch.PLUS)
-
-    # the branches merge at a_tilde; drop duplicates found on both sides
-    unique = []
-    for p in sorted(out, key=lambda p: p.u_plus):
-        if not any(abs(p.u_plus - q.u_plus) < 1e-9 for q in unique):
-            unique.append(p)
-    return unique
+    for w in _pairing_roots(u_minus, -u_minus, gamma):
+        u_plus = w - u_minus
+        a = -u_minus / u_plus
+        s = rh_speed(u_minus, u_plus)  # 1 - q, exact near q = 1/2
+        branch = Branch.PLUS if s < 0.5 else Branch.MINUS
+        out.append(KineticPoint(a, branch, u_minus, -(u_minus + u_plus),
+                                u_plus, s, gamma, _endpoint(a, at)))
+    return out
 
 
 def entropy_integral(u_minus, u_plus):

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import DomainError, _check_finite
 from .kinetics import (
     GAMMA_MAX,
-    _connection_residual,
+    _pairing,
     kinetic_u_minus,
     u_plus_bounds,
 )
@@ -222,7 +222,7 @@ def verify_solution(sol: RiemannSolution):
             ul, ur = w.left_state, w.right_state
             if ul < 0:  # mirrored wave; residual is stated for u_- > 0
                 ul, ur = -ul, -ur
-            res = abs(_connection_residual(ul, ur, sol.gamma))
+            res = sol.gamma * abs(_pairing(ul + ur, ul, sol.gamma))
             checks.append(WaveCheck(i, w.kind, res < 1e-8,
                                     f"kinetic residual {res:.3e}"))
         else:

@@ -57,6 +57,36 @@ def test_kinetics_candidates_query(tmp_path):
     assert len(payload["candidates"]) == 2
 
 
+def test_kinetics_candidates_at_tiny_gamma(tmp_path):
+    out = tmp_path / "cand.json"
+    assert run_cli(["kinetics", "--gamma", "1e-17", "--u-minus", "0.5",
+                    "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert any(c["u_plus"] == pytest.approx(-0.5, rel=1e-15)
+               for c in payload["candidates"])
+
+
+@pytest.mark.parametrize("flags,config", [
+    (["--u-plus=-0.9", "--u-minus", "0.5"], {}),
+    (["--sweep-a", "0.5:0.6:0.01"], {"u_plus": -0.9}),
+    (["--preset", "fig2"], {"u_minus": 0.5}),
+])
+def test_kinetics_modes_exclude_each_other(flags, config, tmp_path, capsys):
+    argv = ["kinetics", "--gamma", "0.3", *flags]
+    if config:
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(config))
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--output", str(out)]) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "UCWavesError"
+    named = [m for m in ("--u-plus", "--u-minus", "--sweep-a", "--preset fig2")
+             if m in record["message"].split("; got ")[1]]
+    assert len(named) == 2
+
+
 def test_riemann_json(tmp_path):
     out = tmp_path / "sol.json"
     rc = run_cli(["riemann", "--uL", "0.4", "--uR", "-0.8",
@@ -317,6 +347,9 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     ["kinetics", "--gamma", "0.4", "--sweep-a", "0.5:inf:0.1"],
     ["kinetics", "--gamma", "0.4", "--sweep-a=0.5:0.9:1e-300"],
     ["psystem", "--A", "4", "--sweep-b=-0.75:-0.5:1e-300"],
+    ["kinetics", "--gamma", "0.3", "--u-minus", "inf"],
+    ["kinetics", "--gamma", "0.3", "--u-minus", "nan"],
+    ["kinetics", "--gamma", "0.3", "--u-plus", "nan"],
 ])
 def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
     sim = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",
