@@ -62,24 +62,11 @@ def _fmt(x):
     return format(float(x), FLOAT_FMT)
 
 
-def _json_ready(obj):
-    """Round floats through their shortest lossless representation."""
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (bool, np.bool_)):  # before int: bool subclasses int
-        return bool(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    return obj
-
-
 def _write_json(path, payload):
-    text = json.dumps(_json_ready(payload), indent=2, sort_keys=True,
-                      ensure_ascii=False) + "\n"
+    """Sorted, indented JSON; json writes floats (np.float64 too) as their
+    shortest repr, and other numpy scalars go through ``.item()``."""
+    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False,
+                      default=operator.methodcaller("item")) + "\n"
     _write_text(path, text)
 
 
@@ -92,18 +79,20 @@ def _cell(v):
     return "" if v is None else _fmt(v)
 
 
-def _write_csv(path, params, header, rows):
+def _write_csv(path, params, columns):
+    """CSV of ``columns``, {header: cells} of one length, every cell
+    through ``_cell``."""
     lines = [f"# {k} = {params[k]}" for k in sorted(params)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
+    lines.append(",".join(columns))
+    lines += map(",".join, zip(*(map(_cell, c) for c in columns.values()),
+                               strict=True))
     _write_text(path, "\n".join(lines) + "\n")
 
 
 def _write_records(path, params, cls, records):
     """CSV with one column per field of the dataclass ``cls``."""
-    names = [f.name for f in dataclasses.fields(cls)]
-    _write_csv(path, params, names, map(operator.attrgetter(*names), records))
+    _write_csv(path, params, {f.name: [getattr(r, f.name) for r in records]
+                              for f in dataclasses.fields(cls)})
 
 
 def _write_text(path, text):
@@ -220,8 +209,8 @@ def _cmd_phase(args, params):
     else:
         res = phaseplane.shoot_unstable(prob, args.u_minus, args.u_plus)
     if args.format == "csv":
-        rows = [(xi, u, v) for xi, u, v in res.trajectory]
-        _write_csv(args.output, params, ["xi", "u", "v"], rows)
+        _write_csv(args.output, params,
+                   dict(zip(["xi", "u", "v"], res.trajectory.T)))
     else:
         lam = {u: [complex(z) for z in phaseplane.eigenvalues(u, prob)]
                for u in prob.equilibria}
@@ -247,10 +236,11 @@ def _cmd_riemann(args, params):
         ul_vals, ur_vals = _parse_grid(args.classify_grid)
         pat = riemann.classify_plane(args.gamma, ul_vals, ur_vals)
         # each axis value is formatted once, not once per cell
-        uls, urs = map(_fmt, ul_vals), list(map(_fmt, ur_vals))
-        rows = [(ul, ur, pat[i, j])
-                for i, ul in enumerate(uls) for j, ur in enumerate(urs)]
-        _write_csv(args.output, params, ["u_left", "u_right", "pattern"], rows)
+        urs = list(map(_fmt, ur_vals))
+        _write_csv(args.output, params, {
+            "u_left": [ul for ul in map(_fmt, ul_vals) for _ in urs],
+            "u_right": urs * len(ul_vals),
+            "pattern": pat.ravel().tolist()})
         return 0
     if args.uL is None or args.uR is None:
         raise UCWavesError("riemann requires --uL and --uR (or --classify-grid)")
@@ -302,14 +292,13 @@ def _cmd_simulate(args, params):
     result = pde.simulate(cfg, snapshot_times=snap_times)
     x, _ = pde.x_grid(cfg)
     if args.profile_output:
-        rows = list(zip(x, result.final.u))
-        _write_csv(args.profile_output, params, ["x", "u"], rows)
+        _write_csv(args.profile_output, params, {"x": x, "u": result.final.u})
     if args.snapshot_profiles:
         for st in result.snapshots:
             path = f"{args.snapshot_profiles}t{format(st.t, '.6g')}.csv"
             _write_csv(path, {**params, "t": format(st.t, ".17g")},
-                       ["x", "u"], list(zip(x, st.u)))
-    report = pde.detect_fronts(result.final, plateau_tol=args.plateau_tol)
+                       {"x": x, "u": st.u})
+    report = pde.detect_fronts(result.final)
     payload = {
         "params": params,
         "t_final": result.final.t,
@@ -322,7 +311,6 @@ def _cmd_simulate(args, params):
     if len(trailing) > 2:
         fits = pde.fit_front_speeds(
             cfg, pde.SimResult(result.final, trailing),
-            plateau_tol=args.plateau_tol,
             transient=args.speed_fit or "linear")
         payload["front_speeds"] = [
             {"speed": f.speed, "intercept": f.intercept} for f in fits
@@ -449,7 +437,6 @@ def build_parser():
                    help="front-speed fit over the trailing half of the "
                         "snapshots (default linear); exp absorbs a decaying "
                         "transient")
-    s.add_argument("--plateau-tol", type=float, default=0.01)
     s.add_argument("--profile-output",
                    help="also write the final (x, u) profile as CSV here")
     s.add_argument("--snapshot-profiles",

@@ -37,6 +37,8 @@ _RK4_REAL_LIMIT = 2.78  # RK4 is stable on [-2.78, 0] (and on i*[-2.83, 2.83])
 #: Grid points a flat run needs to count as a plateau, and the scale of the
 #: gap across which two runs of nearly equal value merge (4 * MIN_RUN).
 MIN_RUN = 25
+#: A grid point is flat when abs(du/dx) is below this.
+PLATEAU_TOL = 0.01
 
 
 class BoundaryCondition(Enum):
@@ -300,21 +302,30 @@ class FrontReport:
     fronts: tuple
 
 
-def detect_fronts(state: SimState, plateau_tol=0.01):
-    """Locate plateaus (flat runs of |du/dx| < plateau_tol, at least MIN_RUN
+def _crossings(u, left, right):
+    """Fractional indices where u crosses the mid-level of the values
+    ``left`` and ``right``, going from left toward right."""
+    d = u - 0.5 * (left + right)
+    slope = u[1:] - u[:-1] if right > left else u[:-1] - u[1:]
+    j = np.nonzero((d[:-1] * d[1:] <= 0) & (slope > 0))[0]
+    return j + d[j] / (d[j] - d[j + 1])  # d[j] != d[j + 1]: the slope is strict
+
+
+def detect_fronts(state: SimState):
+    """Locate plateaus (flat runs of |du/dx| < PLATEAU_TOL, at least MIN_RUN
     points long) and the fronts between them.
 
     Each flat run is trimmed to the contiguous stretch of nearly constant
     value around its flattest point (a slowly-varying ramp or a dispersive
     corner layer can satisfy the gradient test without being a plateau);
     adjacent runs with nearly equal values are then merged, and a front's
-    position is the mid-level crossing between its neighboring plateau
-    values.
+    position is the first mid-level crossing (``_crossings``) between its
+    neighboring plateaus.
     """
     u, dx, x0 = state.u, state.dx, state.x0
     n = len(u)
     grad = np.gradient(u, dx)
-    flat = np.abs(grad) < plateau_tol
+    flat = np.abs(grad) < PLATEAU_TOL
 
     raw = []
     i = 0
@@ -373,14 +384,10 @@ def detect_fronts(state: SimState, plateau_tol=0.01):
     for left, right in zip(plateaus[:-1], plateaus[1:]):
         i0 = int(round((left.x_right - x0) / dx))
         i1 = int(round((right.x_left - x0) / dx))
-        seg = u[i0:i1 + 1]
-        level = 0.5 * (left.value + right.value)
-        d = seg - level
-        cross = np.nonzero(d[:-1] * d[1:] <= 0)[0]
+        cross = _crossings(u, left.value, right.value)
+        cross = cross[(cross >= i0) & (cross <= i1)]
         if cross.size:
-            j = cross[0]
-            frac = d[j] / (d[j] - d[j + 1]) if d[j] != d[j + 1] else 0.5
-            pos = x0 + (i0 + j + frac) * dx
+            pos = x0 + cross[0] * dx
         else:
             pos = x0 + (i0 + int(np.argmax(np.abs(grad[i0:i1 + 1])))) * dx
         fronts.append(Front(float(pos), left.value, right.value))
@@ -413,22 +420,7 @@ def _fit_positions(ts, pos, transient):
     return float(coef[0]), float(coef[1])
 
 
-def _level_crossings(state: SimState, level, direction):
-    """x-positions where u crosses ``level`` with the given slope sign."""
-    u, dx, x0 = state.u, state.dx, state.x0
-    d = u - level
-    idx = np.nonzero(d[:-1] * d[1:] <= 0)[0]
-    out = []
-    for j in idx:
-        if direction * (u[j + 1] - u[j]) <= 0:
-            continue
-        frac = d[j] / (d[j] - d[j + 1]) if d[j] != d[j + 1] else 0.5
-        out.append(x0 + (j + frac) * dx)
-    return out
-
-
-def fit_front_speeds(cfg: SimConfig, result: SimResult, plateau_tol=0.01,
-                     transient="linear"):
+def fit_front_speeds(cfg: SimConfig, result: SimResult, transient="linear"):
     """Estimate front speeds from position vs time over the recorded
     snapshots.
 
@@ -439,22 +431,21 @@ def fit_front_speeds(cfg: SimConfig, result: SimResult, plateau_tol=0.01,
     term to absorb the slow settling of fronts emerging from smoothed data
     (requires at least five points, otherwise linear).
     """
-    rep = detect_fronts(result.final, plateau_tol=plateau_tol)
+    rep = detect_fronts(result.final)
     snaps = sorted((s for s in result.snapshots if s.t > 0.0), key=lambda s: s.t)
     if len(snaps) < 2:
         return []
     fits = []
     for front in rep.fronts:
-        level = 0.5 * (front.left_value + front.right_value)
-        direction = 1.0 if front.right_value > front.left_value else -1.0
         ts, pos = [], []
         anchor = front.position
         t_anchor = result.final.t
         for st in reversed(snaps):
-            cands = _level_crossings(st, level, direction)
-            if not cands:
+            cands = st.x0 + _crossings(st.u, front.left_value,
+                                       front.right_value) * st.dx
+            if not cands.size:
                 continue
-            p = min(cands, key=lambda q: abs(q - anchor))
+            p = float(cands[np.argmin(np.abs(cands - anchor))])
             # reject jumps faster than any characteristic or chord speed
             max_jump = 2.0 * max(1.0, float(np.abs(st.u).max())) ** 2
             if abs(p - anchor) > max_jump * abs(t_anchor - st.t) + 2.0:

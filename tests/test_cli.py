@@ -2,10 +2,11 @@ import json
 import math
 import warnings
 
+import numpy as np
 import pytest
 
-from ucwaves import kinetic_u_minus, phaseplane
-from ucwaves.cli import PRESETS, build_parser, main
+from ucwaves import Branch, kinetic_u_minus, phaseplane
+from ucwaves.cli import PRESETS, _write_csv, _write_json, build_parser, main
 
 GAMMA6 = repr(1 / math.sqrt(6))
 
@@ -29,6 +30,24 @@ def test_kinetics_sweep_csv_deterministic(tmp_path):
     assert any(ln.startswith("# gamma") for ln in lines)
     data = [ln for ln in lines if not ln.startswith("#")][1:]
     assert len(data) == 2 * 17  # both branches, a in 0.5..0.66 step 0.01
+
+
+@pytest.mark.parametrize("branch", ["plus", "minus"])
+def test_kinetics_branch_writes_the_rows_of_its_branch(branch, tmp_path):
+    def data_rows(name, *flags):
+        out = tmp_path / name
+        assert run_cli(["kinetics", "--gamma", "0.3", "--points", "9", *flags,
+                        "--output", str(out)]) == 0
+        lines = [ln for ln in out.read_text().splitlines()
+                 if not ln.startswith("#")]
+        assert lines[0].split(",")[1] == "branch"
+        return lines[1:]
+
+    rows = data_rows("one.csv", "--branch", branch)
+    assert len(rows) == 9
+    assert {ln.split(",")[1] for ln in rows} == {branch}
+    assert rows == [ln for ln in data_rows("both.csv")
+                    if ln.split(",")[1] == branch]
 
 
 def test_kinetics_no_locus_error_exit(capsys):
@@ -459,3 +478,28 @@ def test_preset_fig5(tmp_path):
     assert rc == 0
     rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert len(rows) == 1 + 11
+
+
+def test_write_csv_text_format(capsys):
+    _write_csv("-", {"b": "2", "a": "'x'"}, {
+        "float": [0.1, -0.0], "f64": [np.float64(1 / 3), np.float64(2.5)],
+        "enum": [Branch.PLUS, Branch.MINUS], "none": [None, None],
+        "str": ["SΣ", "-1"]})
+    assert capsys.readouterr().out == (
+        "# a = 'x'\n# b = 2\n"
+        "float,f64,enum,none,str\n"
+        "0.10000000000000001,0.33333333333333331,plus,,SΣ\n"
+        "-0,2.5,minus,,-1\n")
+    _write_csv("-", {}, {"x": [], "u": np.empty(0)})
+    assert capsys.readouterr().out == "x,u\n"
+    with pytest.raises(ValueError):
+        _write_csv("-", {}, {"x": [1.0, 2.0], "u": [1.0]})
+    assert capsys.readouterr().out == ""
+
+
+def test_write_json_text_format(capsys):
+    _write_json("-", {"b": np.bool_(True), "i": np.int64(-3),
+                      "f": np.float64(0.1), "t": (1, 2.5)})
+    assert capsys.readouterr().out == (
+        '{\n  "b": true,\n  "f": 0.1,\n  "i": -3,\n'
+        '  "t": [\n    1,\n    2.5\n  ]\n}\n')
