@@ -74,6 +74,8 @@ def _cell(v):
     """One CSV cell: text as is, an Enum as its value, None as empty."""
     if isinstance(v, str):
         return v
+    if isinstance(v, float):  # np.float64 too; the common cell, tested first
+        return _fmt(v)
     if isinstance(v, Enum):
         return _cell(v.value)
     return "" if v is None else _fmt(v)

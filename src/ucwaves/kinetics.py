@@ -82,9 +82,17 @@ def _check_gamma(gamma):
 
 
 def discriminant(a, gamma):
-    """D(a, gamma) = 1 - (8/9)*gamma^2*(1 + a/(a-1)^2); pole at a = 1."""
-    a = np.asarray(a) if not np.isscalar(a) else a
-    if np.any(np.asarray(a) == 1.0):
+    """D(a, gamma) = 1 - (8/9)*gamma^2*(1 + a/(a-1)^2); pole at a = 1.
+
+    A number a stays a number: on the per-point path of locus_point the
+    numpy test would cost more than D itself.  Anything else is an array.
+    """
+    if isinstance(a, (int, float)):
+        pole = a == 1.0
+    else:
+        a = np.asarray(a)
+        pole = np.any(a == 1.0)
+    if pole:
         raise PoleError("discriminant has a pole at a = 1")
     return 1.0 - (8.0 / 9.0) * gamma**2 * (1.0 + a / (a - 1.0) ** 2)
 
@@ -275,7 +283,7 @@ def entropy_integral(u_minus, u_plus):
 def locus_sweep(gamma, n):
     """KineticPoints on an n-point a-grid over both branches (plus first)."""
     at = a_tilde(gamma)
-    grid = np.linspace(0.5, at, n)
+    grid = np.linspace(0.5, at, n).tolist()  # Python floats: see discriminant
     points = [locus_point(a, gamma, Branch.PLUS) for a in grid]
     points += [locus_point(a, gamma, Branch.MINUS) for a in grid]
     return points

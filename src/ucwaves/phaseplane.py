@@ -125,8 +125,9 @@ class TWProblem:
 
     @property
     def T(self):
-        """Damping coefficient gamma/sqrt(s)."""
-        return self.gamma / np.sqrt(self.s)
+        """Damping coefficient gamma/sqrt(s), a Python float for Python
+        float inputs (read on every evaluation of the shot's field)."""
+        return self.gamma / math.sqrt(self.s)
 
     def P(self, u):
         """Equilibrium cubic P(u) = u^3 - u - (u_-^3 - u_-) + s*(u - u_-)."""
@@ -309,7 +310,8 @@ def _march_arc(form, u0, v0, u_end, vmax):
         nfev += 1
         if nfev > MAX_NFEV:
             raise _over_budget("DOP853", u, (u0, u_end))
-        return (T + P(u) / y[0],)
+        # in Python floats: numpy scalar arithmetic costs several times more
+        return (T + P(float(u)) / y.item(),)
 
     def ev_fold(u, y):
         return y[0] * sgn_v - _V_FLOOR

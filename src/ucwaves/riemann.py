@@ -182,12 +182,12 @@ def classify_plane(gamma, u_left_values, u_right_values):
     The kinetic pair depends only on u_R, so it is found once per column.
     """
     _check_input(gamma, u_left_values, u_right_values)
-    out = np.empty((len(u_left_values), len(u_right_values)), dtype=object)
+    uls = list(map(float, u_left_values))  # once, not once per column
+    out = np.empty((len(uls), len(u_right_values)), dtype=object)
     for j, ur in enumerate(map(float, u_right_values)):
         sign = -1.0 if ur > 0.0 else 1.0
         kinetic = _kinetic_pair(sign * ur, gamma)
-        for i, ul in enumerate(u_left_values):
-            out[i, j] = _pattern(sign * float(ul), sign * ur, kinetic)
+        out[:, j] = [_pattern(sign * ul, sign * ur, kinetic) for ul in uls]
     return out
 
 
