@@ -82,10 +82,15 @@ def _check_gamma(gamma):
 
 
 def discriminant(a, gamma):
-    """D(a, gamma) = 1 - (8/9)*gamma^2*(1 + a/(a-1)^2); pole at a = 1.
+    """D(a, gamma) = 1 - (8/9)*gamma^2*(1 + a/(a-1)^2); pole at a = 1."""
+    return 1.0 - _one_minus_d(a, gamma)
+
+
+def _one_minus_d(a, gamma):
+    """1 - D(a, gamma), without the cancellation of 1 - D as gamma -> 0.
 
     A number a stays a number: on the per-point path of locus_point the
-    numpy test would cost more than D itself.  Anything else is an array.
+    numpy test would cost more than the formula.  Anything else is an array.
     """
     if isinstance(a, (int, float)):
         pole = a == 1.0
@@ -94,7 +99,7 @@ def discriminant(a, gamma):
         pole = np.any(a == 1.0)
     if pole:
         raise PoleError("discriminant has a pole at a = 1")
-    return 1.0 - (8.0 / 9.0) * gamma**2 * (1.0 + a / (a - 1.0) ** 2)
+    return (8.0 / 9.0) * gamma**2 * (1.0 + a / (a - 1.0) ** 2)
 
 
 def a_tilde(gamma):
@@ -117,11 +122,16 @@ def locus_point(a, gamma, branch):
             f"a={a!r} outside the locus range [1/2, a_tilde={at!r}]"
         )
     a = min(max(a, 0.5), at)
-    # D >= 0 on [1/2, a_tilde]; below 0 it is rounding, about 2e-16/(1 - a)
-    # next to a_tilde, which nears the pole a = 1 as gamma -> 0
-    d = max(discriminant(a, gamma), 0.0)
-    sgn = 1.0 if branch is Branch.PLUS else -1.0
-    x = (1.0 + sgn * math.sqrt(d)) / (2.0 * (1.0 - a + a * a))
+    # 1 - D <= 1 on [1/2, a_tilde]; above 1 it is rounding, about
+    # 2e-16/(1 - a) next to a_tilde, which nears the pole a = 1 as gamma -> 0
+    one_minus_d = min(_one_minus_d(a, gamma), 1.0)
+    root_d = math.sqrt(1.0 - one_minus_d)
+    denom = 2.0 * (1.0 - a + a * a)
+    if branch is Branch.PLUS:
+        x = (1.0 + root_d) / denom
+    else:
+        # 1 - sqrt(D) = (1 - D)/(1 + sqrt(D)): D -> 1 as gamma -> 0
+        x = one_minus_d / ((1.0 + root_d) * denom)
     u_plus = -math.sqrt(x)
     u_minus = -a * u_plus
     u_zero = -(u_minus + u_plus)

@@ -256,6 +256,23 @@ def test_locus_symmetric_limit_as_gamma_vanishes():
     assert p.u_minus == pytest.approx(-p.u_plus, rel=1e-3)
 
 
+def test_locus_point_a_half_minus_end_keeps_its_digits():
+    # u_+ is the upper end of u_plus_bounds there; 1 - sqrt(D) would cancel
+    # as gamma -> 0 (D -> 1), 4e-4 off at gamma = 1e-7
+    for gamma in np.geomspace(1e-7, 0.6, 40).tolist():
+        u_plus = locus_point(0.5, gamma, Branch.MINUS).u_plus
+        assert u_plus == pytest.approx(u_plus_bounds(gamma)[1], rel=1e-15, abs=0)
+
+
+def test_candidates_at_the_a_half_minus_end():
+    # the end's u_- is on the branch, so its own u_+ comes back as a candidate
+    for gamma in np.geomspace(1.7e-3, 0.093, 83).tolist():
+        p = locus_point(0.5, gamma, Branch.MINUS)
+        cands = kinetic_u_plus_candidates(p.u_minus, gamma)
+        assert min((abs(c.u_plus / p.u_plus - 1.0) for c in cands),
+                   default=math.inf) <= 1e-15, gamma
+
+
 def test_locus_sweep_shape():
     pts = locus_sweep(GAMMA, n=31)
     assert len(pts) == 62
