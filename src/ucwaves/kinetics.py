@@ -13,6 +13,13 @@ The family exists for 0 < gamma < sqrt(3/8); both branches merge at
 a = a_tilde where D = 0, and at a = 1/2 the middle equilibrium collides
 with u_- (tangent chord).  Both endpoints are included and flagged.
 
+As gamma -> 0, D -> 1 and 1 - sqrt(D) cancels on the minus branch, so
+locus_point computes 1 - D = (8/9)*gamma^2*(1 + a/(a-1)^2) directly and
+takes 1 - sqrt(D) = (1 - D)/(1 + sqrt(D)); its a = 1/2 end equals the upper
+end of u_plus_bounds to rounding.  The locus still works in a: next to
+a_tilde, sqrt(D) magnifies the rounding of D, and once gamma is below about
+1e-16, a_tilde rounds to the pole a = 1.
+
 Both kinetic maps solve the pairing equation in w = u_- + u_+, given one
 known state k (u_+ for kinetic_u_minus, u_- for kinetic_u_plus_candidates):
 with q = w^2 - k*w + k^2 it reads r(w; k) = w*sqrt(1 - q) + sqrt(2)/3*gamma
@@ -293,7 +300,7 @@ def entropy_integral(u_minus, u_plus):
 def locus_sweep(gamma, n):
     """KineticPoints on an n-point a-grid over both branches (plus first)."""
     at = a_tilde(gamma)
-    grid = np.linspace(0.5, at, n).tolist()  # Python floats: see discriminant
+    grid = np.linspace(0.5, at, n).tolist()  # Python floats: see _one_minus_d
     points = [locus_point(a, gamma, Branch.PLUS) for a in grid]
     points += [locus_point(a, gamma, Branch.MINUS) for a in grid]
     return points

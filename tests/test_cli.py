@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from ucwaves import Branch, kinetic_u_minus, phaseplane
-from ucwaves.cli import PRESETS, _write_csv, _write_json, build_parser, main
+from ucwaves.cli import (
+    PRESETS,
+    _cell,
+    _write_csv,
+    _write_json,
+    build_parser,
+    main,
+)
 
 GAMMA6 = repr(1 / math.sqrt(6))
 
@@ -495,6 +502,11 @@ def test_write_csv_text_format(capsys):
     with pytest.raises(ValueError):
         _write_csv("-", {}, {"x": [1.0, 2.0], "u": [1.0]})
     assert capsys.readouterr().out == ""
+
+
+def test_cell_of_a_float64_is_the_cell_of_its_float():
+    for x in (0.1, -0.0, 1.0 / 3.0, 2.5, 1e-300, -7e22, math.inf):
+        assert _cell(np.float64(x)) == _cell(x)
 
 
 def test_write_json_text_format(capsys):

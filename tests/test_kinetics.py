@@ -47,8 +47,19 @@ def test_discriminant_reference_values():
 
 
 def test_discriminant_pole():
-    with pytest.raises(PoleError):
-        discriminant(1.0, 0.3)
+    for a in (1.0, np.float64(1.0), [0.5, 1.0]):
+        with pytest.raises(PoleError):
+            discriminant(a, 0.3)
+
+
+def test_discriminant_on_arrays():
+    a = np.linspace(0.5, 0.9, 9)
+    d = discriminant(a, 0.3)
+    assert isinstance(d, np.ndarray)
+    np.testing.assert_array_equal(
+        d, 1.0 - (8.0 / 9.0) * 0.3**2 * (1.0 + a / (a - 1.0) ** 2))
+    assert d.tolist() == pytest.approx([discriminant(x, 0.3) for x in a.tolist()],
+                                       rel=1e-15, abs=0)
 
 
 def test_a_tilde_value_and_root_property():
@@ -277,6 +288,13 @@ def test_locus_sweep_shape():
     pts = locus_sweep(GAMMA, n=31)
     assert len(pts) == 62
     assert {p.branch for p in pts} == {Branch.PLUS, Branch.MINUS}
+
+
+@pytest.mark.parametrize("gamma", [1e-3, 0.3, GAMMA, 0.6])
+def test_locus_sweep_points_are_locus_points_in_floats(gamma):
+    for p in locus_sweep(gamma, n=17):
+        assert p == locus_point(p.a, gamma, p.branch)
+        assert {type(v) for v in (p.a, p.u_minus, p.u_zero, p.u_plus, p.s)} == {float}
 
 
 @pytest.mark.parametrize("gamma,u_plus", [

@@ -32,6 +32,13 @@ from ucwaves.phaseplane import STIFF_RATIO, jacobian
 GAMMA = 1 / math.sqrt(6)
 
 
+def test_damping_is_a_python_float():
+    # the shot's field reads T at every evaluation
+    prob = TWProblem(GAMMA, 0.5, 0.4)
+    assert type(prob.T) is float
+    assert prob.T == GAMMA / math.sqrt(0.5)
+
+
 def test_problem_requires_positive_speed():
     with pytest.raises(DegenerateSpeedError):
         TWProblem(GAMMA, 0.0, 0.4)

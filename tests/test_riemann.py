@@ -202,6 +202,17 @@ def test_classify_plane_cells_and_symmetry():
     assert solve(0.4, -0.8, GAMMA).pattern == "SΣ"
 
 
+@pytest.mark.parametrize("gamma", [0.184, 0.3995, 0.6846, 0.7])
+def test_classify_plane_equals_solve(gamma):
+    uls = np.linspace(-1.2, 1.2, 25)
+    urs = np.linspace(-1.2, 1.2, 21)
+    pat = classify_plane(gamma, uls, urs)
+    assert pat.shape == (25, 21)
+    for i, ul in enumerate(uls.tolist()):
+        for j, ur in enumerate(urs.tolist()):
+            assert pat[i, j] == solve(ul, ur, gamma).pattern, (ul, ur)
+
+
 def test_json_round_trip():
     sol = solve(0.4, -0.8, GAMMA)
     payload = json.dumps(solution_to_dict(sol))
