@@ -143,52 +143,38 @@ def _parse_grid(arg):
 
 
 def _cmd_kinetics(args, params):
-    modes = [flag for flag, given in (("--u-plus", args.u_plus is not None),
-                                      ("--u-minus", args.u_minus is not None),
-                                      ("--sweep-a", args.sweep_a is not None),
-                                      ("--preset fig2", args.preset == "fig2"))
-             if given]
-    if len(modes) > 1:
-        raise UCWavesError("kinetics takes one of --u-plus, --u-minus, "
-                           "--sweep-a, --preset fig2; got " + ", ".join(modes))
+    fig2 = args.preset == "fig2"
+    _one_mode(args, ["u_plus"], ["u_minus"], ["sweep_a"],
+              ["preset"] if fig2 else [])
     n_points = _count("points", 101 if args.points is None else args.points)
-    if args.preset == "fig2":
-        points = [p for n in range(1, 11)
-                  for p in kinetics.locus_sweep(n / 10.0 * kinetics.GAMMA_MAX,
-                                                n_points)]
-        _write_records(args.output, params, kinetics.KineticPoint, points)
-        return 0
-    if args.gamma is None:
-        raise UCWavesError("kinetics requires --gamma (or --preset fig2)")
-    g = args.gamma
+    _require(args, [] if fig2 else ["gamma"])
     if args.u_plus is not None:
-        um = kinetics.kinetic_u_minus(args.u_plus, g)
+        um = kinetics.kinetic_u_minus(args.u_plus, args.gamma)
         _write_json(args.output, {
             "params": params,
-            "u_plus": args.u_plus, "gamma": g, "u_minus": um,
+            "u_plus": args.u_plus, "gamma": args.gamma, "u_minus": um,
             "s": rh_speed(um, args.u_plus),
         })
         return 0
     if args.u_minus is not None:
-        cands = kinetics.kinetic_u_plus_candidates(args.u_minus, g)
+        cands = kinetics.kinetic_u_plus_candidates(args.u_minus, args.gamma)
         _write_json(args.output, {
             "params": params,
-            "u_minus": args.u_minus, "gamma": g,
+            "u_minus": args.u_minus, "gamma": args.gamma,
             "candidates": [
                 {"u_plus": p.u_plus, "a": p.a, "branch": p.branch.value,
                  "s": p.s} for p in cands
             ],
         })
         return 0
-    at = kinetics.a_tilde(g)  # raises NoLocusError for gamma >= sqrt(3/8)
-    if args.sweep_a:
-        a_values = np.minimum(_parse_sweep(args.sweep_a), at)
-    else:
-        a_values = np.linspace(0.5, at, n_points)
-    branches = {"plus": [Branch.PLUS], "minus": [Branch.MINUS],
-                "both": [Branch.PLUS, Branch.MINUS]}[args.branch]
-    points = [kinetics.locus_point(a, g, br) for br in branches
-              for a in sorted(set(float(a) for a in a_values))]
+    gammas = ([n / 10.0 * kinetics.GAMMA_MAX for n in range(1, 11)] if fig2
+              else [args.gamma])
+    points = []
+    for g in gammas:
+        a_values = (_parse_sweep(args.sweep_a) if args.sweep_a is not None
+                    else np.linspace(0.5, kinetics.a_tilde(g), n_points))
+        points += [p for p in kinetics.locus_sweep(g, a_values)
+                   if args.branch in ("both", p.branch.value)]
     _write_records(args.output, params, kinetics.KineticPoint, points)
     return 0
 
@@ -199,6 +185,18 @@ def _require(args, names):
     if missing:
         raise UCWavesError(f"{args.command} missing required options: "
                            + ", ".join("--" + k.replace("_", "-") for k in missing))
+
+
+def _one_mode(args, *modes):
+    """Raise UCWavesError if options of more than one of ``modes`` (lists of
+    option names) are set: neither None nor False (a switch left off)."""
+    given = [", ".join(f"--{k.replace('_', '-')}" + ("" if v is True else f" {v}")
+                       for k in mode
+                       if (v := getattr(args, k)) is not None and v is not False)
+             for mode in modes]
+    if sum(map(bool, given)) > 1:
+        raise UCWavesError(f"{args.command} takes the options of one mode; "
+                           "got " + " with ".join(filter(None, given)))
 
 
 def _cmd_phase(args, params):
@@ -232,9 +230,9 @@ def _cmd_phase(args, params):
 
 
 def _cmd_riemann(args, params):
-    if args.gamma is None:
-        raise UCWavesError("riemann requires --gamma (or --preset fig3)")
-    if args.classify_grid:
+    _one_mode(args, ["classify_grid"], ["uL", "uR", "evaluate_at", "verify"])
+    _require(args, ["gamma"])
+    if args.classify_grid is not None:
         ul_vals, ur_vals = _parse_grid(args.classify_grid)
         pat = riemann.classify_plane(args.gamma, ul_vals, ur_vals)
         # each axis value is formatted once, not once per cell
@@ -244,8 +242,7 @@ def _cmd_riemann(args, params):
             "u_right": urs * len(ul_vals),
             "pattern": pat.ravel().tolist()})
         return 0
-    if args.uL is None or args.uR is None:
-        raise UCWavesError("riemann requires --uL and --uR (or --classify-grid)")
+    _require(args, ["uL", "uR"])
     sol = riemann.solve(args.uL, args.uR, args.gamma)
     payload = {"params": params, **riemann.solution_to_dict(sol)}
     if args.evaluate_at is not None:
@@ -270,13 +267,11 @@ def _build_sim_config(args):
         if steep is None:
             raise UCWavesError("--steepness required when mu < 0")
         init = pde.SmoothedRiemann(args.uL, args.uR, steep)
-    elif args.initial == "tw":
+    else:  # "tw"; argparse's choices also check a config file's value
         if gamma is None:
             raise UCWavesError("traveling-wave seed requires mu > 0")
         point = kinetics.locus_point(args.tw_a, gamma, Branch(args.tw_branch))
         init = pde.TravelingWaveSeed(point)
-    else:
-        raise UCWavesError(f"unknown initial {args.initial!r}")
     return pde.SimConfig(
         beta=beta, mu=mu, x_min=args.x_min, x_max=args.x_max, nx=args.nx,
         dt=args.dt, t_end=args.t_end, bc=pde.BoundaryCondition(args.bc),
@@ -286,7 +281,7 @@ def _build_sim_config(args):
 
 def _cmd_simulate(args, params):
     _require(args, ["beta", "mu", "x_min", "x_max", "nx", "t_end"]
-             + (["uL", "uR"] if args.initial == "smoothed" else []))
+             + (["uL", "uR"] if args.initial == "smoothed" else ["tw_a"]))
     cfg = _build_sim_config(args)
     snap_times = ()
     if args.snapshot_every:
@@ -322,9 +317,9 @@ def _cmd_simulate(args, params):
 
 
 def _cmd_psystem(args, params):
-    if args.A is None:
-        raise UCWavesError("psystem requires --A (or --preset fig5)")
-    if args.sweep_b:
+    _one_mode(args, ["sweep_b"], ["u_minus"], ["b", "shoot"])
+    _require(args, ["A"])
+    if args.sweep_b is not None:
         b_values = np.minimum(_parse_sweep(args.sweep_b), -0.5)
         points = [psystem.psys_locus(b, args.A, v_minus=args.v_minus)
                   for b in sorted(set(float(b) for b in b_values))]
@@ -337,8 +332,7 @@ def _cmd_psystem(args, params):
             "u_plus": up, "threshold": psystem.psys_threshold(args.A),
         })
         return 0
-    if args.b is None:
-        raise UCWavesError("psystem requires --b, --sweep-b or --u-minus")
+    _require(args, ["b"])
     p = psystem.psys_locus(args.b, args.A, v_minus=args.v_minus)
     payload = {"params": params, **dataclasses.asdict(p)}
     if args.shoot:

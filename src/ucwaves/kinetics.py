@@ -122,8 +122,11 @@ def locus_point(a, gamma, branch):
     Returns a KineticPoint with u_- = -a*u_+, u_0 = -(u_- + u_+) and the
     Rankine-Hugoniot speed.  Valid for 1/2 <= a <= a_tilde(gamma).
     """
-    _check_gamma(gamma)
-    at = a_tilde(gamma)
+    return _locus_point(a, gamma, branch, a_tilde(gamma))
+
+
+def _locus_point(a, gamma, branch, at):
+    """locus_point with at = a_tilde(gamma) given, so gamma is not checked."""
     if not 0.5 - _A_ENDPOINT_ATOL <= a <= at + _A_ENDPOINT_ATOL:
         raise DomainError(
             f"a={a!r} outside the locus range [1/2, a_tilde={at!r}]"
@@ -297,10 +300,10 @@ def entropy_integral(u_minus, u_plus):
     return antideriv(u_minus) - antideriv(u_plus)
 
 
-def locus_sweep(gamma, n):
-    """KineticPoints on an n-point a-grid over both branches (plus first)."""
+def locus_sweep(gamma, a_values):
+    """Plus, then minus branch at the distinct a_values clipped to a_tilde,
+    in increasing order; gamma is checked once, an a < 1/2 is a DomainError."""
     at = a_tilde(gamma)
-    grid = np.linspace(0.5, at, n).tolist()  # Python floats: see _one_minus_d
-    points = [locus_point(a, gamma, Branch.PLUS) for a in grid]
-    points += [locus_point(a, gamma, Branch.MINUS) for a in grid]
-    return points
+    grid = sorted({min(float(a), at) for a in a_values})  # floats: see _one_minus_d
+    return [_locus_point(a, gamma, branch, at)
+            for branch in (Branch.PLUS, Branch.MINUS) for a in grid]

@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 from scipy.optimize import brentq
 
 from .errors import DomainError, NoLocusError, NoSaddleError, _check_finite
+from .kinetics import _RTOL
 from .phaseplane import OrbitResult, shoot_saddle_connection
 
 
@@ -80,7 +81,7 @@ def psys_locus(b, A, v_minus=0.0):
             f"b={b!r} outside (-1, -1/2]: states diverge at b = -1 (energy "
             "restriction) and equilibria coalesce at b = -1/2"
         )
-    u_minus = 2.0 / (9.0 * (1.0 + b) ** 2) * math.sqrt(b * b + b + 1.0) / A
+    u_minus = _u_minus(b, A)
     u_plus = b * u_minus
     u_zero = -(u_minus + u_plus)
     s = -math.sqrt(u_plus**2 + u_plus * u_minus + u_minus**2)
@@ -89,11 +90,17 @@ def psys_locus(b, A, v_minus=0.0):
     return PSystemLocusPoint(b, A, u_minus, u_plus, u_zero, s, k, v_minus, v_plus)
 
 
+def _u_minus(b, A):
+    return 2.0 / (9.0 * (1.0 + b) ** 2) * math.sqrt(b * b + b + 1.0) / A
+
+
 def psys_kinetic_u_plus(u_minus, A):
     """The unique u_+ in (-u_-, -u_-/2) paired with u_- (requires
     u_- > psys_threshold(A), strictly).
 
-    Inverts the monotone decreasing map b -> u_-(b) on (-1, -1/2).
+    Inverts the decreasing map b -> u_-(b) on (-1, -1/2) by brentq.  With
+    y = 1 + b, 9*A*u_-*y^2 = 2*sqrt(y^2 - y + 1) lies in [sqrt(3), 2); the
+    lower end meets the root y = 1/2 at the threshold, so it is capped at 1/4.
     """
     _check_finite("psys_kinetic_u_plus", u_minus=u_minus)
     thr = psys_threshold(A)
@@ -101,16 +108,10 @@ def psys_kinetic_u_plus(u_minus, A):
         raise NoLocusError(
             f"u_minus={u_minus!r} at or below the threshold {thr!r} for A={A!r}"
         )
-
-    def f(b):
-        return psys_locus(b, A).u_minus - u_minus
-
-    b_lo = -0.75
-    while f(b_lo) < 0:
-        b_lo = -1.0 + 0.5 * (b_lo + 1.0)
-        if b_lo < -1.0 + 1e-14:
-            raise NoLocusError(f"failed to bracket u_minus={u_minus!r}")
-    b = brentq(f, b_lo, -0.5, xtol=1e-15, rtol=8.9e-16)
+    y_lo = min(math.sqrt(math.sqrt(3.0) / (9.0 * A * u_minus)), 0.25)
+    y_hi = min(math.sqrt(2.0 / (9.0 * A * u_minus)), 0.5)
+    b = brentq(lambda b: _u_minus(b, A) - u_minus, y_lo - 1.0, y_hi - 1.0,
+               xtol=1e-15, rtol=_RTOL)
     return b * u_minus
 
 

@@ -5,7 +5,14 @@ import warnings
 import numpy as np
 import pytest
 
-from ucwaves import Branch, kinetic_u_minus, phaseplane
+from ucwaves import (
+    GAMMA_MAX,
+    Branch,
+    kinetic_u_minus,
+    phaseplane,
+    psys_locus,
+    psys_threshold,
+)
 from ucwaves.cli import (
     PRESETS,
     _cell,
@@ -111,6 +118,27 @@ def test_kinetics_modes_exclude_each_other(flags, config, tmp_path, capsys):
     named = [m for m in ("--u-plus", "--u-minus", "--sweep-a", "--preset fig2")
              if m in record["message"].split("; got ")[1]]
     assert len(named) == 2
+
+
+def _data_rows(path):
+    return [ln for ln in path.read_text().splitlines()
+            if not ln.startswith("#")][1:]
+
+
+def test_fig2_rows_are_the_kinetics_sweep_of_each_gamma(tmp_path):
+    fig2 = tmp_path / "fig2.csv"
+    assert run_cli(["kinetics", "--preset", "fig2", "--output", str(fig2)]) == 0
+    rows = _data_rows(fig2)
+    for n in range(1, 11):
+        gamma = n / 10.0 * GAMMA_MAX
+        out = tmp_path / f"g{n}.csv"
+        assert run_cli(["kinetics", f"--gamma={gamma!r}",
+                        "--output", str(out)]) == 0
+        # the gamma column
+        assert [r for r in rows if float(r.split(",")[6]) == gamma] \
+            == _data_rows(out), gamma
+    # a_tilde(sqrt(3/8)) rounds to the float after 1/2: two ratios a branch
+    assert len(rows) == 9 * 2 * 101 + 2 * 2
 
 
 def test_riemann_json(tmp_path):
@@ -259,6 +287,17 @@ def test_psystem_point_and_shoot(tmp_path):
     assert payload["shoot"]["orbit_start_u"] == pytest.approx(-0.18162, abs=1e-4)
 
 
+def test_psystem_kinetic_query(tmp_path):
+    out = tmp_path / "pk.json"
+    assert run_cli(["psystem", "--A", "4", "--u-minus", "0.302702",
+                    "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["threshold"] == psys_threshold(4.0)
+    assert payload["u_plus"] == pytest.approx(-0.181621, abs=1e-5)
+    b = payload["u_plus"] / payload["u_minus"]
+    assert psys_locus(b, 4.0).u_minus == pytest.approx(0.302702, rel=1e-14)
+
+
 def test_psystem_sweep(tmp_path):
     out = tmp_path / "ps.csv"
     rc = run_cli(["psystem", "--A", "4", "--sweep-b=-0.75:-0.5:0.05",
@@ -329,6 +368,89 @@ def test_simulate_traveling_wave_seed(tmp_path):
     vals = [p["value"] for p in payload["plateaus"]]
     assert any(abs(v - 0.3285) < 0.002 for v in vals)
     assert any(abs(v + 0.5475) < 0.002 for v in vals)
+
+
+def test_simulate_front_speeds(tmp_path):
+    out = tmp_path / "sim.json"
+    assert run_cli(["simulate", "--uL", "0.4", "--uR=-0.8", "--beta", "0.1",
+                    "--mu", "0.06", "--x-min=-10", "--x-max", "20",
+                    "--nx", "301", "--t-end", "6", "--snapshot-every", "1",
+                    "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    (front,), (fit,) = payload["fronts"], payload["front_speeds"]
+    # one front, not yet split into the Lax (0.349) and Sigma (0.503) shocks
+    assert 0.349 < fit["speed"] < 0.504
+    assert fit["intercept"] + fit["speed"] * payload["t_final"] \
+        == pytest.approx(front["position"], abs=0.05)
+
+
+SIM = ["--beta", "0.1", "--mu", "0.06", "--x-min=-8", "--x-max", "8",
+       "--nx", "101", "--t-end", "0.1"]
+
+
+@pytest.mark.parametrize("argv,missing", [
+    (["kinetics"], "--gamma"),
+    (["kinetics", "--sweep-a", "0.5:0.6:0.01"], "--gamma"),
+    (["riemann", "--uL", "0.4", "--uR=-0.8"], "--gamma"),
+    (["riemann", "--gamma", "0.4"], "--uL, --uR"),
+    (["riemann", "--gamma", "0.4", "--uL", "0.4", "--verify"], "--uR"),
+    (["psystem", "--b=-0.6"], "--A"),
+    (["psystem", "--A", "4"], "--b"),
+    (["psystem", "--A", "4", "--shoot"], "--b"),
+    (["phase", "--gamma", "0.4"], "--u-minus, --u-plus"),
+    (["simulate", "--uR=-0.8", *SIM], "--uL"),
+    (["simulate", "--initial", "tw", *SIM], "--tw-a"),
+])
+def test_missing_options_exit_2(argv, missing, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--output", str(out)]) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "UCWavesError", "message":
+                      f"{argv[0]} missing required options: {missing}"}
+
+
+@pytest.mark.parametrize("flags,message", [
+    (["--uL", "0.4", "--uR=-0.8", "--mu=-0.06"],
+     "--steepness required when mu < 0"),
+    (["--initial", "tw", "--tw-a", "0.6", "--mu=-0.06"],
+     "traveling-wave seed requires mu > 0"),
+])
+def test_simulate_needs_mu_positive_for_its_gamma(flags, message, tmp_path,
+                                                  capsys):
+    out = tmp_path / "out"
+    assert run_cli(["simulate", *SIM, *flags, "--output", str(out)]) == 2
+    assert not out.exists()
+    assert json.loads(capsys.readouterr().err) == {"error": "UCWavesError",
+                                                   "message": message}
+    # an explicit steepness gives the tanh step its width
+    if "--uL" in flags:
+        assert run_cli(["simulate", *SIM, *flags, "--steepness", "1",
+                        "--output", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["psystem", "--A", "4", "--sweep-b=-0.75:-0.7:0.025", "--b=-0.6",
+      "--shoot"], "--sweep-b -0.75:-0.7:0.025 with --b -0.6, --shoot"),
+    (["psystem", "--A", "4", "--u-minus", "0.5", "--b=-0.6", "--shoot"],
+     "--u-minus 0.5 with --b -0.6, --shoot"),
+    (["psystem", "--preset", "fig5", "--shoot"],
+     "--sweep-b -0.75:-0.5:0.0025 with --shoot"),
+    (["riemann", "--gamma", "0.4", "--classify-grid=-1:1:2,-1:1:2",
+      "--uL", "0.4", "--uR=-0.8", "--verify"],
+     "--classify-grid -1:1:2,-1:1:2 with --uL 0.4, --uR -0.8, --verify"),
+    (["riemann", "--preset", "fig3", "--evaluate-at", "0.1"],
+     "--classify-grid -1.2:1.2:97,-1.2:1.2:97 with --evaluate-at 0.1"),
+    (["riemann", "--gamma", "0.4", "--classify-grid=-1:1:2,-1:1:2", "--uL", "0"],
+     "--classify-grid -1:1:2,-1:1:2 with --uL 0.0"),  # 0.0 == False is set
+])
+def test_options_the_mode_ignores_exit_2(argv, named, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(argv + ["--output", str(out)]) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record == {"error": "UCWavesError", "message":
+                      f"{argv[0]} takes the options of one mode; got {named}"}
 
 
 def test_simulate_missing_options(capsys):

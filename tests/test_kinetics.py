@@ -285,14 +285,33 @@ def test_candidates_at_the_a_half_minus_end():
 
 
 def test_locus_sweep_shape():
-    pts = locus_sweep(GAMMA, n=31)
+    pts = locus_sweep(GAMMA, np.linspace(0.5, a_tilde(GAMMA), 31))
     assert len(pts) == 62
-    assert {p.branch for p in pts} == {Branch.PLUS, Branch.MINUS}
+    assert [p.branch for p in pts] == [Branch.PLUS] * 31 + [Branch.MINUS] * 31
+    assert [p.a for p in pts[:31]] == [p.a for p in pts[31:]]
+    assert (pts[0].endpoint, pts[30].endpoint) == ("a_half", "a_tilde")
+
+
+def test_locus_sweep_clips_sorts_and_drops_repeated_ratios():
+    at = a_tilde(GAMMA)
+    pts = locus_sweep(GAMMA, [0.6, 0.5, 0.99, 0.55, 0.6, at, 0.5])
+    assert [p.a for p in pts] == [0.5, 0.55, 0.6, at] * 2
+    # at sqrt(3/8) a_tilde rounds to the next float above 1/2
+    at = a_tilde(GAMMA_MAX)
+    assert [p.a for p in locus_sweep(GAMMA_MAX, np.linspace(0.5, at, 101))] \
+        == [0.5, at] * 2
+
+
+def test_locus_sweep_errors():
+    with pytest.raises(DomainError):
+        locus_sweep(GAMMA, [0.6, 0.49])
+    with pytest.raises(NoLocusError):
+        locus_sweep(0.7, [0.6])
 
 
 @pytest.mark.parametrize("gamma", [1e-3, 0.3, GAMMA, 0.6])
 def test_locus_sweep_points_are_locus_points_in_floats(gamma):
-    for p in locus_sweep(gamma, n=17):
+    for p in locus_sweep(gamma, np.linspace(0.5, a_tilde(gamma), 17)):
         assert p == locus_point(p.a, gamma, p.branch)
         assert {type(v) for v in (p.a, p.u_minus, p.u_zero, p.u_plus, p.s)} == {float}
 

@@ -12,6 +12,7 @@ from ucwaves import (
     Branch,
     CustomProfile,
     SimConfig,
+    SimState,
     SimulationDivergedError,
     SmoothedRiemann,
     TravelingWaveSeed,
@@ -243,6 +244,21 @@ def test_detect_fronts_single_step_profile():
     assert len(rep.plateaus) == 2
     assert len(rep.fronts) == 1
     assert rep.fronts[0].position == pytest.approx(0.0, abs=0.2)
+
+
+def test_detect_fronts_merges_a_plateau_split_by_a_bump():
+    # the bump's slope (up to 0.011) cuts the left flat run in two; both
+    # halves hold 0.4, so they are one plateau
+    x = np.linspace(-30.0, 30.0, 1201)
+    u = (0.4 - 0.6 * (1.0 + np.tanh(x))
+         + 0.004 * np.exp(-((x + 15.0) / 0.3) ** 2))
+    assert np.abs(np.gradient(u, x[1] - x[0])[:500]).max() > 0.01
+    rep = detect_fronts(SimState(0.0, u, x[1] - x[0], x[0]))
+    assert [p.value for p in rep.plateaus] == pytest.approx([0.4, -0.8])
+    assert (rep.plateaus[0].x_left, rep.plateaus[0].x_right) == \
+        pytest.approx((-30.0, -2.75))
+    assert len(rep.fronts) == 1
+    assert rep.fronts[0].position == pytest.approx(0.0, abs=0.05)
 
 
 def test_neumann_boundary_runs():

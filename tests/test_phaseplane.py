@@ -174,6 +174,23 @@ def test_shoot_off_locus_pair_rejected():
     assert res.verdict in (Verdict.MISSES_ABOVE, Verdict.MISSES_BELOW)
 
 
+@pytest.mark.parametrize("u_minus,u_plus,reaches_midpoint", [
+    (0.5084542170893335, -0.9245206179347696, False),  # the forward arc fails
+    (0.22485930061453524, -0.21621086597551464, True),  # the backward one folds
+])
+def test_shoot_reports_a_failed_arc_as_diverging(u_minus, u_plus,
+                                                 reaches_midpoint):
+    prob = TWProblem(GAMMA, rh_speed(u_minus, u_plus), u_minus)
+    res = shoot_unstable(prob, u_minus, u_plus)
+    assert res.verdict is Verdict.DIVERGES
+    # the orbit is the forward arc alone, from the seed next to u_-
+    u = res.trajectory[:, 1]
+    assert u[0] == pytest.approx(u_minus, abs=1e-7)
+    assert (u[-1] == 0.5 * (u_minus + u_plus)) == reaches_midpoint
+    assert res.terminal_distance == np.hypot(u - u_plus,
+                                             res.trajectory[:, 2]).min()
+
+
 def test_shoot_rejects_non_saddle_start():
     # (0.1, 0.3) is a Lax pair: u = 0.1 is the middle (node) equilibrium
     prob = TWProblem(GAMMA, rh_speed(0.1, 0.3), 0.1)
