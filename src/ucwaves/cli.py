@@ -10,8 +10,9 @@ flat ``key = value`` lines, keyed by the option names with underscores,
 e.g. ``x_min``) is read as ``--key=value`` flags placed before the command
 line, so argparse checks its types and choices and the command-line flags
 win.  ``--preset`` then fills, from ``PRESETS``, every option still unset.
-The echo holds every option that has a value except the output-routing
-names in ``_NOT_ECHOED``.
+``main`` checks the options against the command's ``MODES``, runs its
+handler and writes the payload it returns as JSON.  The echo holds every
+option that has a value except the output-routing names in ``_NOT_ECHOED``.
 """
 
 import argparse
@@ -39,9 +40,11 @@ _MAX_SWEEP = 10**6
 
 #: The reference figures' options, {command: {preset: {option: value}}}.  A
 #: preset fills only options whose value is still None after flags and config
-#: file.  fig2 loops over ten gammas in ``_cmd_kinetics`` and fills nothing.
+#: file.  fig2's gamma holds ten gammas; the locus sweep runs at each.
 PRESETS = {
-    "kinetics": {"fig1": {"gamma": _GAMMA6, "points": 201}, "fig2": {}},
+    "kinetics": {"fig1": {"gamma": _GAMMA6, "points": 201},
+                 "fig2": {"gamma": tuple(n / 10.0 * kinetics.GAMMA_MAX
+                                         for n in range(1, 11))}},
     "riemann": {"fig3": {"gamma": _GAMMA6,
                          "classify_grid": "-1.2:1.2:97,-1.2:1.2:97"}},
     "simulate": {"fig4": {"uL": 0.4, "uR": -0.8, "beta": 0.1, "mu": 0.06,
@@ -56,6 +59,26 @@ PRESETS = {
 #: written elsewhere, or configured from a file, has the same bytes).
 _NOT_ECHOED = frozenset({"command", "fn", "output", "config", "format",
                          "profile_output", "snapshot_profiles"})
+
+#: Each command's modes, in order: (the options a mode needs, the ones it may
+#: also read).  An option is set when neither None nor its built-in default.
+#: Of the modes that read every set option, the first with all it needs runs;
+#: if none has them all, the last names the missing ones.  The options of
+#: ``_NOT_ECHOED`` belong to no mode.
+MODES = {
+    "kinetics": [("gamma u_plus", ""), ("gamma u_minus", ""),
+                 ("gamma sweep_a", "branch"),
+                 ("gamma", "preset points branch")],
+    "phase": [("gamma u_minus u_plus", "s lax_check")],
+    "riemann": [("gamma classify_grid", "preset"),
+                ("gamma uL uR", "evaluate_at verify")],
+    "simulate": [("initial tw_a beta mu x_min x_max nx t_end",
+                  "tw_branch dt bc snapshot_every speed_fit"),
+                 ("uL uR beta mu x_min x_max nx t_end",
+                  "preset steepness dt bc snapshot_every speed_fit")],
+    "psystem": [("A sweep_b", "preset v_minus"), ("A u_minus", ""),
+                ("A b", "v_minus shoot")],
+}
 
 
 def _fmt(x):
@@ -100,9 +123,12 @@ def _write_records(path, params, cls, records):
 def _write_text(path, text):
     if path in (None, "-"):
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UCWavesError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
 def _parse_sweep(arg):
@@ -139,99 +165,54 @@ def _parse_grid(arg):
 
 
 # ---------------------------------------------------------------------------
-# subcommand implementations: each receives the resolved args and their echo
+# subcommand implementations: each receives the resolved args and their echo,
+# and returns its JSON payload or writes its CSV and returns None
 
 
 def _cmd_kinetics(args, params):
-    fig2 = args.preset == "fig2"
-    _one_mode(args, ["u_plus"], ["u_minus"], ["sweep_a"],
-              ["preset"] if fig2 else [])
-    n_points = _count("points", 101 if args.points is None else args.points)
-    _require(args, [] if fig2 else ["gamma"])
     if args.u_plus is not None:
         um = kinetics.kinetic_u_minus(args.u_plus, args.gamma)
-        _write_json(args.output, {
-            "params": params,
-            "u_plus": args.u_plus, "gamma": args.gamma, "u_minus": um,
-            "s": rh_speed(um, args.u_plus),
-        })
-        return 0
+        return {"u_plus": args.u_plus, "gamma": args.gamma, "u_minus": um,
+                "s": rh_speed(um, args.u_plus)}
     if args.u_minus is not None:
         cands = kinetics.kinetic_u_plus_candidates(args.u_minus, args.gamma)
-        _write_json(args.output, {
-            "params": params,
-            "u_minus": args.u_minus, "gamma": args.gamma,
-            "candidates": [
-                {"u_plus": p.u_plus, "a": p.a, "branch": p.branch.value,
-                 "s": p.s} for p in cands
-            ],
-        })
-        return 0
-    gammas = ([n / 10.0 * kinetics.GAMMA_MAX for n in range(1, 11)] if fig2
-              else [args.gamma])
+        return {"u_minus": args.u_minus, "gamma": args.gamma, "candidates": [
+            {"u_plus": p.u_plus, "a": p.a, "branch": p.branch.value, "s": p.s}
+            for p in cands]}
+    n_points = _count("points", 101 if args.points is None else args.points)
     points = []
-    for g in gammas:
+    for g in args.gamma if isinstance(args.gamma, tuple) else [args.gamma]:
         a_values = (_parse_sweep(args.sweep_a) if args.sweep_a is not None
                     else np.linspace(0.5, kinetics.a_tilde(g), n_points))
         points += [p for p in kinetics.locus_sweep(g, a_values)
                    if args.branch in ("both", p.branch.value)]
     _write_records(args.output, params, kinetics.KineticPoint, points)
-    return 0
-
-
-def _require(args, names):
-    """Raise UCWavesError naming every option in ``names`` still unset."""
-    missing = [k for k in names if getattr(args, k) is None]
-    if missing:
-        raise UCWavesError(f"{args.command} missing required options: "
-                           + ", ".join("--" + k.replace("_", "-") for k in missing))
-
-
-def _one_mode(args, *modes):
-    """Raise UCWavesError if options of more than one of ``modes`` (lists of
-    option names) are set: neither None nor False (a switch left off)."""
-    given = [", ".join(f"--{k.replace('_', '-')}" + ("" if v is True else f" {v}")
-                       for k in mode
-                       if (v := getattr(args, k)) is not None and v is not False)
-             for mode in modes]
-    if sum(map(bool, given)) > 1:
-        raise UCWavesError(f"{args.command} takes the options of one mode; "
-                           "got " + " with ".join(filter(None, given)))
+    return None
 
 
 def _cmd_phase(args, params):
-    _require(args, ["gamma", "u_minus", "u_plus"])
     s = args.s if args.s is not None else rh_speed(args.u_minus, args.u_plus)
     prob = phaseplane.TWProblem(args.gamma, s, args.u_minus)
-    if args.lax_check:
-        res = phaseplane.shoot_unstable(prob, args.u_plus, args.u_minus,
-                                        backward=True)
-    else:
-        res = phaseplane.shoot_unstable(prob, args.u_minus, args.u_plus)
+    ends = ((args.u_plus, args.u_minus) if args.lax_check
+            else (args.u_minus, args.u_plus))
+    res = phaseplane.shoot_unstable(prob, *ends, backward=args.lax_check)
     if args.format == "csv":
         _write_csv(args.output, params,
                    dict(zip(["xi", "u", "v"], res.trajectory.T)))
-    else:
-        lam = {u: [complex(z) for z in phaseplane.eigenvalues(u, prob)]
-               for u in prob.equilibria}
-        _write_json(args.output, {
-            "params": params,
-            "equilibria": list(prob.equilibria),
-            "eigenvalues": {
-                _fmt(u): [{"re": z.real, "im": z.imag} for z in v]
-                for u, v in lam.items()
-            },
-            "verdict": res.verdict.value,
-            "terminal_distance": res.terminal_distance,
-            "parabola_residual": phaseplane.parabola_residual(
-                res, args.u_minus, args.u_plus),
-        })
-    return 0
+        return None
+    return {
+        "equilibria": list(prob.equilibria),
+        "eigenvalues": {_fmt(u): [{"re": z.real, "im": z.imag} for z in
+                                  map(complex, phaseplane.eigenvalues(u, prob))]
+                        for u in prob.equilibria},
+        "verdict": res.verdict.value,
+        "terminal_distance": res.terminal_distance,
+        "parabola_residual": phaseplane.parabola_residual(
+            res, args.u_minus, args.u_plus),
+    }
 
 
 def _cmd_riemann(args, params):
-    _one_mode(args, ["classify_grid"], ["uL", "uR", "evaluate_at", "verify"])
-    _require(args, ["gamma"])
     if args.classify_grid is not None:
         ul_vals, ur_vals = _parse_grid(args.classify_grid)
         pat = riemann.classify_plane(args.gamma, ul_vals, ur_vals)
@@ -241,27 +222,22 @@ def _cmd_riemann(args, params):
             "u_left": [ul for ul in map(_fmt, ul_vals) for _ in urs],
             "u_right": urs * len(ul_vals),
             "pattern": pat.ravel().tolist()})
-        return 0
-    _require(args, ["uL", "uR"])
+        return None
     sol = riemann.solve(args.uL, args.uR, args.gamma)
-    payload = {"params": params, **riemann.solution_to_dict(sol)}
+    payload = riemann.solution_to_dict(sol)
     if args.evaluate_at is not None:
         payload["evaluate"] = {"r": args.evaluate_at,
                                "u": riemann.evaluate(sol, args.evaluate_at)}
     if args.verify:
         payload["admissibility"] = [
             {"wave": c.index, "kind": c.kind.value, "passed": bool(c.passed),
-             "detail": c.detail}
-            for c in riemann.verify_solution(sol)
-        ]
-    _write_json(args.output, payload)
-    return 0
+             "detail": c.detail} for c in riemann.verify_solution(sol)]
+    return payload
 
 
-def _build_sim_config(args):
-    beta, mu = args.beta, args.mu
-    _check_finite("simulate options", mu=mu)
-    gamma = beta / np.sqrt(mu) if mu > 0 else None
+def _cmd_simulate(args, params):
+    _check_finite("simulate options", mu=args.mu)
+    gamma = args.beta / np.sqrt(args.mu) if args.mu > 0 else None
     if args.initial == "smoothed":
         steep = args.steepness if args.steepness is not None else gamma
         if steep is None:
@@ -272,20 +248,12 @@ def _build_sim_config(args):
             raise UCWavesError("traveling-wave seed requires mu > 0")
         point = kinetics.locus_point(args.tw_a, gamma, Branch(args.tw_branch))
         init = pde.TravelingWaveSeed(point)
-    return pde.SimConfig(
-        beta=beta, mu=mu, x_min=args.x_min, x_max=args.x_max, nx=args.nx,
-        dt=args.dt, t_end=args.t_end, bc=pde.BoundaryCondition(args.bc),
-        initial=init,
-    )
-
-
-def _cmd_simulate(args, params):
-    _require(args, ["beta", "mu", "x_min", "x_max", "nx", "t_end"]
-             + (["uL", "uR"] if args.initial == "smoothed" else ["tw_a"]))
-    cfg = _build_sim_config(args)
-    snap_times = ()
-    if args.snapshot_every:
-        snap_times = np.arange(0.0, cfg.t_end + 1e-12, args.snapshot_every)
+    cfg = pde.SimConfig(
+        beta=args.beta, mu=args.mu, x_min=args.x_min, x_max=args.x_max,
+        nx=args.nx, dt=args.dt, t_end=args.t_end,
+        bc=pde.BoundaryCondition(args.bc), initial=init)
+    snap_times = (np.arange(0.0, cfg.t_end + 1e-12, args.snapshot_every)
+                  if args.snapshot_every else ())
     result = pde.simulate(cfg, snapshot_times=snap_times)
     x, _ = pde.x_grid(cfg)
     if args.profile_output:
@@ -297,7 +265,6 @@ def _cmd_simulate(args, params):
                        {"x": x, "u": st.u})
     report = pde.detect_fronts(result.final)
     payload = {
-        "params": params,
         "t_final": result.final.t,
         "plateaus": [{"value": p.value, "x_left": p.x_left, "x_right": p.x_right}
                      for p in report.plateaus],
@@ -306,45 +273,33 @@ def _cmd_simulate(args, params):
     }
     trailing = tuple(s for s in result.snapshots if s.t >= 0.5 * cfg.t_end)
     if len(trailing) > 2:
-        fits = pde.fit_front_speeds(
-            cfg, pde.SimResult(result.final, trailing),
-            transient=args.speed_fit or "linear")
-        payload["front_speeds"] = [
-            {"speed": f.speed, "intercept": f.intercept} for f in fits
-        ]
-    _write_json(args.output, payload)
-    return 0
+        fits = pde.fit_front_speeds(cfg, pde.SimResult(result.final, trailing),
+                                    transient=args.speed_fit or "linear")
+        payload["front_speeds"] = [{"speed": f.speed, "intercept": f.intercept}
+                                   for f in fits]
+    return payload
 
 
 def _cmd_psystem(args, params):
-    _one_mode(args, ["sweep_b"], ["u_minus"], ["b", "shoot"])
-    _require(args, ["A"])
     if args.sweep_b is not None:
         b_values = np.minimum(_parse_sweep(args.sweep_b), -0.5)
         points = [psystem.psys_locus(b, args.A, v_minus=args.v_minus)
                   for b in sorted(set(float(b) for b in b_values))]
         _write_records(args.output, params, psystem.PSystemLocusPoint, points)
-        return 0
+        return None
     if args.u_minus is not None:
         up = psystem.psys_kinetic_u_plus(args.u_minus, args.A)
-        _write_json(args.output, {
-            "params": params, "A": args.A, "u_minus": args.u_minus,
-            "u_plus": up, "threshold": psystem.psys_threshold(args.A),
-        })
-        return 0
-    _require(args, ["b"])
+        return {"A": args.A, "u_minus": args.u_minus, "u_plus": up,
+                "threshold": psystem.psys_threshold(args.A)}
     p = psystem.psys_locus(args.b, args.A, v_minus=args.v_minus)
-    payload = {"params": params, **dataclasses.asdict(p)}
+    payload = dataclasses.asdict(p)
     if args.shoot:
         res = psystem.psys_shoot(p)
         payload["shoot"] = {
-            "verdict": res.verdict.value,
-            "terminal_distance": res.terminal_distance,
+            "verdict": res.verdict.value, "terminal_distance": res.terminal_distance,
             "parabola_residual": psystem.psys_parabola_residual(res, p),
-            "orbit_start_u": float(res.trajectory[0, 1]),
-        }
-    _write_json(args.output, payload)
-    return 0
+            "orbit_start_u": float(res.trajectory[0, 1])}
+    return payload
 
 
 # ---------------------------------------------------------------------------
@@ -457,8 +412,12 @@ def _parser():
 
 
 def _load_config(path):
-    with open(path, encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:  # an OSError has strerror
+        raise UCWavesError(f"cannot read config {path!r}: "
+                           f"{getattr(exc, 'strerror', exc)}") from None
     try:
         data = json.loads(text)
         if not isinstance(data, dict):
@@ -494,7 +453,7 @@ def _config_flags(args):
         raise UCWavesError("unknown config keys: " + ", ".join(unknown))
     flags = []
     for key, value in config.items():
-        flag = "--" + key.replace("_", "-")
+        flag = _flag(key)
         if isinstance(getattr(args, key), bool):
             if value not in (True, False):
                 raise UCWavesError(f"config key {key!r} takes true or false")
@@ -502,6 +461,43 @@ def _config_flags(args):
         elif value is not None:
             flags.append(f"{flag}={value}")
     return flags
+
+
+@functools.cache
+def _defaults(command):
+    """The built-in value of every option of ``command``, parsed once."""
+    return vars(_parser().parse_args([command]))
+
+
+def _check_mode(args):
+    """Raise UCWavesError unless a mode of ``MODES[args.command]`` reads every
+    option set in ``args`` and has every option it needs (see ``MODES``)."""
+    defaults = _defaults(args.command)
+    given = {k: v for k, v in vars(args).items()
+             if v is not None and v != defaults[k] and k not in _NOT_ECHOED}
+    modes = [(needs.split(), (needs + " " + reads).split())
+             for needs, reads in MODES[args.command]]
+    missing = [[k for k in needs if k not in given]
+               for needs, reads in modes if given.keys() <= set(reads)]
+    if [] in missing:
+        return
+    if missing:
+        raise UCWavesError(f"{args.command} missing required options: "
+                           + ", ".join(map(_flag, missing[-1])))
+    # name each set option that not every mode reads under the first that does
+    named = set.intersection(*(set(reads) for _, reads in modes))
+    groups = []
+    for _, reads in modes:
+        groups.append(", ".join(_flag(k, v) for k, v in given.items()
+                                if k in reads and k not in named))
+        named.update(reads)
+    raise UCWavesError(f"{args.command} takes the options of one mode; "
+                       "got " + " with ".join(filter(None, groups)))
+
+
+def _flag(name, value=True):
+    """``--name``, then ``value`` unless it is True (a switch)."""
+    return "--" + name.replace("_", "-") + ("" if value is True else f" {value}")
 
 
 def main(argv=None):
@@ -516,9 +512,13 @@ def main(argv=None):
         for key, value in preset.items():
             if getattr(args, key) is None:
                 setattr(args, key, value)
+        _check_mode(args)
         params = {k: repr(v) for k, v in vars(args).items()
                   if v is not None and k not in _NOT_ECHOED}
-        return args.fn(args, params)
+        payload = args.fn(args, params)
+        if payload is not None:
+            _write_json(args.output, {"params": params, **payload})
+        return 0
     except UCWavesError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")

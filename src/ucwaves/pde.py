@@ -323,22 +323,12 @@ def detect_fronts(state: SimState):
     neighboring plateaus.
     """
     u, dx, x0 = state.u, state.dx, state.x0
-    n = len(u)
     grad = np.gradient(u, dx)
     flat = np.abs(grad) < PLATEAU_TOL
 
-    raw = []
-    i = 0
-    while i < n:
-        if flat[i]:
-            j = i
-            while j + 1 < n and flat[j + 1]:
-                j += 1
-            if j - i + 1 >= MIN_RUN:
-                raw.append((i, j))
-            i = j + 1
-        else:
-            i += 1
+    # each flat run starts where the padded mask rises and stops where it falls
+    edges = np.flatnonzero(np.diff(flat, prepend=False, append=False))
+    raw = [(i, j - 1) for i, j in edges.reshape(-1, 2).tolist() if j - i >= MIN_RUN]
     if not raw:
         return FrontReport((), ())
 

@@ -14,6 +14,8 @@ from ucwaves import (
     psys_threshold,
 )
 from ucwaves.cli import (
+    _NOT_ECHOED,
+    MODES,
     PRESETS,
     _cell,
     _write_csv,
@@ -139,6 +141,15 @@ def test_fig2_rows_are_the_kinetics_sweep_of_each_gamma(tmp_path):
             == _data_rows(out), gamma
     # a_tilde(sqrt(3/8)) rounds to the float after 1/2: two ratios a branch
     assert len(rows) == 9 * 2 * 101 + 2 * 2
+
+
+def test_gamma_flag_wins_over_fig2(tmp_path):
+    fig2, one = tmp_path / "fig2.csv", tmp_path / "one.csv"
+    assert run_cli(["kinetics", "--preset", "fig2", "--gamma", "0.3",
+                    "--output", str(fig2)]) == 0
+    assert run_cli(["kinetics", "--gamma", "0.3", "--output", str(one)]) == 0
+    assert "# gamma = 0.3" in fig2.read_text().splitlines()
+    assert _data_rows(fig2) == _data_rows(one)
 
 
 def test_riemann_json(tmp_path):
@@ -400,6 +411,7 @@ SIM = ["--beta", "0.1", "--mu", "0.06", "--x-min=-8", "--x-max", "8",
     (["phase", "--gamma", "0.4"], "--u-minus, --u-plus"),
     (["simulate", "--uR=-0.8", *SIM], "--uL"),
     (["simulate", "--initial", "tw", *SIM], "--tw-a"),
+    (["simulate", "--tw-a", "0.6", *SIM], "--initial"),
 ])
 def test_missing_options_exit_2(argv, missing, tmp_path, capsys):
     out = tmp_path / "out"
@@ -435,14 +447,26 @@ def test_simulate_needs_mu_positive_for_its_gamma(flags, message, tmp_path,
     (["psystem", "--A", "4", "--u-minus", "0.5", "--b=-0.6", "--shoot"],
      "--u-minus 0.5 with --b -0.6, --shoot"),
     (["psystem", "--preset", "fig5", "--shoot"],
-     "--sweep-b -0.75:-0.5:0.0025 with --shoot"),
+     "--preset fig5, --sweep-b -0.75:-0.5:0.0025 with --shoot"),
     (["riemann", "--gamma", "0.4", "--classify-grid=-1:1:2,-1:1:2",
       "--uL", "0.4", "--uR=-0.8", "--verify"],
      "--classify-grid -1:1:2,-1:1:2 with --uL 0.4, --uR -0.8, --verify"),
     (["riemann", "--preset", "fig3", "--evaluate-at", "0.1"],
-     "--classify-grid -1.2:1.2:97,-1.2:1.2:97 with --evaluate-at 0.1"),
+     "--preset fig3, --classify-grid -1.2:1.2:97,-1.2:1.2:97 with "
+     "--evaluate-at 0.1"),
     (["riemann", "--gamma", "0.4", "--classify-grid=-1:1:2,-1:1:2", "--uL", "0"],
      "--classify-grid -1:1:2,-1:1:2 with --uL 0.0"),  # 0.0 == False is set
+    (["kinetics", "--gamma", "0.3", "--sweep-a", "0.5:0.6:0.05", "--points", "7"],
+     "--sweep-a 0.5:0.6:0.05 with --points 7"),
+    (["psystem", "--A", "4", "--u-minus", "0.5", "--v-minus", "3"],
+     "--v-minus 3.0 with --u-minus 0.5"),
+    (["simulate", "--initial", "tw", "--tw-a", "0.6", "--uL", "5",
+      "--steepness", "9", *SIM],
+     "--initial tw, --tw-a 0.6 with --uL 5.0, --steepness 9.0"),
+    (["kinetics", "--preset", "fig1", "--u-plus=-0.9"],
+     "--u-plus -0.9 with --preset fig1, --points 201"),
+    (["kinetics", "--gamma", "0.3", "--u-plus=-0.5", "--branch", "plus"],
+     "--u-plus -0.5 with --branch plus"),
 ])
 def test_options_the_mode_ignores_exit_2(argv, named, tmp_path, capsys):
     out = tmp_path / "out"
@@ -451,6 +475,30 @@ def test_options_the_mode_ignores_exit_2(argv, named, tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record == {"error": "UCWavesError", "message":
                       f"{argv[0]} takes the options of one mode; got {named}"}
+
+
+@pytest.mark.parametrize("command", sorted(MODES))
+def test_modes_name_every_option_of_their_command(command):
+    # an option added to a subcommand must be given a mode
+    options = set(vars(build_parser().parse_args([command]))) - _NOT_ECHOED
+    assert {k for mode in MODES[command] for k in " ".join(mode).split()} \
+        == options
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["riemann", "--config", "{tmp}/none.cfg"], "cannot read config"),
+    (["riemann", "--config", "{tmp}"], "cannot read config"),
+    (["riemann", "--config", "{tmp}/latin1.cfg"], "cannot read config"),
+    (["kinetics", "--gamma", "0.3", "--output", "{tmp}/none/out.csv"],
+     "cannot write"),
+])
+def test_unreadable_paths_exit_2(argv, message, tmp_path, capsys):
+    (tmp_path / "latin1.cfg").write_bytes(b"gamma = 0.4\n# caf\xe9\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    assert run_cli(argv) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "UCWavesError"
+    assert record["message"].startswith(f"{message} {argv[-1]!r}: ")
 
 
 def test_simulate_missing_options(capsys):
