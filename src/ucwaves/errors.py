@@ -42,9 +42,10 @@ class SimulationDivergedError(UCWavesError):
 
 
 def _not_finite(**values):
-    """One complaint per value that is NaN or infinite (None is skipped)."""
+    """One complaint per number or array holding NaN or an infinity (None is
+    skipped)."""
     return [f"{name}={value!r} (must be finite)" for name, value in values.items()
-            if value is not None and not np.isfinite(value)]
+            if value is not None and not np.isfinite(value).all()]
 
 
 def _check_finite(what, **values):

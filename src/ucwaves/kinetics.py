@@ -13,12 +13,18 @@ The family exists for 0 < gamma < sqrt(3/8); both branches merge at
 a = a_tilde where D = 0, and at a = 1/2 the middle equilibrium collides
 with u_- (tangent chord).  Both endpoints are included and flagged.
 
-As gamma -> 0, D -> 1 and 1 - sqrt(D) cancels on the minus branch, so
-locus_point computes 1 - D = (8/9)*gamma^2*(1 + a/(a-1)^2) directly and
-takes 1 - sqrt(D) = (1 - D)/(1 + sqrt(D)); its a = 1/2 end equals the upper
-end of u_plus_bounds to rounding.  The locus still works in a: next to
-a_tilde, sqrt(D) magnifies the rounding of D, and once gamma is below about
-1e-16, a_tilde rounds to the pole a = 1.
+Each point is computed as one graph over sigma = min(s, 1 - s)
+= (1 - sqrt(D))/2.  With q = u_+^2 + u_- u_+ + u_-^2 = 1 - s, the plus
+branch has s = sigma and the minus branch q = sigma; the pairing equation
+gives w = u_- + u_+ = -sqrt(2)/3*gamma/sqrt(s), and u_+ = (w - sqrt(4q -
+3w^2))/2 is the lower root of q = u_+^2 - w*u_+ + w^2.  As gamma -> 0,
+D -> 1 and 1 - sqrt(D) cancels, so sigma is taken as (1 - D)/(2*(1 +
+sqrt(D))) with 1 - D = (8/9)*gamma^2*(1 + a/(a-1)^2) computed directly:
+the small one of s and q keeps its digits on both branches, and the a = 1/2
+end of the minus branch equals the upper end of u_plus_bounds to rounding.
+The locus is still parametrised by a: next to a_tilde, sqrt(D) magnifies
+the rounding of a, and once gamma is below about 1e-16, a_tilde rounds to
+the pole a = 1.
 
 Both kinetic maps solve the pairing equation in w = u_- + u_+, given one
 known state k (u_+ for kinetic_u_minus, u_- for kinetic_u_plus_candidates):
@@ -90,23 +96,10 @@ def _check_gamma(gamma):
 
 def discriminant(a, gamma):
     """D(a, gamma) = 1 - (8/9)*gamma^2*(1 + a/(a-1)^2); pole at a = 1."""
-    return 1.0 - _one_minus_d(a, gamma)
-
-
-def _one_minus_d(a, gamma):
-    """1 - D(a, gamma), without the cancellation of 1 - D as gamma -> 0.
-
-    A number a stays a number: on the per-point path of locus_point the
-    numpy test would cost more than the formula.  Anything else is an array.
-    """
-    if isinstance(a, (int, float)):
-        pole = a == 1.0
-    else:
-        a = np.asarray(a)
-        pole = np.any(a == 1.0)
-    if pole:
+    a = np.asarray(a, dtype=float)
+    if (a == 1.0).any():
         raise PoleError("discriminant has a pole at a = 1")
-    return (8.0 / 9.0) * gamma**2 * (1.0 + a / (a - 1.0) ** 2)
+    return 1.0 - (8.0 / 9.0) * gamma**2 * (1.0 + a / (a - 1.0) ** 2)
 
 
 def a_tilde(gamma):
@@ -132,22 +125,18 @@ def _locus_point(a, gamma, branch, at):
             f"a={a!r} outside the locus range [1/2, a_tilde={at!r}]"
         )
     a = min(max(a, 0.5), at)
+    if a == 1.0:  # a_tilde rounds to 1 for gamma below about 1e-16
+        raise PoleError("discriminant has a pole at a = 1")
     # 1 - D <= 1 on [1/2, a_tilde]; above 1 it is rounding, about
     # 2e-16/(1 - a) next to a_tilde, which nears the pole a = 1 as gamma -> 0
-    one_minus_d = min(_one_minus_d(a, gamma), 1.0)
-    root_d = math.sqrt(1.0 - one_minus_d)
-    denom = 2.0 * (1.0 - a + a * a)
-    if branch is Branch.PLUS:
-        x = (1.0 + root_d) / denom
-    else:
-        # 1 - sqrt(D) = (1 - D)/(1 + sqrt(D)): D -> 1 as gamma -> 0
-        x = one_minus_d / ((1.0 + root_d) * denom)
-    u_plus = -math.sqrt(x)
+    one_minus_d = min((8.0 / 9.0) * gamma**2 * (1.0 + a / (a - 1.0) ** 2), 1.0)
+    sigma = one_minus_d / (2.0 * (1.0 + math.sqrt(1.0 - one_minus_d)))
+    s, q = (sigma, 1.0 - sigma) if branch is Branch.PLUS else (1.0 - sigma, sigma)
+    w = -math.sqrt(2.0) / 3.0 * gamma / math.sqrt(s)
+    u_plus = 0.5 * (w - math.sqrt(4.0 * q - 3.0 * w * w))
     u_minus = -a * u_plus
-    u_zero = -(u_minus + u_plus)
-    s = rh_speed(u_minus, u_plus)
-    return KineticPoint(a, branch, u_minus, u_zero, u_plus, s, gamma,
-                        _endpoint(a, at))
+    return KineticPoint(a, branch, u_minus, -(u_minus + u_plus), u_plus, s,
+                        gamma, _endpoint(a, at))
 
 
 def _endpoint(a, at):
@@ -275,7 +264,7 @@ def kinetic_u_plus_candidates(u_minus, gamma):
     for w in _pairing_roots(u_minus, -u_minus, gamma):
         u_plus = w - u_minus
         a = -u_minus / u_plus
-        s = rh_speed(u_minus, u_plus)  # 1 - q, exact near q = 1/2
+        s = 2.0 / 9.0 * (gamma / w) ** 2  # the pairing law s*w^2 = 2gamma^2/9
         branch = Branch.PLUS if s < 0.5 else Branch.MINUS
         out.append(KineticPoint(a, branch, u_minus, -(u_minus + u_plus),
                                 u_plus, s, gamma, _endpoint(a, at)))
@@ -304,6 +293,6 @@ def locus_sweep(gamma, a_values):
     """Plus, then minus branch at the distinct a_values clipped to a_tilde,
     in increasing order; gamma is checked once, an a < 1/2 is a DomainError."""
     at = a_tilde(gamma)
-    grid = sorted({min(float(a), at) for a in a_values})  # floats: see _one_minus_d
+    grid = sorted({min(float(a), at) for a in a_values})
     return [_locus_point(a, gamma, branch, at)
             for branch in (Branch.PLUS, Branch.MINUS) for a in grid]

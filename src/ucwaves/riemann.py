@@ -88,15 +88,6 @@ _WAVE = {"R": _fan, "S": _shock,
          SIGMA: partial(_shock, kind=WaveKind.UNDERCOMPRESSIVE_SHOCK)}
 
 
-def _check_input(gamma, *states):
-    """Raise DomainError unless gamma is positive and every state finite."""
-    if not 0.0 < gamma < np.inf:
-        raise DomainError(f"gamma must be positive and finite, got {gamma!r}")
-    for values in states:
-        if not np.isfinite(values).all():
-            raise DomainError(f"states must be finite, got {values!r}")
-
-
 def _kinetic_pair(u_r, gamma):
     """(psi(u_r), u_0) when u_r <= 0 lies inside the kinetic range, else None."""
     if not gamma < GAMMA_MAX:
@@ -143,7 +134,9 @@ def solve(u_left, u_right, gamma):
     gamma > 0 and finite states are required; for gamma >= sqrt(3/8) the
     kinetic locus is empty and only classical patterns occur.
     """
-    _check_input(gamma, u_left, u_right)
+    _check_finite("solve", gamma=gamma, u_left=u_left, u_right=u_right)
+    if not gamma > 0.0:
+        raise DomainError(f"gamma must be positive, got {gamma!r}")
     sign = -1.0 if u_right > 0.0 else 1.0  # maps the data onto u_R <= 0
     kinetic = _kinetic_pair(sign * u_right, gamma)
     pattern = _pattern(sign * u_left, sign * u_right, kinetic)
@@ -181,7 +174,10 @@ def classify_plane(gamma, u_left_values, u_right_values):
     Returns an object array of shape (len(u_left_values), len(u_right_values)).
     The kinetic pair depends only on u_R, so it is found once per column.
     """
-    _check_input(gamma, u_left_values, u_right_values)
+    _check_finite("classify_plane", gamma=gamma, u_left_values=u_left_values,
+                  u_right_values=u_right_values)
+    if not gamma > 0.0:
+        raise DomainError(f"gamma must be positive, got {gamma!r}")
     uls = list(map(float, u_left_values))  # once, not once per column
     out = np.empty((len(uls), len(u_right_values)), dtype=object)
     for j, ur in enumerate(map(float, u_right_values)):

@@ -546,6 +546,8 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     ["kinetics", "--gamma", "0.3", "--u-minus", "inf"],
     ["kinetics", "--gamma", "0.3", "--u-minus", "nan"],
     ["kinetics", "--gamma", "0.3", "--u-plus", "nan"],
+    ["simulate", "--snapshot-every", "nan"], ["simulate", "--snapshot-every", "inf"],
+    ["simulate", "--snapshot-every", "0"], ["simulate", "--snapshot-every=-1"],
 ])
 def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
     sim = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",

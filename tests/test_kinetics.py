@@ -50,6 +50,9 @@ def test_discriminant_pole():
     for a in (1.0, np.float64(1.0), [0.5, 1.0]):
         with pytest.raises(PoleError):
             discriminant(a, 0.3)
+    # below gamma of about 1.2e-16, a_tilde rounds to the pole
+    with pytest.raises(PoleError):
+        locus_point(a_tilde(1e-17), 1e-17, Branch.PLUS)
 
 
 def test_discriminant_on_arrays():
@@ -370,6 +373,16 @@ def test_kinetic_maps_invert_each_other(gamma, t):
                                                                      rel=1e-8)
 
 
+def test_plus_candidate_speed_keeps_the_pairing_law_as_gamma_vanishes():
+    # s is O(gamma^2) here, where 1 - q of the rounded states would cancel
+    gamma = 1e-8
+    for u_minus in (0.6, 0.75, 0.9):
+        p = kinetic_u_plus_candidates(u_minus, gamma)[0]  # the lowest u_+
+        assert p.branch is Branch.PLUS and p.s < 1e-15
+        w = p.u_minus + p.u_plus
+        assert p.s == pytest.approx(2.0 * gamma**2 / (9.0 * w * w), rel=1e-15, abs=0)
+
+
 @pytest.mark.parametrize("gamma", [1e-3, 0.1, 0.3, GAMMA, 0.55, 0.6])
 def test_candidates_next_to_the_branch_merge(gamma):
     # the pair (u_-, candidate) satisfies the pairing equation to rounding
@@ -409,3 +422,17 @@ def test_locus_identities_at_random_points(gamma, f, branch):
     q = up * up + up * um + um * um
     assert math.sqrt(1.0 - q) * (up + um) == pytest.approx(
         -math.sqrt(2.0) / 3.0 * gamma, abs=1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(gamma=MAP_GAMMAS, f=st.floats(0.0, 0.99), branch=st.sampled_from(Branch))
+@example(gamma=math.exp(-4.0), f=0.0, branch=Branch.PLUS)
+def test_locus_points_keep_the_pairing_law_in_s(gamma, f, branch):
+    # s*w^2 = 2*gamma^2/9 with w = u_+*(1 - a), to rounding also where s is
+    # O(gamma^2) on the plus branch; off the merge at a_tilde, where sqrt(D)
+    # magnifies the rounding of a.  abs=0: pytest's default abs=1e-12
+    # would pass any s below 1e-12
+    p = locus_point(0.5 + f * (a_tilde(gamma) - 0.5), gamma, branch)
+    assert p.u_minus == -p.a * p.u_plus
+    assert p.s * (p.u_plus * (1.0 - p.a)) ** 2 == pytest.approx(
+        2.0 * gamma**2 / 9.0, rel=1e-13, abs=0)
