@@ -21,6 +21,7 @@ import functools
 import json
 import math
 import operator
+import os
 import sys
 from enum import Enum
 
@@ -129,6 +130,17 @@ def _write_text(path, text):
             fh.write(text)
     except OSError as exc:
         raise UCWavesError(f"cannot write {path!r}: {exc.strerror}") from None
+
+
+def _check_output_dir(path):
+    """Raise UCWavesError unless ``path`` (a file or a file-name prefix) lies
+    in a writable directory; stdout (None or "-") always passes."""
+    if path in (None, "-"):
+        return
+    folder = os.path.dirname(path) or "."
+    if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
+        raise UCWavesError(f"cannot write {path!r}: {folder!r} is not a "
+                           "writable directory")
 
 
 def _parse_sweep(arg):
@@ -256,8 +268,14 @@ def _cmd_simulate(args, params):
         beta=args.beta, mu=args.mu, x_min=args.x_min, x_max=args.x_max,
         nx=args.nx, dt=args.dt, t_end=args.t_end,
         bc=pde.BoundaryCondition(args.bc), initial=init)
-    snap_times = (np.arange(0.0, cfg.t_end + 1e-12, args.snapshot_every)
-                  if args.snapshot_every else ())
+    for path in (args.output, args.profile_output, args.snapshot_profiles):
+        _check_output_dir(path)
+    snap_times = ()
+    if args.snapshot_every:
+        # a step below the run's own requests every step all the same
+        _, h = pde._time_step(cfg)
+        snap_times = np.arange(0.0, cfg.t_end + 0.5 * h,
+                               max(args.snapshot_every, h))
     result = pde.simulate(cfg, snapshot_times=snap_times)
     x, _ = pde.x_grid(cfg)
     if args.profile_output:

@@ -13,7 +13,12 @@ back to a CFL step in dx.
 One ghost-cell stencil serves every boundary condition, which only names
 the two values outside the grid.  Only the implicit solve differs: FFT
 diagonalization for periodic runs, banded LU with the condition's own
-boundary rows otherwise.
+boundary rows otherwise; the operator picks its solve once per config.
+
+Each RK4 step allocates three work arrays and runs every stage in place, in
+the operation order of the textbook expressions, so profiles keep their bits
+(``step``).  The ``"exp"`` front-speed fit scores all its decay rates in one
+array pass (``_fit_positions``).
 """
 
 import functools
@@ -192,14 +197,18 @@ _GHOSTS = {
 
 
 class _Operator:
-    """u_t of one config (stencil and implicit solve) and its time step."""
+    """u_t of one config (stencil and implicit solve) and its time step.
+
+    Cached per config and shared, so it holds no arrays a call writes to:
+    the caller passes the work arrays."""
 
     def __init__(self, cfg: SimConfig):
-        self.beta, self.bc = cfg.beta, cfg.bc
+        self.beta = cfg.beta
         self.dt = cfg.dt if cfg.dt is not None else default_dt(cfg)
         self.left, self.right = _GHOSTS[cfg.bc]
         _, self.dx = x_grid(cfg)
         n, dx, mu = cfg.nx, self.dx, cfg.mu
+        self.dx2, self.two_dx = dx**2, 2.0 * dx
         if cfg.bc is BoundaryCondition.PERIODIC:
             modes = np.fft.rfftfreq(n, d=1.0 / n)  # 0..n/2
             lam = (2.0 * np.cos(2.0 * np.pi * modes / n) - 2.0) / dx**2
@@ -208,6 +217,7 @@ class _Operator:
                 raise DomainError(
                     "mu < 0 pole lands on a grid mode; shift mu or the domain size"
                 )
+            self.solve = self._solve_fft
             return
         ab = np.zeros((3, n))
         r = mu / dx**2
@@ -217,39 +227,92 @@ class _Operator:
         if cfg.bc is BoundaryCondition.DIRICHLET_FARFIELD:
             ab[1, 0] = ab[1, -1] = 1.0
             ab[0, 1] = ab[2, -2] = 0.0
+            self.solve = self._solve_pinned
         else:  # Neumann: the mirrored ghost doubles the inward coupling
             ab[0, 1] = -2.0 * r
             ab[2, -2] = -2.0 * r
+            self.solve = self._solve_banded
         self.ab = ab
 
-    def u_t(self, u):
-        """Solve (I - mu*D2) w = beta*D2 u - D1 f(u) for w = u_t."""
-        dx = self.dx
-        g = np.concatenate((u[self.left], u, u[self.right]))
-        f = flux(g)
-        rhs = (self.beta * (g[2:] - 2.0 * g[1:-1] + g[:-2]) / dx**2
-               - (f[2:] - f[:-2]) / (2.0 * dx))
-        if self.bc is BoundaryCondition.PERIODIC:
-            return np.fft.irfft(np.fft.rfft(rhs) / self.symbol, n=len(u))
-        if self.bc is BoundaryCondition.DIRICHLET_FARFIELD:
-            rhs[0] = rhs[-1] = 0.0
+    def _solve_fft(self, rhs):
+        spec = np.fft.rfft(rhs)
+        spec /= self.symbol
+        return np.fft.irfft(spec, n=len(rhs))
+
+    def _solve_banded(self, rhs):
         return solve_banded((1, 1), self.ab, rhs, check_finite=False)
+
+    def _solve_pinned(self, rhs):
+        rhs[0] = rhs[-1] = 0.0
+        return self._solve_banded(rhs)
+
+    def u_t(self, g, rhs, tmp):
+        """Solve (I - mu*D2) w = beta*D2 u - D1 f(u) for w = u_t.
+
+        ``g`` (len(u) + 2) holds u in ``g[1:-1]``; this fills its ghost
+        cells.  ``rhs`` and ``tmp`` (len(u)) are overwritten.  The in-place
+        ufuncs take the operations of
+        beta*(g[2:] - 2*g[1:-1] + g[:-2])/dx**2 - (f[2:] - f[:-2])/(2*dx)
+        in the same order, so the bits are those of that expression.
+        """
+        u = g[1:-1]
+        g[:1] = u[self.left]
+        g[-1:] = u[self.right]
+        f = flux(g)
+        np.multiply(u, 2.0, out=rhs)
+        np.subtract(g[2:], rhs, out=rhs)
+        rhs += g[:-2]
+        rhs *= self.beta
+        rhs /= self.dx2
+        np.subtract(f[2:], f[:-2], out=tmp)
+        tmp /= self.two_dx
+        rhs -= tmp
+        return self.solve(rhs)
 
 
 _operator = functools.lru_cache(maxsize=16)(_Operator)  # keyed on the config
 
 
 def step(state: SimState, cfg: SimConfig, dt=None):
-    """Advance one time step with RK4 on the implicitly defined u_t."""
+    """Advance one time step with RK4 on the implicitly defined u_t.
+
+    The stage inputs u + h/2*k go into the interior of the padded work
+    array, and u + h/6*(k1 + 2*k2 + 2*k3 + k4) is formed in place on k2, in
+    the operation order of those expressions: IEEE addition and
+    multiplication commute, so the bits are theirs.
+    """
     op = _operator(cfg)
     h = dt if dt is not None else op.dt
     u = state.u
-    k1 = op.u_t(u)
-    k2 = op.u_t(u + 0.5 * h * k1)
-    k3 = op.u_t(u + 0.5 * h * k2)
-    k4 = op.u_t(u + h * k3)
-    return SimState(state.t + h, u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4),
-                    state.dx, state.x0)
+    n = len(u)
+    g, rhs, tmp = np.empty(n + 2), np.empty(n), np.empty(n)
+    y = g[1:-1]
+    y[...] = u
+    k1 = op.u_t(g, rhs, tmp)
+    np.multiply(k1, 0.5 * h, out=y)
+    y += u
+    k2 = op.u_t(g, rhs, tmp)
+    np.multiply(k2, 0.5 * h, out=y)
+    y += u
+    k3 = op.u_t(g, rhs, tmp)
+    np.multiply(k3, h, out=y)
+    y += u
+    k4 = op.u_t(g, rhs, tmp)
+    new = k2  # each k is a fresh array from the solve
+    new *= 2.0
+    new += k1
+    k3 *= 2.0
+    new += k3
+    new += k4
+    new *= h / 6.0
+    new += u
+    return SimState(state.t + h, new, state.dx, state.x0)
+
+
+def _time_step(cfg: SimConfig):
+    """(steps, step) of a run: its dt, adjusted to divide t_end evenly."""
+    nsteps = max(1, int(round(cfg.t_end / _operator(cfg).dt)))
+    return nsteps, cfg.t_end / nsteps
 
 
 def simulate(cfg: SimConfig, snapshot_times=()):
@@ -259,12 +322,10 @@ def simulate(cfg: SimConfig, snapshot_times=()):
     including the final state).  Raises SimulationDivergedError at the first
     step whose profile is not finite.
     """
-    dt0 = _operator(cfg).dt  # a periodic pole on a grid mode fails here
+    nsteps, h = _time_step(cfg)  # a periodic pole on a grid mode fails here
     state = initial_profile(cfg)
     if cfg.t_end == 0.0:
         return SimResult(state, (state,))
-    nsteps = max(1, int(round(cfg.t_end / dt0)))
-    h = cfg.t_end / nsteps
     want = sorted(set(min(nsteps, max(0, int(round(t / h)))) for t in snapshot_times))
     snaps = []
     if 0 in want:
@@ -395,17 +456,25 @@ def _fit_positions(ts, pos, transient):
     if transient == "exp" and len(ts) >= 5:
         # front positions approach their asymptote s*t + c exponentially as
         # the initial-data mass defect drains into the shock; for fixed decay
-        # rate the model s*t + c + b*exp(-r*(t - t0)) is linear in (s, c, b),
-        # so scan r and solve each case exactly (variable projection)
+        # rate the model s*t + c + b*exp(-r*(t - t0)) is linear in (s, c, b)
+        # (variable projection).  With (t, 1) projected out once, each rate's
+        # residual is that of one column, so all rates are scored in one
+        # array pass; the first best rate is then solved as one problem.
         t0, span = ts[0], ts[-1] - ts[0]
-        best = None
-        for r in np.geomspace(0.25 / span, 40.0 / span, 80):
-            cols = np.column_stack([ts, np.ones_like(ts), np.exp(-r * (ts - t0))])
-            coef, *_ = np.linalg.lstsq(cols, pos, rcond=None)
-            sse = float(((cols @ coef - pos) ** 2).sum())
-            if best is None or sse < best[0]:
-                best = (sse, coef)
-        return float(best[1][0]), float(best[1][1])
+        rates = np.geomspace(0.25 / span, 40.0 / span, 80)
+        q, _ = np.linalg.qr(np.column_stack([ts, np.ones_like(ts)]))
+        p, e = pos.copy(), np.exp(np.multiply.outer(-rates, ts - t0))
+        # project (t, 1) out by matrix-vector products: a process's first
+        # matrix-matrix product allocates BLAS buffers (0.25 MB measured)
+        for col in q.T:
+            p -= (p @ col) * col
+            e -= np.multiply.outer(e @ col, col)
+        # the residual itself, not |p|^2 - (e.p)^2/|e|^2, which cancels
+        res = p - ((e @ p) / (e * e).sum(axis=1))[:, None] * e
+        r = rates[np.argmin((res * res).sum(axis=1))]
+        cols = np.column_stack([ts, np.ones_like(ts), np.exp(-r * (ts - t0))])
+        coef, *_ = np.linalg.lstsq(cols, pos, rcond=None)
+        return float(coef[0]), float(coef[1])
     coef = np.polyfit(ts, pos, 1)
     return float(coef[0]), float(coef[1])
 

@@ -9,6 +9,7 @@ from ucwaves import (
     GAMMA_MAX,
     Branch,
     kinetic_u_minus,
+    pde,
     phaseplane,
     psys_locus,
     psys_threshold,
@@ -499,6 +500,43 @@ def test_unreadable_paths_exit_2(argv, message, tmp_path, capsys):
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "UCWavesError"
     assert record["message"].startswith(f"{message} {argv[-1]!r}: ")
+
+
+@pytest.mark.parametrize("bad", ["--output", "--profile-output",
+                                 "--snapshot-profiles"])
+def test_simulate_checks_its_output_paths_before_the_run(bad, tmp_path, capsys,
+                                                         monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(pde, "simulate", never)
+    paths = {"--output": tmp_path / "s.json", "--profile-output":
+             tmp_path / "prof.csv", "--snapshot-profiles": tmp_path / "snap_"}
+    paths[bad] = tmp_path / "none" / paths[bad].name
+    argv = ["simulate", "--uL", "0.4", "--uR=-0.8", *SIM, "--snapshot-every",
+            "0.05", *(a for flag, path in paths.items() for a in (flag, str(path)))]
+    assert run_cli(argv) == 2
+    assert list(tmp_path.iterdir()) == []
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "UCWavesError"
+    assert record["message"].startswith(f"cannot write {str(paths[bad])!r}: ")
+
+
+def test_snapshot_step_below_the_run_step_requests_every_step(tmp_path):
+    h = 4.0 / 20  # --dt 0.2 divides --t-end 4
+    payloads = []
+    for every in ("1e-300", repr(h / 2), repr(h)):
+        out = tmp_path / f"{every}.json"
+        assert run_cli(["simulate", "--uL", "0.4", "--uR=-0.8", "--beta", "0.1",
+                        "--mu", "0.06", "--x-min=-20", "--x-max", "20",
+                        "--nx", "101", "--dt", "0.2", "--t-end", "4",
+                        "--snapshot-every", every, "--speed-fit", "exp",
+                        "--output", str(out)]) == 0
+        payload = json.loads(out.read_text())
+        assert payload["params"].pop("snapshot_every") == every
+        payloads.append(json.dumps(payload, sort_keys=True))
+    assert len(json.loads(payloads[0])["front_speeds"]) == 1
+    assert payloads[0] == payloads[1] == payloads[2]
 
 
 def test_simulate_missing_options(capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from ucwaves import (
     BoundaryCondition,
@@ -30,6 +31,7 @@ from ucwaves.errors import DomainError
 from ucwaves.pde import (
     DEFAULT_CFL,
     DEFAULT_SYMBOL_SAFETY,
+    _fit_positions,
     default_dt,
     total_mass,
     x_grid,
@@ -122,6 +124,51 @@ def test_single_step_matches_simulate_steps():
     res = simulate(cfg)
     assert state.t == pytest.approx(res.final.t, abs=1e-12)
     assert np.abs(state.u - res.final.u).max() < 1e-13
+
+
+def textbook_rk4(cfg, nsteps):
+    """u after nsteps of classical RK4 on the method-of-lines u_t, written
+    with fresh arrays for every operation."""
+    u, dx, n, bc = initial_profile(cfg).u, x_grid(cfg)[1], cfg.nx, cfg.bc
+    left, right = {BoundaryCondition.PERIODIC: (-1, 0), BoundaryCondition.NEUMANN:
+                   (1, -2), BoundaryCondition.DIRICHLET_FARFIELD: (0, -1)}[bc]
+    lam = (2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n) - 2.0) / dx**2
+    r = cfg.mu / dx**2
+    ab = np.array([np.full(n, -r), np.full(n, 1.0 + 2.0 * r), np.full(n, -r)])
+    if bc is BoundaryCondition.DIRICHLET_FARFIELD:  # end rows: w = 0
+        ab[0, 1] = ab[2, -2] = 0.0
+        ab[1, 0] = ab[1, -1] = 1.0
+    else:  # Neumann: the mirrored ghost doubles the inward coupling
+        ab[0, 1] = ab[2, -2] = -2.0 * r
+
+    def u_t(u):
+        g = np.concatenate(([u[left]], u, [u[right]]))
+        f = g - g * g * g
+        rhs = (cfg.beta * (g[2:] - 2.0 * g[1:-1] + g[:-2]) / dx**2
+               - (f[2:] - f[:-2]) / (2.0 * dx))
+        if bc is BoundaryCondition.PERIODIC:
+            return np.fft.irfft(np.fft.rfft(rhs) / (1.0 - cfg.mu * lam), n=n)
+        if bc is BoundaryCondition.DIRICHLET_FARFIELD:
+            rhs[0] = rhs[-1] = 0.0
+        return solve_banded((1, 1), ab, rhs, check_finite=False)
+
+    h = cfg.t_end / nsteps
+    for _ in range(nsteps):
+        k1 = u_t(u)
+        k2 = u_t(u + 0.5 * h * k1)
+        k3 = u_t(u + 0.5 * h * k2)
+        k4 = u_t(u + h * k3)
+        u = u + h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return u
+
+
+@pytest.mark.parametrize("mu", [MU, -0.3])
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+def test_simulate_has_the_bits_of_textbook_rk4(bc, mu):
+    cfg = smoothed_cfg(bc=bc, mu=mu, nx=101, dt=0.01, t_end=0.2)
+    u = simulate(cfg).final.u
+    assert np.isfinite(u).all() and np.abs(u - initial_profile(cfg).u).max() > 1e-3
+    assert u.tobytes() == textbook_rk4(cfg, 20).tobytes()
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
@@ -368,6 +415,51 @@ def test_default_time_step_resolved_once_per_config():
         state = step(state, cfg)
     assert len(calls) == 1  # dt is resolved once, with the cached operator
     assert state.t == pytest.approx(3 * default_dt(cfg), rel=1e-15)
+
+
+def per_rate_fits(ts, pos):
+    """(sse, speed) of each decay rate of the "exp" fit, each solved by its
+    own least-squares problem."""
+    t0, span = ts[0], ts[-1] - ts[0]
+    fits = []
+    for r in np.geomspace(0.25 / span, 40.0 / span, 80):
+        cols = np.column_stack([ts, np.ones_like(ts), np.exp(-r * (ts - t0))])
+        coef, *_ = np.linalg.lstsq(cols, pos, rcond=None)
+        fits.append((float(((cols @ coef - pos) ** 2).sum()), float(coef[0])))
+    return fits
+
+
+@st.composite
+def settling_fronts(draw):
+    """Times and positions s*t + c + b*exp(-r*(t - t0)) plus noise."""
+    m = draw(st.integers(5, 30))
+    gaps = draw(st.lists(st.floats(0.05, 5.0), min_size=m - 1, max_size=m - 1))
+    ts = draw(st.floats(0.0, 50.0)) + np.concatenate(([0.0], np.cumsum(gaps)))
+    s = draw(st.floats(-2.0, 2.0))
+    c = draw(st.floats(-50.0, 50.0))
+    b = draw(st.floats(-5.0, 5.0))
+    rate = draw(st.floats(0.1, 60.0)) / (ts[-1] - ts[0])
+    noise = draw(st.floats(1e-6, 1e-1)) * np.random.default_rng(
+        draw(st.integers(0, 2**32 - 1))).standard_normal(m)
+    return ts, s * ts + c + b * np.exp(-rate * (ts - ts[0])) + noise
+
+
+@settings(max_examples=150, deadline=None)
+@given(settling_fronts())
+def test_exp_fit_picks_the_rate_of_the_least_squares_loop(data):
+    ts, pos = data
+    fits = per_rate_fits(ts, pos)
+    sse = np.array([f[0] for f in fits])
+    best, second = np.sort(sse)[:2]
+    # each sse is rounded at the scale |pos|*sqrt(sse), which exceeds sse
+    # itself when the noise is small against the positions
+    tie = 1e-12 * (best + np.linalg.norm(pos) * np.sqrt(best))
+    speed, _ = _fit_positions(ts, pos, "exp")
+    if second - best > tie:
+        assert speed == fits[int(np.argmin(sse))][1]
+    else:  # a near-tie may go either way, but only to a tied rate
+        chosen = [i for i, f in enumerate(fits) if f[1] == speed]
+        assert chosen and sse[chosen[0]] <= best + tie
 
 
 def test_snapshots_recorded():
