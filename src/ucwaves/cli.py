@@ -270,6 +270,10 @@ def _cmd_simulate(args, params):
         bc=pde.BoundaryCondition(args.bc), initial=init)
     for path in (args.output, args.profile_output, args.snapshot_profiles):
         _check_output_dir(path)
+    # a snapshot prefix may name a directory ("out/"), a file path may not
+    for path in (args.output, args.profile_output):
+        if path not in (None, "-") and os.path.isdir(path):
+            raise UCWavesError(f"cannot write {path!r}: Is a directory")
     snap_times = ()
     if args.snapshot_every:
         # a step below the run's own requests every step all the same
@@ -286,13 +290,9 @@ def _cmd_simulate(args, params):
             _write_csv(path, {**params, "t": format(st.t, ".17g")},
                        {"x": x, "u": st.u})
     report = pde.detect_fronts(result.final)
-    payload = {
-        "t_final": result.final.t,
-        "plateaus": [{"value": p.value, "x_left": p.x_left, "x_right": p.x_right}
-                     for p in report.plateaus],
-        "fronts": [{"position": f.position, "left_value": f.left_value,
-                    "right_value": f.right_value} for f in report.fronts],
-    }
+    payload = {"t_final": result.final.t,
+               "plateaus": list(map(dataclasses.asdict, report.plateaus)),
+               "fronts": list(map(dataclasses.asdict, report.fronts))}
     trailing = tuple(s for s in result.snapshots if s.t >= 0.5 * cfg.t_end)
     if len(trailing) > 2:
         fits = pde.fit_front_speeds(cfg, pde.SimResult(result.final, trailing),

@@ -37,9 +37,10 @@ There r has one interior minimum, at w* = (3k - sqrt(32 - 23k^2))/8, so the
 brackets [lo, w*] and [w*, hi] hold at most one root each; for k = u_+, w*
 lies below the bracket, which holds exactly one.  Two end rules:
 
-- the a = 1/2 end is a root when u_+ = 2w lies within rounding of
-  u_plus_bounds (a closed-form test: the rounding of sqrt(1 - 3u_-^2)
-  hides the sign of r there);
+- for k = u_-, the a = 1/2 end is a root when u_+ = 2w lies within
+  rounding of u_plus_bounds (a closed-form test: the rounding of
+  sqrt(1 - 3u_-^2) hides the sign of r there).  kinetic_u_minus takes u_+
+  strictly inside u_plus_bounds, where the end is never a root;
 - s is computed as a product that vanishes at the q = 1 ends, so r is
   exactly sqrt(2)/3*gamma > 0 at an s = 0 end, which never hides a root.
 """
@@ -196,16 +197,17 @@ def _at_a_half(u_plus, gamma):
     return min(abs(u_plus / lower - 1.0), abs(u_plus / upper - 1.0)) <= tol
 
 
-def _pairing_roots(k, w_half, gamma):
+def _pairing_roots(k, w_half, gamma, end_rule):
     """The roots w of r(w; k) (none, one or two), in increasing order.
 
-    w_half = -u_- = u_+/2 is the a = 1/2 end.  Between it and the ends of
-    s >= 0, r falls to its one interior minimum at w* and rises to r > 0
-    at its upper end, so [lo, w*] and [w*, hi] hold at most one root each.
+    w_half = -u_- = u_+/2 is the a = 1/2 end, a root if end_rule and
+    _at_a_half.  Between it and the ends of s >= 0, r falls to its one
+    interior minimum at w* and rises to r > 0 at its upper end, so [lo, w*]
+    and [w*, hi] hold at most one root each.
     """
     w_lo, w_hi = _s0_ends(k)
     lo, hi = max(w_half, w_lo), min(w_hi, 0.0)
-    if lo == w_half and _at_a_half(2.0 * lo, gamma):
+    if end_rule and lo == w_half and _at_a_half(2.0 * lo, gamma):
         f_lo = 0.0  # rounding hides the sign of r there
     else:
         f_lo = _pairing(lo, k, gamma)
@@ -245,7 +247,7 @@ def kinetic_u_minus(u_plus, gamma):
             f"u_plus={u_plus!r} outside the locus range ({lower!r}, {upper!r})"
         )
     w_half = 0.5 * u_plus
-    roots = _pairing_roots(u_plus, w_half, gamma)
+    roots = _pairing_roots(u_plus, w_half, gamma, end_rule=False)
     # only rounding at the a = 1/2 end could hide the root, which is then there
     return (roots[0] if roots else w_half) - u_plus
 
@@ -261,7 +263,7 @@ def kinetic_u_plus_candidates(u_minus, gamma):
         return []
     at = a_tilde(gamma)
     out = []
-    for w in _pairing_roots(u_minus, -u_minus, gamma):
+    for w in _pairing_roots(u_minus, -u_minus, gamma, end_rule=True):
         u_plus = w - u_minus
         a = -u_minus / u_plus
         s = 2.0 / 9.0 * (gamma / w) ** 2  # the pairing law s*w^2 = 2gamma^2/9

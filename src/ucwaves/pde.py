@@ -18,7 +18,8 @@ boundary rows otherwise; the operator picks its solve once per config.
 Each RK4 step allocates three work arrays and runs every stage in place, in
 the operation order of the textbook expressions, so profiles keep their bits
 (``step``).  The ``"exp"`` front-speed fit scores all its decay rates in one
-array pass (``_fit_positions``).
+array pass (``_fit_positions``).  ``detect_fronts`` trims, values and groups
+each flat run in one pass of array operations.
 """
 
 import functools
@@ -376,60 +377,46 @@ def detect_fronts(state: SimState):
     """Locate plateaus (flat runs of |du/dx| < PLATEAU_TOL, at least MIN_RUN
     points long) and the fronts between them.
 
-    Each flat run is trimmed to the contiguous stretch of nearly constant
-    value around its flattest point (a slowly-varying ramp or a dispersive
-    corner layer can satisfy the gradient test without being a plateau);
-    adjacent runs with nearly equal values are then merged, and a front's
-    position is the first mid-level crossing (``_crossings``) between its
-    neighboring plateaus.
+    One pass over the flat runs handles each once.  A run is trimmed to the
+    contiguous stretch within merge_tol of its flattest point (a slowly
+    varying ramp or a dispersive corner layer can satisfy the gradient test
+    without being a plateau), and its value is the median of the trimmed
+    run's middle half.  It joins the previous run's group when the values
+    are within merge_tol and the gap is at most 4 * MIN_RUN points; a group's
+    plateau takes the value of its longest run (the first on a tie).  A
+    front's position is the first mid-level crossing (``_crossings``)
+    between its neighboring plateaus.
     """
     u, dx, x0 = state.u, state.dx, state.x0
     grad = np.gradient(u, dx)
     flat = np.abs(grad) < PLATEAU_TOL
+    merge_tol = max(1e-8, 0.005 * (float(u.max()) - float(u.min())))
 
-    # each flat run starts where the padded mask rises and stops where it falls
+    # each flat run [i0, i1) starts where the padded mask rises and stops where it falls
     edges = np.flatnonzero(np.diff(flat, prepend=False, append=False))
-    raw = [(i, j - 1) for i, j in edges.reshape(-1, 2).tolist() if j - i >= MIN_RUN]
-    if not raw:
-        return FrontReport((), ())
-
-    u_range = float(u.max()) - float(u.min())
-    merge_tol = max(1e-8, 0.005 * u_range)
-
-    runs = []
-    for i0, i1 in raw:
-        k = i0 + int(np.argmin(np.abs(grad[i0:i1 + 1])))
-        v_anchor = u[k]
-        j0 = k
-        while j0 - 1 >= i0 and abs(u[j0 - 1] - v_anchor) <= merge_tol:
-            j0 -= 1
-        j1 = k
-        while j1 + 1 <= i1 and abs(u[j1 + 1] - v_anchor) <= merge_tol:
-            j1 += 1
-        if j1 - j0 + 1 >= MIN_RUN:
-            runs.append((j0, j1))
-    if not runs:
-        return FrontReport((), ())
-
-    def run_value(i0, i1):
-        q = (i1 - i0) // 4
-        return float(np.median(u[i0 + q:i1 - q + 1]))
-
-    groups = [[runs[0]]]
-    for r in runs[1:]:
-        prev = groups[-1][-1]
-        close_value = abs(run_value(*r) - run_value(*prev)) < merge_tol
-        close_gap = r[0] - prev[1] <= 4 * MIN_RUN
-        if close_value and close_gap:
-            groups[-1].append(r)
+    groups = []  # [first j0, last j1, last value, longest j1 - j0, its value]
+    for i0, i1 in edges.reshape(-1, 2).tolist():
+        if i1 - i0 < MIN_RUN:
+            continue
+        k = i0 + int(np.argmin(np.abs(grad[i0:i1])))
+        # points farther than merge_tol from u[k] (never k itself); the two
+        # around k bound the trimmed run
+        off = i0 + np.flatnonzero(np.abs(u[i0:i1] - u[k]) > merge_tol)
+        p = int(np.searchsorted(off, k))
+        j0 = int(off[p - 1]) + 1 if p else i0
+        j1 = int(off[p]) - 1 if p < off.size else i1 - 1
+        if j1 - j0 + 1 < MIN_RUN:
+            continue
+        q = (j1 - j0) // 4
+        v = float(np.median(u[j0 + q:j1 - q + 1]))
+        g = groups[-1] if groups else None
+        if g and abs(v - g[2]) < merge_tol and j0 - g[1] <= 4 * MIN_RUN:
+            g[1:3] = j1, v
+            if j1 - j0 > g[3]:
+                g[3:] = j1 - j0, v
         else:
-            groups.append([r])
-
-    plateaus = []
-    for g in groups:
-        i0, i1 = g[0][0], g[-1][1]
-        longest = max(g, key=lambda r: r[1] - r[0])
-        plateaus.append(Plateau(run_value(*longest), x0 + i0 * dx, x0 + i1 * dx))
+            groups.append([j0, j1, v, j1 - j0, v])
+    plateaus = [Plateau(v, x0 + j0 * dx, x0 + j1 * dx) for j0, j1, _, _, v in groups]
 
     fronts = []
     for left, right in zip(plateaus[:-1], plateaus[1:]):

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -520,6 +521,35 @@ def test_simulate_checks_its_output_paths_before_the_run(bad, tmp_path, capsys,
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "UCWavesError"
     assert record["message"].startswith(f"cannot write {str(paths[bad])!r}: ")
+
+
+@pytest.mark.parametrize("bad", ["--output", "--profile-output"])
+def test_simulate_refuses_a_directory_as_output_file_before_the_run(
+        bad, tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("simulate ran")
+
+    monkeypatch.setattr(pde, "simulate", never)
+    d = tmp_path / "d"
+    d.mkdir()
+    paths = {"--output": d / "s.json", "--profile-output": d / "prof.csv"}
+    paths[bad] = d
+    argv = ["simulate", "--uL", "0.4", "--uR=-0.8", *SIM,
+            *(a for flag, path in paths.items() for a in (flag, str(path)))]
+    assert run_cli(argv) == 2
+    assert list(tmp_path.iterdir()) == [d] and list(d.iterdir()) == []
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "UCWavesError"
+    assert record["message"] == f"cannot write {str(d)!r}: Is a directory"
+
+
+def test_simulate_snapshot_prefix_may_name_a_directory(tmp_path):
+    assert run_cli(["simulate", "--uL", "0.4", "--uR=-0.8", *SIM,
+                    "--snapshot-every", "0.05", "--snapshot-profiles",
+                    os.path.join(str(tmp_path), ""), "-o",
+                    str(tmp_path / "s.json")]) == 0
+    # one default step covers --t-end 0.1
+    assert sorted(p.name for p in tmp_path.glob("t*.csv")) == ["t0.1.csv", "t0.csv"]
 
 
 def test_snapshot_step_below_the_run_step_requests_every_step(tmp_path):

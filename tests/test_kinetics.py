@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -24,6 +25,24 @@ from ucwaves import (
 from ucwaves.errors import DomainError
 
 GAMMA = 1 / math.sqrt(6)
+
+
+def exact_u_minus(u_plus, gamma):
+    """The u_- paired with the float u_+, bisected to 60 digits in decimal:
+    the root w = u_- + u_+ in [u_+/2, 0] of w*sqrt(1 - q) + sqrt(2)/3*gamma
+    with q = w^2 - u_+*w + u_+^2."""
+    with localcontext() as ctx:
+        ctx.prec = 60
+        k = Decimal(u_plus)
+        c = Decimal(2).sqrt() / 3 * Decimal(gamma)
+        lo, hi = k / 2, Decimal(0)
+        for _ in range(200):
+            w = (lo + hi) / 2
+            if w * max(1 - (w * w - k * w + k * k), Decimal(0)).sqrt() + c < 0:
+                lo = w
+            else:
+                hi = w
+        return float(lo - k)
 
 
 def bisect(f, lo, hi, n=200):
@@ -357,6 +376,13 @@ MAP_GAMMAS = st.floats(math.log(1e-15),
 # sqrt(3/8), where rounding of the residual hides its sign at the a = 1/2 end
 @example(gamma=0.6123718486740213, t=0.9999999999970539)
 @example(gamma=1e-300, t=0.5)  # far below the float resolution of a
+# next to the corner (1/sqrt3, -2/sqrt3), u_+ within rounding of the lower
+# bound: the a = 1/2 end rule of kinetic_u_plus_candidates once moved
+# kinetic_u_minus by 6.8e-8 here
+@example(gamma=math.exp(-12.28125), t=8.9e-16)
+# at that corner four ulp of u_+ move u_- by 7e-8, so the round trip's u_-
+# is no reference for the candidate u_+ = -1.1547005383792506
+@example(gamma=math.exp(-33.0), t=0.5)
 def test_kinetic_maps_invert_each_other(gamma, t):
     lo, hi = u_plus_bounds(gamma)
     u_plus = lo + t * (hi - lo)
@@ -369,8 +395,20 @@ def test_kinetic_maps_invert_each_other(gamma, t):
         if lo < c.u_plus < hi:
             # u_+ -> u_- keeps half the digits next to (1/sqrt3, -2/sqrt3),
             # where the plus branch meets s = 0 with q stationary in u_-
-            assert kinetic_u_minus(c.u_plus, gamma) == pytest.approx(u_minus,
-                                                                     rel=1e-8)
+            assert kinetic_u_minus(c.u_plus, gamma) == pytest.approx(
+                exact_u_minus(c.u_plus, gamma), rel=1e-8)
+
+
+@pytest.mark.parametrize("u_plus,gamma", [
+    (-1.1547005383709714, math.exp(-12.28125)),
+    (-1.1547005383709719, math.exp(-12.28125)),
+    (-1.1547005383792506, math.exp(-33.0)),
+])
+def test_kinetic_u_minus_next_to_the_corner(u_plus, gamma):
+    # u_+ a few ulp inside the lower bound -2/sqrt3 + O(gamma^2), where the
+    # a = 1/2 end rule once cost 4.8e-8 to 7.0e-8 relative
+    assert kinetic_u_minus(u_plus, gamma) == pytest.approx(
+        exact_u_minus(u_plus, gamma), rel=1e-8)
 
 
 def test_plus_candidate_speed_keeps_the_pairing_law_as_gamma_vanishes():

@@ -31,6 +31,12 @@ from ucwaves.errors import DomainError
 from ucwaves.pde import (
     DEFAULT_CFL,
     DEFAULT_SYMBOL_SAFETY,
+    MIN_RUN,
+    PLATEAU_TOL,
+    Front,
+    FrontReport,
+    Plateau,
+    _crossings,
     _fit_positions,
     default_dt,
     total_mass,
@@ -306,6 +312,119 @@ def test_detect_fronts_merges_a_plateau_split_by_a_bump():
         pytest.approx((-30.0, -2.75))
     assert len(rep.fronts) == 1
     assert rep.fronts[0].position == pytest.approx(0.0, abs=0.05)
+
+
+def walked_fronts(state):
+    """detect_fronts as it was with a point-by-point walk and a grouping
+    pass of its own: the reference for the one-pass version."""
+    u, dx, x0 = state.u, state.dx, state.x0
+    grad = np.gradient(u, dx)
+    flat = np.abs(grad) < PLATEAU_TOL
+    edges = np.flatnonzero(np.diff(flat, prepend=False, append=False))
+    raw = [(i, j - 1) for i, j in edges.reshape(-1, 2).tolist() if j - i >= MIN_RUN]
+    if not raw:
+        return FrontReport((), ())
+    u_range = float(u.max()) - float(u.min())
+    merge_tol = max(1e-8, 0.005 * u_range)
+    runs = []
+    for i0, i1 in raw:
+        k = i0 + int(np.argmin(np.abs(grad[i0:i1 + 1])))
+        v_anchor = u[k]
+        j0 = k
+        while j0 - 1 >= i0 and abs(u[j0 - 1] - v_anchor) <= merge_tol:
+            j0 -= 1
+        j1 = k
+        while j1 + 1 <= i1 and abs(u[j1 + 1] - v_anchor) <= merge_tol:
+            j1 += 1
+        if j1 - j0 + 1 >= MIN_RUN:
+            runs.append((j0, j1))
+    if not runs:
+        return FrontReport((), ())
+
+    def run_value(i0, i1):
+        q = (i1 - i0) // 4
+        return float(np.median(u[i0 + q:i1 - q + 1]))
+
+    groups = [[runs[0]]]
+    for r in runs[1:]:
+        prev = groups[-1][-1]
+        close_value = abs(run_value(*r) - run_value(*prev)) < merge_tol
+        close_gap = r[0] - prev[1] <= 4 * MIN_RUN
+        if close_value and close_gap:
+            groups[-1].append(r)
+        else:
+            groups.append([r])
+    plateaus = []
+    for g in groups:
+        i0, i1 = g[0][0], g[-1][1]
+        longest = max(g, key=lambda r: r[1] - r[0])
+        plateaus.append(Plateau(run_value(*longest), x0 + i0 * dx, x0 + i1 * dx))
+    fronts = []
+    for left, right in zip(plateaus[:-1], plateaus[1:]):
+        i0 = int(round((left.x_right - x0) / dx))
+        i1 = int(round((right.x_left - x0) / dx))
+        cross = _crossings(u, left.value, right.value)
+        cross = cross[(cross >= i0) & (cross <= i1)]
+        if cross.size:
+            pos = x0 + cross[0] * dx
+        else:
+            pos = x0 + (i0 + int(np.argmax(np.abs(grad[i0:i1 + 1])))) * dx
+        fronts.append(Front(float(pos), left.value, right.value))
+    return FrontReport(tuple(plateaus), tuple(fronts))
+
+
+def test_detect_fronts_groups_each_run_with_the_one_before():
+    # terraces rising 0.004 every 40 points on the upper plateau: each run is
+    # within merge_tol (0.0051) of the one before, not of the one two back
+    x = np.linspace(-30.0, 30.0, 1201)
+    i = np.arange(x.size)
+    u = 0.5 * np.tanh(x) + 0.004 * np.clip((i - 700) // 40, 0, 5)
+    state = SimState(0.0, u, x[1] - x[0], x[0])
+    rep = detect_fronts(state)
+    assert repr(rep) == repr(walked_fronts(state))
+    assert [p.value for p in rep.plateaus] == pytest.approx([-0.5, 0.52])
+    assert len(rep.fronts) == 1
+
+
+@st.composite
+def stepped_profiles(draw):
+    """1-4 levels joined by tanh steps of widths 0.05-3, with an optional
+    ramp, bumps, spikes, terraces and noise, on a grid of random size, step
+    and origin."""
+    nx = draw(st.integers(50, 1500))
+    dx = draw(st.floats(0.005, 0.2))
+    x0 = draw(st.floats(-100.0, 100.0))
+    x = x0 + dx * np.arange(nx)
+    levels = draw(st.lists(st.floats(-1.5, 1.5), min_size=1, max_size=4))
+    u = np.full(nx, levels[0])
+    for a, b in zip(levels, levels[1:]):
+        center = draw(st.floats(x[0], x[-1]))
+        width = draw(st.floats(0.05, 3.0))
+        u += 0.5 * (b - a) * (1.0 + np.tanh((x - center) / width))
+    if draw(st.booleans()):
+        u += draw(st.floats(-0.01, 0.01)) * (x - x0)
+    for _ in range(draw(st.integers(0, 3))):
+        center = draw(st.floats(x[0], x[-1]))
+        u += draw(st.floats(-0.02, 0.02)) * np.exp(
+            -((x - center) / draw(st.floats(0.1, 2.0))) ** 2)
+    if draw(st.booleans()):  # spikes cut a ramped plateau into a chain of runs
+        u[draw(st.integers(0, nx - 1))::draw(st.integers(20, 150))] += \
+            draw(st.floats(-0.05, 0.05))
+    if draw(st.booleans()):  # and so do terraces, of a rise near merge_tol
+        rise = draw(st.floats(-2.0, 2.0)) * 0.005 * (u.max() - u.min() + 1e-3)
+        steps = (np.arange(nx) - draw(st.integers(0, nx - 1))) // draw(
+            st.integers(20, 150))
+        u += rise * np.clip(steps, 0, draw(st.integers(1, 6)))
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        u += draw(st.floats(1e-6, 1e-3)) * rng.standard_normal(nx)
+    return SimState(0.0, u, dx, x0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(stepped_profiles())
+def test_detect_fronts_has_the_bits_of_the_walk(state):
+    assert repr(detect_fronts(state)) == repr(walked_fronts(state))
 
 
 def test_neumann_boundary_runs():
