@@ -10,9 +10,11 @@ flat ``key = value`` lines, keyed by the option names with underscores,
 e.g. ``x_min``) is read as ``--key=value`` flags placed before the command
 line, so argparse checks its types and choices and the command-line flags
 win.  ``--preset`` then fills, from ``PRESETS``, every option still unset.
-``main`` checks the options against the command's ``MODES``, runs its
-handler and writes the payload it returns as JSON.  The echo holds every
-option that has a value except the output-routing names in ``_NOT_ECHOED``.
+``main`` checks the options against the command's ``MODES`` and every
+output path the command takes, and only then runs its handler.  A handler
+only computes: it returns the text of its ``-o`` artifact, JSON or CSV, and
+``main`` writes it.  The echo holds every option that has a value except
+the output-routing names in ``_NOT_ECHOED``.
 """
 
 import argparse
@@ -86,12 +88,13 @@ def _fmt(x):
     return format(float(x), FLOAT_FMT)
 
 
-def _write_json(path, payload):
-    """Sorted, indented JSON; json writes floats (np.float64 too) as their
-    shortest repr, and other numpy scalars go through ``.item()``."""
-    text = json.dumps(payload, indent=2, sort_keys=True, ensure_ascii=False,
+def _json(params, payload):
+    """``payload`` after the echo ``params``, as sorted, indented JSON; json
+    writes floats (np.float64 too) as their shortest repr, and other numpy
+    scalars go through ``.item()``."""
+    return json.dumps({"params": params, **payload}, indent=2, sort_keys=True,
+                      ensure_ascii=False,
                       default=operator.methodcaller("item")) + "\n"
-    _write_text(path, text)
 
 
 def _cell(v):
@@ -105,20 +108,20 @@ def _cell(v):
     return "" if v is None else _fmt(v)
 
 
-def _write_csv(path, params, columns):
+def _csv(params, columns):
     """CSV of ``columns``, {header: cells} of one length, every cell
-    through ``_cell``."""
+    through ``_cell``, after the echo ``params``."""
     lines = [f"# {k} = {params[k]}" for k in sorted(params)]
     lines.append(",".join(columns))
     lines += map(",".join, zip(*(map(_cell, c) for c in columns.values()),
                                strict=True))
-    _write_text(path, "\n".join(lines) + "\n")
+    return "\n".join(lines) + "\n"
 
 
-def _write_records(path, params, cls, records):
+def _records(params, cls, records):
     """CSV with one column per field of the dataclass ``cls``."""
-    _write_csv(path, params, {f.name: [getattr(r, f.name) for r in records]
-                              for f in dataclasses.fields(cls)})
+    return _csv(params, {f.name: [getattr(r, f.name) for r in records]
+                         for f in dataclasses.fields(cls)})
 
 
 def _write_text(path, text):
@@ -132,15 +135,18 @@ def _write_text(path, text):
         raise UCWavesError(f"cannot write {path!r}: {exc.strerror}") from None
 
 
-def _check_output_dir(path):
-    """Raise UCWavesError unless ``path`` (a file or a file-name prefix) lies
-    in a writable directory; stdout (None or "-") always passes."""
+def _check_output(path, prefix=False):
+    """Raise UCWavesError unless ``path`` lies in a writable directory and is
+    not itself a directory, which only a file-name ``prefix`` may name
+    (``out/``); stdout (None or "-") always passes."""
     if path in (None, "-"):
         return
     folder = os.path.dirname(path) or "."
     if not (os.path.isdir(folder) and os.access(folder, os.W_OK | os.X_OK)):
         raise UCWavesError(f"cannot write {path!r}: {folder!r} is not a "
                            "writable directory")
+    if not prefix and os.path.isdir(path):
+        raise UCWavesError(f"cannot write {path!r}: Is a directory")
 
 
 def _parse_sweep(arg):
@@ -178,19 +184,20 @@ def _parse_grid(arg):
 
 # ---------------------------------------------------------------------------
 # subcommand implementations: each receives the resolved args and their echo,
-# and returns its JSON payload or writes its CSV and returns None
+# and returns the text of its -o artifact
 
 
 def _cmd_kinetics(args, params):
     if args.u_plus is not None:
         um = kinetics.kinetic_u_minus(args.u_plus, args.gamma)
-        return {"u_plus": args.u_plus, "gamma": args.gamma, "u_minus": um,
-                "s": rh_speed(um, args.u_plus)}
+        return _json(params, {"u_plus": args.u_plus, "gamma": args.gamma,
+                              "u_minus": um, "s": rh_speed(um, args.u_plus)})
     if args.u_minus is not None:
         cands = kinetics.kinetic_u_plus_candidates(args.u_minus, args.gamma)
-        return {"u_minus": args.u_minus, "gamma": args.gamma, "candidates": [
-            {"u_plus": p.u_plus, "a": p.a, "branch": p.branch.value, "s": p.s}
-            for p in cands]}
+        return _json(params, {
+            "u_minus": args.u_minus, "gamma": args.gamma, "candidates": [
+                {"u_plus": p.u_plus, "a": p.a, "branch": p.branch.value,
+                 "s": p.s} for p in cands]})
     n_points = _count("points", 101 if args.points is None else args.points)
     points = []
     for g in args.gamma if isinstance(args.gamma, tuple) else [args.gamma]:
@@ -198,8 +205,7 @@ def _cmd_kinetics(args, params):
                     else np.linspace(0.5, kinetics.a_tilde(g), n_points))
         points += [p for p in kinetics.locus_sweep(g, a_values)
                    if args.branch in ("both", p.branch.value)]
-    _write_records(args.output, params, kinetics.KineticPoint, points)
-    return None
+    return _records(params, kinetics.KineticPoint, points)
 
 
 def _cmd_phase(args, params):
@@ -209,10 +215,8 @@ def _cmd_phase(args, params):
             else (args.u_minus, args.u_plus))
     res = phaseplane.shoot_unstable(prob, *ends, backward=args.lax_check)
     if args.format == "csv":
-        _write_csv(args.output, params,
-                   dict(zip(["xi", "u", "v"], res.trajectory.T)))
-        return None
-    return {
+        return _csv(params, dict(zip(["xi", "u", "v"], res.trajectory.T)))
+    return _json(params, {
         "equilibria": list(prob.equilibria),
         "eigenvalues": {_fmt(u): [{"re": z.real, "im": z.imag} for z in
                                   map(complex, phaseplane.eigenvalues(u, prob))]
@@ -221,7 +225,7 @@ def _cmd_phase(args, params):
         "terminal_distance": res.terminal_distance,
         "parabola_residual": phaseplane.parabola_residual(
             res, args.u_minus, args.u_plus),
-    }
+    })
 
 
 def _cmd_riemann(args, params):
@@ -230,11 +234,10 @@ def _cmd_riemann(args, params):
         pat = riemann.classify_plane(args.gamma, ul_vals, ur_vals)
         # each axis value is formatted once, not once per cell
         urs = list(map(_fmt, ur_vals))
-        _write_csv(args.output, params, {
+        return _csv(params, {
             "u_left": [ul for ul in map(_fmt, ul_vals) for _ in urs],
             "u_right": urs * len(ul_vals),
             "pattern": pat.ravel().tolist()})
-        return None
     sol = riemann.solve(args.uL, args.uR, args.gamma)
     payload = riemann.solution_to_dict(sol)
     if args.evaluate_at is not None:
@@ -244,7 +247,7 @@ def _cmd_riemann(args, params):
         payload["admissibility"] = [
             {"wave": c.index, "kind": c.kind.value, "passed": bool(c.passed),
              "detail": c.detail} for c in riemann.verify_solution(sol)]
-    return payload
+    return _json(params, payload)
 
 
 def _cmd_simulate(args, params):
@@ -268,12 +271,6 @@ def _cmd_simulate(args, params):
         beta=args.beta, mu=args.mu, x_min=args.x_min, x_max=args.x_max,
         nx=args.nx, dt=args.dt, t_end=args.t_end,
         bc=pde.BoundaryCondition(args.bc), initial=init)
-    for path in (args.output, args.profile_output, args.snapshot_profiles):
-        _check_output_dir(path)
-    # a snapshot prefix may name a directory ("out/"), a file path may not
-    for path in (args.output, args.profile_output):
-        if path not in (None, "-") and os.path.isdir(path):
-            raise UCWavesError(f"cannot write {path!r}: Is a directory")
     snap_times = ()
     if args.snapshot_every:
         # a step below the run's own requests every step all the same
@@ -283,12 +280,12 @@ def _cmd_simulate(args, params):
     result = pde.simulate(cfg, snapshot_times=snap_times)
     x, _ = pde.x_grid(cfg)
     if args.profile_output:
-        _write_csv(args.profile_output, params, {"x": x, "u": result.final.u})
+        _write_text(args.profile_output, _csv(params, {"x": x, "u": result.final.u}))
     if args.snapshot_profiles:
         for st in result.snapshots:
             path = f"{args.snapshot_profiles}t{format(st.t, '.6g')}.csv"
-            _write_csv(path, {**params, "t": format(st.t, ".17g")},
-                       {"x": x, "u": st.u})
+            _write_text(path, _csv({**params, "t": format(st.t, ".17g")},
+                                   {"x": x, "u": st.u}))
     report = pde.detect_fronts(result.final)
     payload = {"t_final": result.final.t,
                "plateaus": list(map(dataclasses.asdict, report.plateaus)),
@@ -299,7 +296,7 @@ def _cmd_simulate(args, params):
                                     transient=args.speed_fit or "linear")
         payload["front_speeds"] = [{"speed": f.speed, "intercept": f.intercept}
                                    for f in fits]
-    return payload
+    return _json(params, payload)
 
 
 def _cmd_psystem(args, params):
@@ -307,12 +304,11 @@ def _cmd_psystem(args, params):
         b_values = np.minimum(_parse_sweep(args.sweep_b), -0.5)
         points = [psystem.psys_locus(b, args.A, v_minus=args.v_minus)
                   for b in sorted(set(float(b) for b in b_values))]
-        _write_records(args.output, params, psystem.PSystemLocusPoint, points)
-        return None
+        return _records(params, psystem.PSystemLocusPoint, points)
     if args.u_minus is not None:
         up = psystem.psys_kinetic_u_plus(args.u_minus, args.A)
-        return {"A": args.A, "u_minus": args.u_minus, "u_plus": up,
-                "threshold": psystem.psys_threshold(args.A)}
+        return _json(params, {"A": args.A, "u_minus": args.u_minus, "u_plus": up,
+                              "threshold": psystem.psys_threshold(args.A)})
     p = psystem.psys_locus(args.b, args.A, v_minus=args.v_minus)
     payload = dataclasses.asdict(p)
     if args.shoot:
@@ -321,7 +317,7 @@ def _cmd_psystem(args, params):
             "verdict": res.verdict.value, "terminal_distance": res.terminal_distance,
             "parabola_residual": psystem.psys_parabola_residual(res, p),
             "orbit_start_u": float(res.trajectory[0, 1])}
-    return payload
+    return _json(params, payload)
 
 
 # ---------------------------------------------------------------------------
@@ -535,11 +531,11 @@ def main(argv=None):
             if getattr(args, key) is None:
                 setattr(args, key, value)
         _check_mode(args)
+        for key in ("output", "profile_output", "snapshot_profiles"):
+            _check_output(vars(args).get(key), prefix=key == "snapshot_profiles")
         params = {k: repr(v) for k, v in vars(args).items()
                   if v is not None and k not in _NOT_ECHOED}
-        payload = args.fn(args, params)
-        if payload is not None:
-            _write_json(args.output, {"params": params, **payload})
+        _write_text(args.output, args.fn(args, params))
         return 0
     except UCWavesError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import math
+
 import numpy as np
 
 
@@ -53,3 +55,13 @@ def _check_finite(what, **values):
     bad = _not_finite(**values)
     if bad:
         raise DomainError(f"invalid {what}: " + "; ".join(bad))
+
+
+def _check_cubes(what, **states):
+    """Raise DomainError naming every state (a number) whose cube u^3 is not
+    finite: past |u| ~ 5.6e102 the flux u - u^3 overflows, and with it every
+    speed and profile built on it.  The product overflows to inf, where a
+    Python float power would raise OverflowError."""
+    if not all(math.isfinite(u * u * u) for u in states.values()):
+        _check_finite(what, **{f"{name}^3": u * u * u
+                               for name, u in states.items()})

@@ -11,7 +11,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import PoleError
+from .errors import DomainError, PoleError
 
 #: Absolute tolerance of "a speed equals a characteristic speed" (tangent
 #: chords, sonic and characteristic shocks) and of the Riemann solver's
@@ -62,9 +62,13 @@ def rh_speed(u_minus, u_plus):
     """Rankine-Hugoniot speed: chord slope s = 1 - (u_+^2 + u_+ u_- + u_-^2).
 
     Symmetric in its arguments; reduces to char_speed(u) when both states
-    coincide.
+    coincide.  Raises DomainError where a Python float power overflows.
     """
-    return 1.0 - (u_plus**2 + u_plus * u_minus + u_minus**2)
+    try:
+        return 1.0 - (u_plus**2 + u_plus * u_minus + u_minus**2)
+    except OverflowError:
+        raise DomainError(f"invalid rh_speed: the square of u_minus={u_minus!r} "
+                          f"or u_plus={u_plus!r} overflows") from None
 
 
 def classify_shock(u_minus, u_plus):

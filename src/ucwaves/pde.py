@@ -29,7 +29,8 @@ from enum import Enum
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import DomainError, SimulationDivergedError, _check_finite, _not_finite
+from .errors import (DomainError, SimulationDivergedError, _check_cubes,
+                     _check_finite, _not_finite)
 from .kinetics import KineticPoint
 from .model import char_speed, flux
 
@@ -159,8 +160,11 @@ def x_grid(cfg: SimConfig):
 
 
 def initial_profile(cfg: SimConfig):
+    """The state at t = 0; DomainError unless the cube of its largest |u| is
+    finite (so a NaN is refused too)."""
     x, dx = x_grid(cfg)
     u = cfg.initial.profile(x, cfg.mu)
+    _check_cubes("initial profile", max_abs_u=float(np.abs(u).max()))
     return SimState(0.0, u.astype(float), dx, float(x[0]))
 
 

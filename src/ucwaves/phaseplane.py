@@ -29,7 +29,8 @@ directly.  Only the graph march runs through ``solve_ivp``, whose events
 locate the fold inside the step.  A shot that spends more than MAX_NFEV
 right-hand-side evaluations raises ``ShootingBudgetError``; a backward shot
 stiffer than MAX_STIFF_RATIO, where BDF itself fails, raises
-``DegenerateSpeedError`` before it starts.
+``DegenerateSpeedError`` before it starts.  So does an end that is not an
+equilibrium of the form to within the seed offset (``DomainError``).
 """
 
 import math
@@ -45,6 +46,7 @@ from .errors import (
     DegenerateSpeedError,
     DomainError,
     ShootingBudgetError,
+    _check_cubes,
     _check_finite,
 )
 from .kinetics import KineticPoint
@@ -110,6 +112,7 @@ class TWProblem:
     def __post_init__(self):
         _check_finite("TWProblem", gamma=self.gamma, s=self.s,
                       u_minus=self.u_minus)
+        _check_cubes("TWProblem", u_minus=self.u_minus)
         if self.s <= 0:
             raise DegenerateSpeedError(
                 f"traveling-wave reduction requires s > 0, got s={self.s!r}"
@@ -295,6 +298,19 @@ def _seed(u, sgn, lam):
     return u + du, du * lam
 
 
+def _check_equilibria(form, **ends):
+    """Raise DomainError naming each end u off equilibrium by more than the
+    seed offset: |P(u)| above SEED_OFFSET * max(1, |u|) * max(1, |dP(u)|),
+    or NaN.  An end whose cube overflows is refused first."""
+    _check_cubes("shooting", **ends)
+    bad = [f"{name}={u!r} (P(u) = {form.P(u):.3g})" for name, u in ends.items()
+           if not abs(form.P(u)) <= SEED_OFFSET * max(1.0, abs(u))
+           * max(1.0, abs(form.dP(u)))]
+    if bad:
+        raise DomainError("shooting requires equilibria at both ends; off "
+                          "equilibrium: " + ", ".join(bad))
+
+
 def _march_arc(form, u0, v0, u_end, vmax):
     """Integrate the graph ODE dv/du = T + P(u)/v from (u0, v0) to u_end.
 
@@ -342,12 +358,14 @@ def _graph_orbit(u, v, verdict, dist):
 def shoot_saddle_connection(form, u_from, u_to, vmax=V_BOX):
     """Bidirectional saddle-saddle shooting for the Lienard form ``form``.
 
-    Requires dP > 0 (saddle) at both equilibria; dP = 0 is accepted at
-    u_from (saddle-node endpoint, exit along the T-eigendirection).  Marches
-    the unstable-manifold graph from u_from and the stable-manifold graph
-    from u_to to the midpoint section and compares them there; they connect
-    when the defect is below CONNECTION_TOL.
+    Both ends must be equilibria (``_check_equilibria``) with dP > 0
+    (saddles); dP = 0 is accepted at u_from (saddle-node endpoint, exit
+    along the T-eigendirection).  Marches the unstable-manifold graph from
+    u_from and the stable-manifold graph from u_to to the midpoint section
+    and compares them there; they connect when the defect is below
+    CONNECTION_TOL.
     """
+    _check_equilibria(form, u_from=u_from, u_to=u_to)
     if form.dP(u_from) < -1e-9 or form.dP(u_to) <= 0.0:
         raise DomainError("shooting requires saddle equilibria at both ends")
     sgn = 1.0 if u_to > u_from else -1.0
@@ -407,6 +425,7 @@ def _slow_time(form, saddle_u, node_u, tol):
 def _shoot_backward_to_node(form, saddle_u, node_u):
     """Reverse-xi integration of the saddle's stable manifold; it connects
     when it closes in on the node to CONNECTION_TOL."""
+    _check_equilibria(form, saddle_u=saddle_u, node_u=node_u)
     if form.dP(saddle_u) <= 0:
         raise DomainError(f"u={saddle_u!r} is not a saddle of the problem")
     _, lam_s = eigenvalues(saddle_u, form)

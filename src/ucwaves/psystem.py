@@ -27,7 +27,8 @@ from dataclasses import dataclass, replace
 
 from scipy.optimize import brentq
 
-from .errors import DomainError, NoLocusError, NoSaddleError, _check_finite
+from .errors import (DomainError, NoLocusError, NoSaddleError, _check_cubes,
+                     _check_finite)
 from .kinetics import _RTOL
 from .phaseplane import OrbitResult, shoot_saddle_connection
 
@@ -82,6 +83,7 @@ def psys_locus(b, A, v_minus=0.0):
             "restriction) and equilibria coalesce at b = -1/2"
         )
     u_minus = _u_minus(b, A)
+    _check_cubes(f"psys_locus at b={b!r}, A={A!r}", u_minus=u_minus)
     u_plus = b * u_minus
     u_zero = -(u_minus + u_plus)
     s = -math.sqrt(u_plus**2 + u_plus * u_minus + u_minus**2)

@@ -25,7 +25,7 @@ from functools import partial
 
 import numpy as np
 
-from .errors import DomainError, _check_finite
+from .errors import DomainError, _check_cubes, _check_finite
 from .kinetics import (
     GAMMA_MAX,
     _pairing,
@@ -131,10 +131,12 @@ def _check_ordering(waves, u_l, u_r):
 def solve(u_left, u_right, gamma):
     """Self-similar solution of the Riemann problem with TW-admissible shocks.
 
-    gamma > 0 and finite states are required; for gamma >= sqrt(3/8) the
-    kinetic locus is empty and only classical patterns occur.
+    gamma > 0 and finite states whose cubes are finite are required, so every
+    speed is finite; for gamma >= sqrt(3/8) the kinetic locus is empty and
+    only classical patterns occur.
     """
     _check_finite("solve", gamma=gamma, u_left=u_left, u_right=u_right)
+    _check_cubes("solve", u_left=u_left, u_right=u_right)
     if not gamma > 0.0:
         raise DomainError(f"gamma must be positive, got {gamma!r}")
     sign = -1.0 if u_right > 0.0 else 1.0  # maps the data onto u_R <= 0

@@ -10,18 +10,21 @@ from ucwaves import (
     GAMMA_MAX,
     Branch,
     kinetic_u_minus,
+    kinetics,
     pde,
     phaseplane,
     psys_locus,
     psys_threshold,
+    psystem,
+    riemann,
 )
 from ucwaves.cli import (
     _NOT_ECHOED,
     MODES,
     PRESETS,
     _cell,
-    _write_csv,
-    _write_json,
+    _csv,
+    _json,
     build_parser,
     main,
 )
@@ -523,24 +526,50 @@ def test_simulate_checks_its_output_paths_before_the_run(bad, tmp_path, capsys,
     assert record["message"].startswith(f"cannot write {str(paths[bad])!r}: ")
 
 
-@pytest.mark.parametrize("bad", ["--output", "--profile-output"])
-def test_simulate_refuses_a_directory_as_output_file_before_the_run(
-        bad, tmp_path, capsys, monkeypatch):
-    def never(*args, **kwargs):
-        raise AssertionError("simulate ran")
+PHASE = ["--gamma", "0.40824829", "--u-minus", "0.3285142", "--u-plus=-0.5475237"]
 
-    monkeypatch.setattr(pde, "simulate", never)
+#: (argv without its output, the output flag, the module and name of the
+#: function that does the work)
+_WORK = {
+    "kinetics-o": (["kinetics", "--preset", "fig2"], "-o",
+                   kinetics, "locus_sweep"),
+    "riemann-o": (["riemann", "--preset", "fig3"], "-o",
+                  riemann, "classify_plane"),
+    "psystem-o": (["psystem", "--preset", "fig5"], "-o",
+                  psystem, "psys_locus"),
+    "phase-o": (["phase", *PHASE], "-o", phaseplane, "shoot_unstable"),
+    "simulate--output": (["simulate", "--uL", "0.4", "--uR=-0.8", *SIM],
+                         "--output", pde, "simulate"),
+    "simulate--profile-output": (
+        ["simulate", "--uL", "0.4", "--uR=-0.8", *SIM, "-o", "{tmp}/s.json"],
+        "--profile-output", pde, "simulate"),
+}
+
+
+@pytest.mark.parametrize("where", ["directory", "missing-directory"])
+@pytest.mark.parametrize("run", sorted(_WORK))
+def test_output_paths_are_checked_before_the_work(run, where, tmp_path, capsys,
+                                                  monkeypatch):
+    argv, flag, module, work = _WORK[run]
+
+    def never(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(module, work, never)
     d = tmp_path / "d"
-    d.mkdir()
-    paths = {"--output": d / "s.json", "--profile-output": d / "prof.csv"}
-    paths[bad] = d
-    argv = ["simulate", "--uL", "0.4", "--uR=-0.8", *SIM,
-            *(a for flag, path in paths.items() for a in (flag, str(path)))]
+    if where == "directory":
+        d.mkdir()
+        bad = d
+    else:
+        bad = d / "out"
+    argv = [a.format(tmp=tmp_path) for a in argv] + [flag, str(bad)]
     assert run_cli(argv) == 2
-    assert list(tmp_path.iterdir()) == [d] and list(d.iterdir()) == []
+    assert list(tmp_path.glob("**/*")) == ([d] if d.exists() else [])
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "UCWavesError"
-    assert record["message"] == f"cannot write {str(d)!r}: Is a directory"
+    assert record["message"].startswith(f"cannot write {str(bad)!r}: ")
+    if where == "directory":
+        assert record["message"].endswith(": Is a directory")
 
 
 def test_simulate_snapshot_prefix_may_name_a_directory(tmp_path):
@@ -616,6 +645,16 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     ["kinetics", "--gamma", "0.3", "--u-plus", "nan"],
     ["simulate", "--snapshot-every", "nan"], ["simulate", "--snapshot-every", "inf"],
     ["simulate", "--snapshot-every", "0"], ["simulate", "--snapshot-every=-1"],
+    # finite but huge: a cube overflows (an OverflowError or -Infinity before)
+    ["riemann", "--gamma", "0.4", "--uL", "1e200", "--uR", "0"],
+    ["riemann", "--gamma", "0.4", "--uL", "1.2544988637366674e154",
+     "--uR=-1e-105"],
+    ["phase", "--gamma", "0.4", "--u-minus", "1e200", "--u-plus", "0"],
+    ["psystem", "--A", "1e-300", "--b=-0.6"],
+    ["simulate", "--uL", "1e200", "--uR", "0"],
+    # u_+ is not an equilibrium at this speed
+    ["phase", "--gamma", "0.40824829", "--u-minus", "0.3285142",
+     "--u-plus=-0.5475237", "--s", "0.78"],
 ])
 def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
     sim = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",
@@ -727,21 +766,18 @@ def test_preset_fig5(tmp_path):
     assert len(rows) == 1 + 11
 
 
-def test_write_csv_text_format(capsys):
-    _write_csv("-", {"b": "2", "a": "'x'"}, {
+def test_write_csv_text_format():
+    assert _csv({"b": "2", "a": "'x'"}, {
         "float": [0.1, -0.0], "f64": [np.float64(1 / 3), np.float64(2.5)],
         "enum": [Branch.PLUS, Branch.MINUS], "none": [None, None],
-        "str": ["SΣ", "-1"]})
-    assert capsys.readouterr().out == (
+        "str": ["SΣ", "-1"]}) == (
         "# a = 'x'\n# b = 2\n"
         "float,f64,enum,none,str\n"
         "0.10000000000000001,0.33333333333333331,plus,,SΣ\n"
         "-0,2.5,minus,,-1\n")
-    _write_csv("-", {}, {"x": [], "u": np.empty(0)})
-    assert capsys.readouterr().out == "x,u\n"
+    assert _csv({}, {"x": [], "u": np.empty(0)}) == "x,u\n"
     with pytest.raises(ValueError):
-        _write_csv("-", {}, {"x": [1.0, 2.0], "u": [1.0]})
-    assert capsys.readouterr().out == ""
+        _csv({}, {"x": [1.0, 2.0], "u": [1.0]})
 
 
 def test_cell_of_a_float64_is_the_cell_of_its_float():
@@ -749,9 +785,9 @@ def test_cell_of_a_float64_is_the_cell_of_its_float():
         assert _cell(np.float64(x)) == _cell(x)
 
 
-def test_write_json_text_format(capsys):
-    _write_json("-", {"b": np.bool_(True), "i": np.int64(-3),
-                      "f": np.float64(0.1), "t": (1, 2.5)})
-    assert capsys.readouterr().out == (
+def test_write_json_text_format():
+    assert _json({"a": "'x'"}, {"b": np.bool_(True), "i": np.int64(-3),
+                                "f": np.float64(0.1), "t": (1, 2.5)}) == (
         '{\n  "b": true,\n  "f": 0.1,\n  "i": -3,\n'
+        '  "params": {\n    "a": "\'x\'"\n  },\n'
         '  "t": [\n    1,\n    2.5\n  ]\n}\n')

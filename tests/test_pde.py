@@ -78,6 +78,16 @@ def test_smoothed_riemann_rejects_non_finite_values(field, value):
         SmoothedRiemann(**args)
 
 
+@pytest.mark.parametrize("initial", [
+    SmoothedRiemann(1e200, 0.0, GAMMA),
+    CustomProfile(lambda x: np.where(x > 0, math.nan, 0.0)),
+])
+def test_initial_profile_with_an_infinite_cube_is_a_domain_error(initial):
+    cfg = smoothed_cfg(initial=initial)
+    with pytest.raises(DomainError, match=r"max_abs_u\^3=(inf|nan)"):
+        simulate(cfg)
+
+
 def test_initial_profile_midpoint_and_far_field():
     cfg = smoothed_cfg(x_min=-40.0, x_max=40.0, nx=1601)
     state = initial_profile(cfg)
@@ -240,6 +250,40 @@ def test_traveling_wave_translates():
     # exclude clamped boundary neighborhoods
     interior = slice(50, -50)
     assert err[interior].max() < 1e-3
+
+
+def _mid_level_speed(p, beta, mu, refine, scheme_beta):
+    """Speed of the mid-level crossing of the seeded exact wave of ``p``
+    between t = 10 and t = 20, on [-20, 20 + 20 s] at dx = 0.1 / refine and
+    the default dt; the scheme runs at ``scheme_beta``."""
+    cells = math.ceil((40.0 + 20.0 * p.s) / 0.1)
+    cfg = SimConfig(beta=scheme_beta, mu=mu, x_min=-20.0,
+                    x_max=-20.0 + 0.1 * cells, nx=cells * refine + 1,
+                    t_end=20.0, initial=TravelingWaveSeed(p))
+    level = 0.5 * (p.u_minus + p.u_plus)
+    early, late = simulate(cfg, snapshot_times=(10.0, 20.0)).snapshots
+
+    def crossing(st):  # linear between the grid points around it
+        i = int(np.flatnonzero(np.diff(np.sign(st.u - level)))[0])
+        return st.x0 + st.dx * (i + (st.u[i] - level) / (st.u[i] - st.u[i + 1]))
+
+    return (crossing(late) - crossing(early)) / (late.t - early.t)
+
+
+@pytest.mark.parametrize("beta,mu", [(0.1, 0.06), (0.2, 0.3)])  # gamma 0.408, 0.365
+@pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS], ids=["plus", "minus"])
+def test_traveling_wave_speed_extrapolated_in_dx(beta, mu, branch):
+    # the exact wave's speed error is second order in dx: the differences of
+    # the errors at dx = 0.1, 0.05, 0.025 fall by 3.7 to 4.1 here; Richardson
+    # on the finest pair leaves at most 1.7e-5 (relative).  A 1% error in the
+    # scheme's beta (seed and oracle kept) leaves 3.5e-4 to 4.1e-3.
+    p = locus_point(0.6, beta / math.sqrt(mu), branch)
+    for scheme_beta, within in ((beta, True), (1.01 * beta, False)):
+        e1, e2, e4 = (_mid_level_speed(p, beta, mu, k, scheme_beta) / p.s - 1.0
+                      for k in (1, 2, 4))
+        if within:
+            assert 3.0 < (e1 - e2) / (e2 - e4) < 5.0
+        assert (abs((4.0 * e4 - e2) / 3.0) <= 1e-4) == within
 
 
 def test_grid_convergence_of_plateaus():

@@ -198,6 +198,47 @@ def test_shoot_rejects_non_saddle_start():
         shoot_unstable(prob, 0.1, 0.3)
 
 
+#: the README's phase example, a saddle-saddle pair at its RH speed 0.77216...
+README_PAIR = (0.3285142, -0.5475237)
+
+
+@pytest.mark.parametrize("s", [0.78, 0.4, 0.7721655])
+def test_shots_refuse_an_end_off_equilibrium(s):
+    # at 0.7721655, the RH speed to 7 digits, u_+ is 3.7e-8 off an
+    # equilibrium, beyond the 1e-8 seed; at 0.4 u_+ would also be a saddle
+    um, up = README_PAIR
+    prob = TWProblem(GAMMA, s, um)
+    with pytest.raises(DomainError, match=r"u_to=-0\.5475237 \(P\(u\) = "):
+        shoot_unstable(prob, um, up)
+    with pytest.raises(DomainError, match=r"saddle_u=-0\.5475237 \(P\(u\) = "):
+        shoot_unstable(prob, up, um, backward=True)
+    exact = TWProblem(GAMMA, rh_speed(um, up), um)
+    assert shoot_unstable(exact, um, up).verdict is Verdict.CONNECTS
+
+
+def test_backward_shot_refuses_a_node_off_equilibrium():
+    prob = TWProblem(GAMMA, rh_speed(0.1, 0.3), 0.1)
+    with pytest.raises(DomainError, match=r"node_u=0\.15 \(P\(u\) = "):
+        shoot_unstable(prob, 0.3, 0.15, backward=True)
+
+
+@pytest.mark.parametrize("ends", [(1e200, 0.0), (0.3, 1e200), (0.3, -1e103)])
+def test_huge_states_are_a_domain_error(ends):
+    # past |u| ~ 5.6e102 the cube overflows: refused before any power of it
+    with pytest.raises(DomainError, match=r"\^3=-?inf \(must be finite\)"):
+        shoot_unstable(TWProblem(GAMMA, 0.5, ends[0]), *ends)
+
+
+def test_rh_speed_past_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match="u_minus=1e\\+200 or u_plus=0.0 overflows"):
+        rh_speed(1e200, 0.0)
+    # the squares stay finite and their sum overflows: TWProblem refuses it
+    s = rh_speed(1.2e154, 1.2e154)
+    assert s == -math.inf
+    with pytest.raises(DomainError, match=r"s=-inf \(must be finite\)"):
+        TWProblem(GAMMA, s, 1.2e154)
+
+
 def test_lax_profile_backward_shoot():
     prob = TWProblem(GAMMA, rh_speed(0.1, 0.3), 0.1)
     res = shoot_unstable(prob, 0.3, 0.1, backward=True)

@@ -155,6 +155,23 @@ def test_shoot_rejects_perturbed():
         assert res.verdict is not Verdict.CONNECTS
 
 
+def test_shoot_refuses_an_end_off_equilibrium():
+    # a 1% change of s keeps u_- an equilibrium (P(u_-) = 0 for any s) and
+    # moves u_+ off one; the orbit leaves u_+ under A > 0, s < 0
+    p = psys_locus(-0.6, 4.0)
+    from dataclasses import replace
+    with pytest.raises(DomainError, match=rf"u_from={p.u_plus!r} \(P\(u\) = "):
+        psys_shoot(replace(p, s=1.01 * p.s))
+
+
+@pytest.mark.parametrize("A", [1e-300, 1e-103])
+def test_locus_of_a_tiny_A_is_a_domain_error(A):
+    # u_- grows like 1/A; from u_- ~ 5.6e102 its cube overflows
+    with pytest.raises(DomainError, match=r"u_minus\^3=inf \(must be finite\)"):
+        psys_locus(-0.6, A)
+    assert math.isfinite(psys_locus(-0.6, 1e-102).s)
+
+
 def test_shoot_requires_saddles():
     p = psys_locus(-0.6, 4.0)
     from dataclasses import replace

@@ -292,6 +292,22 @@ def test_mirror_symmetry(u_l, u_r, gamma):
             == [w.speed_range for w in sol.waves])
 
 
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=500, deadline=None)
+@given(u_l=FINITE, u_r=FINITE, gamma=FINITE)
+@example(u_l=1e200, u_r=0.0, gamma=0.4)  # a power overflowed
+@example(u_l=1.2544988637366674e154, u_r=-1e-105, gamma=0.4)  # speed -inf
+def test_solve_is_finite_or_a_domain_error(u_l, u_r, gamma):
+    # over the whole float range: refused, or states and speeds valid JSON
+    try:
+        sol = solve(u_l, u_r, gamma)
+    except DomainError:
+        return
+    json.dumps(solution_to_dict(sol), allow_nan=False)
+
+
 @settings(max_examples=100, deadline=None)
 @given(values=st.lists(STATE, min_size=1, max_size=8), gamma=GAMMAS)
 def test_classify_plane_matches_per_cell_solve(values, gamma):
