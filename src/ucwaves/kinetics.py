@@ -62,6 +62,11 @@ GAMMA_MAX = math.sqrt(3.0 / 8.0)
 _A_ENDPOINT_ATOL = 1e-12
 #: brentq's relative tolerance on w = u_- + u_+ in both kinetic maps
 _RTOL = 8.9e-16
+#: brentq's step cap.  At k = -1 the upper end of s >= 0 is w = 0, where
+#: s ~ -w and r ~ -|w|^(3/2)/gamma + sqrt(2)/3, so the root |w| ~
+#: gamma^(2/3) lies as low as 1e-206 in the bracket [-1/2, 0]: brentq took
+#: 1474 steps there at the least normal gamma, past scipy's default of 100.
+_MAXITER = 4000
 
 
 class Branch(Enum):
@@ -222,7 +227,8 @@ def _pairing_roots(k, w_half, gamma, end_rule):
         brackets.append((lo, hi, f_lo))
     # brentq needs xtol > 0, but w needs only a relative tolerance
     return [a if f_a == 0.0 else brentq(_pairing, a, b, args=(k, gamma),
-                                        xtol=math.ulp(0.0), rtol=_RTOL)
+                                        xtol=math.ulp(0.0), rtol=_RTOL,
+                                        maxiter=_MAXITER)
             for a, b, f_a in brackets]
 
 
