@@ -111,10 +111,16 @@ def _cell(v):
 def _csv(params, columns):
     """CSV of ``columns``, {header: cells} of one length, every cell
     through ``_cell``, after the echo ``params``."""
+    return _csv_rows(params, columns, map(",".join, zip(
+        *(map(_cell, c) for c in columns.values()), strict=True)))
+
+
+def _csv_rows(params, header, rows):
+    """CSV of the echo ``params``, the ``header`` names and ``rows``, each
+    a line of cells already joined."""
     lines = [f"# {k} = {params[k]}" for k in sorted(params)]
-    lines.append(",".join(columns))
-    lines += map(",".join, zip(*(map(_cell, c) for c in columns.values()),
-                               strict=True))
+    lines.append(",".join(header))
+    lines += rows
     return "\n".join(lines) + "\n"
 
 
@@ -233,11 +239,10 @@ def _cmd_riemann(args, params):
         ul_vals, ur_vals = _parse_grid(args.classify_grid)
         pat = riemann.classify_plane(args.gamma, ul_vals, ur_vals)
         # each axis value is formatted once, not once per cell
-        urs = list(map(_fmt, ur_vals))
-        return _csv(params, {
-            "u_left": [ul for ul in map(_fmt, ul_vals) for _ in urs],
-            "u_right": urs * len(ul_vals),
-            "pattern": pat.ravel().tolist()})
+        urs = [f",{ur}," for ur in map(_fmt, ur_vals)]
+        return _csv_rows(params, ("u_left", "u_right", "pattern"), [
+            ul + ur + p for ul, row in zip(map(_fmt, ul_vals), pat.tolist())
+            for ur, p in zip(urs, row)])
     sol = riemann.solve(args.uL, args.uR, args.gamma)
     payload = riemann.solution_to_dict(sol)
     if args.evaluate_at is not None:

@@ -117,6 +117,8 @@ class TWProblem:
             raise DegenerateSpeedError(
                 f"traveling-wave reduction requires s > 0, got s={self.s!r}"
             )
+        # the constant term of P, once per problem, not once per evaluation
+        object.__setattr__(self, "_p_minus", self.u_minus**3 - self.u_minus)
 
     @classmethod
     def from_kinetic_point(cls, point: KineticPoint):
@@ -134,7 +136,7 @@ class TWProblem:
 
     def P(self, u):
         """Equilibrium cubic P(u) = u^3 - u - (u_-^3 - u_-) + s*(u - u_-)."""
-        return u**3 - u - (self.u_minus**3 - self.u_minus) + self.s * (u - self.u_minus)
+        return u**3 - u - self._p_minus + self.s * (u - self.u_minus)
 
     def dP(self, u):
         return 3.0 * u**2 - 1.0 + self.s

@@ -97,24 +97,30 @@ def _u_minus(b, A):
 
 
 def psys_kinetic_u_plus(u_minus, A):
-    """The unique u_+ in (-u_-, -u_-/2) paired with u_- (requires
-    u_- > psys_threshold(A), strictly).
+    """The unique u_+ in [-u_-, -u_-/2) paired with u_- (requires
+    u_- > psys_threshold(A), strictly, and a finite u_-^3).
 
-    Inverts the decreasing map b -> u_-(b) on (-1, -1/2) by brentq.  With
-    y = 1 + b, 9*A*u_-*y^2 = 2*sqrt(y^2 - y + 1) lies in [sqrt(3), 2); the
-    lower end meets the root y = 1/2 at the threshold, so it is capped at 1/4.
+    Inverts the decreasing map b -> u_-(b) on (-1, -1/2) by brentq in
+    y = 1 + b, where 9*A*u_-*y^2 = 2*sqrt(y^2 - y + 1) lies in [sqrt(3), 2):
+    y^2 / c lies in [sqrt(3)/2, 1) for c = 2/(9*A*u_-).  The lower end of
+    the bracket meets the root y = 1/2 at the threshold, so it is capped at
+    1/4; the upper end is sqrt(2*c), since below the spacing of floats at 1
+    sqrt(y^2 - y + 1) rounds to 1 and the root to sqrt(c).  The tolerance is
+    relative to y alone: a large u_- puts y below the spacing of floats at
+    b = -1, where u_+ = (y - 1)*u_- rounds to -u_-.
     """
     _check_finite("psys_kinetic_u_plus", u_minus=u_minus)
+    _check_cubes("psys_kinetic_u_plus", u_minus=u_minus)
     thr = psys_threshold(A)
     if u_minus <= thr:
         raise NoLocusError(
             f"u_minus={u_minus!r} at or below the threshold {thr!r} for A={A!r}"
         )
-    y_lo = min(math.sqrt(math.sqrt(3.0) / (9.0 * A * u_minus)), 0.25)
-    y_hi = min(math.sqrt(2.0 / (9.0 * A * u_minus)), 0.5)
-    b = brentq(lambda b: _u_minus(b, A) - u_minus, y_lo - 1.0, y_hi - 1.0,
-               xtol=1e-15, rtol=_RTOL)
-    return b * u_minus
+    c = 2.0 / (9.0 * A) / u_minus
+    y = brentq(lambda y: y * y - c * math.sqrt(y * y - y + 1.0),
+               min(math.sqrt(0.5 * math.sqrt(3.0) * c), 0.25),
+               min(math.sqrt(2.0 * c), 0.5), xtol=math.ulp(0.0), rtol=_RTOL)
+    return (y - 1.0) * u_minus
 
 
 def resolved_parabola_coefficient(point: PSystemLocusPoint):

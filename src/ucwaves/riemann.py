@@ -14,11 +14,16 @@ undercompressive shock psi(u_R) -> u_R and the remaining Riemann problem
 u_L -> psi(u_R) is solved classically (a Lax shock or a rarefaction on the
 same convexity side).  At the threshold both representations coincide
 (equal speeds, collinear chord), so the regions tile the plane.
+``_pattern`` states this rule once, as comparisons over arrays: ``solve``
+applies it to one cell and ``classify_plane`` to a whole grid.  Outside the
+kinetic range psi(u_R) and u_0 are NaN, which fails every comparison and
+leaves the classical labels.
 
 An undercompressive shock is supersonic on both sides, so no wave can
 follow it: patterns are "", R, S, RS, S(Sigma), R(Sigma), (Sigma).
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -89,29 +94,33 @@ _WAVE = {"R": _fan, "S": _shock,
 
 
 def _kinetic_pair(u_r, gamma):
-    """(psi(u_r), u_0) when u_r <= 0 lies inside the kinetic range, else None."""
-    if not gamma < GAMMA_MAX:
-        return None
-    lo, hi = u_plus_bounds(gamma)
-    if not lo + EQ_TOL < u_r < hi - EQ_TOL:
-        return None
-    u_m = kinetic_u_minus(u_r, gamma)
-    return u_m, -u_r - u_m  # u_0: middle equilibrium of the kinetic triple
+    """(psi(u_r), u_0) when u_r <= 0 lies inside the kinetic range, else
+    (nan, nan): a NaN fails every comparison of ``_pattern``."""
+    if gamma < GAMMA_MAX:
+        lo, hi = u_plus_bounds(gamma)
+        if lo + EQ_TOL < u_r < hi - EQ_TOL:
+            u_m = kinetic_u_minus(u_r, gamma)
+            return u_m, -u_r - u_m  # u_0: middle equilibrium of the triple
+    return math.nan, math.nan
 
 
-def _pattern(u_l, u_r, kinetic):
-    """Pattern label of the data (u_l, u_r <= 0); kinetic is _kinetic_pair(u_r)."""
-    if kinetic is not None:
-        u_m, u_0 = kinetic
-        if u_l > u_0 + EQ_TOL:
-            if abs(u_l - u_m) <= EQ_TOL:
-                return SIGMA
-            return ("S" if u_l < u_m else "R") + SIGMA
-    if u_l == u_r:
-        return ""
-    if u_l < u_r or u_r == 0.0:
-        return "R"
-    return "S" if u_l <= -0.5 * u_r + EQ_TOL else "RS"
+#: the labels, indexed by the codes of ``_pattern``
+_LABELS = np.array(["", "R", "S", "RS", SIGMA, "S" + SIGMA, "R" + SIGMA],
+                   dtype=object)
+
+
+def _pattern(u_l, u_r, u_m, u_0):
+    """Pattern labels of the data (u_l, u_r <= 0), over broadcast arrays or
+    numbers; (u_m, u_0) is _kinetic_pair(u_r).  An object array of str, or
+    one str."""
+    # constant, R (always at u_R = 0), S up to the tangent point, else RS
+    classical = np.where(
+        u_l == u_r, 0, np.where((u_l < u_r) | (u_r == 0.0), 1,
+                                np.where(u_l <= -0.5 * u_r + EQ_TOL, 2, 3)))
+    # past u_0: Sigma alone within EQ_TOL of psi, else S or R into psi first
+    kinetic = np.where(np.abs(u_l - u_m) <= EQ_TOL, 4,
+                       np.where(u_l < u_m, 5, 6))
+    return _LABELS[np.where(u_l > u_0 + EQ_TOL, kinetic, classical)]
 
 
 def _check_ordering(waves, u_l, u_r):
@@ -141,7 +150,7 @@ def solve(u_left, u_right, gamma):
         raise DomainError(f"gamma must be positive, got {gamma!r}")
     sign = -1.0 if u_right > 0.0 else 1.0  # maps the data onto u_R <= 0
     kinetic = _kinetic_pair(sign * u_right, gamma)
-    pattern = _pattern(sign * u_left, sign * u_right, kinetic)
+    pattern = _pattern(sign * u_left, sign * u_right, *kinetic)
     states = [u_left, u_right]
     if len(pattern) == 2:  # the middle state is psi or the tangent point
         states.insert(1, sign * kinetic[0] if pattern[1] == SIGMA else -0.5 * u_right)
@@ -174,19 +183,22 @@ def classify_plane(gamma, u_left_values, u_right_values):
     """Pattern label for every cell of a (u_L, u_R) grid.
 
     Returns an object array of shape (len(u_left_values), len(u_right_values)).
-    The kinetic pair depends only on u_R, so it is found once per column.
+    The data are mirrored onto u_R <= 0 column by column; the kinetic pair
+    depends only on the mirrored u_R, so it is found once per distinct
+    |u_R|, and ``_pattern`` labels the whole grid at once.
     """
     _check_finite("classify_plane", gamma=gamma, u_left_values=u_left_values,
                   u_right_values=u_right_values)
     if not gamma > 0.0:
         raise DomainError(f"gamma must be positive, got {gamma!r}")
-    uls = list(map(float, u_left_values))  # once, not once per column
-    out = np.empty((len(uls), len(u_right_values)), dtype=object)
-    for j, ur in enumerate(map(float, u_right_values)):
-        sign = -1.0 if ur > 0.0 else 1.0
-        kinetic = _kinetic_pair(sign * ur, gamma)
-        out[:, j] = [_pattern(sign * ul, sign * ur, kinetic) for ul in uls]
-    return out
+    u_r = np.asarray(u_right_values, dtype=float)
+    sign = np.where(u_r > 0.0, -1.0, 1.0)
+    u_r = sign * u_r
+    mirrored, column = np.unique(u_r, return_inverse=True)
+    pairs = np.array([_kinetic_pair(u, gamma) for u in mirrored.tolist()])
+    u_m, u_0 = pairs.reshape(-1, 2)[column].T  # (0, 2) for an empty axis
+    u_l = np.asarray(u_left_values, dtype=float)[:, None] * sign
+    return _pattern(u_l, u_r, u_m, u_0)
 
 
 @dataclass(frozen=True)

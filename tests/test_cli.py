@@ -222,6 +222,32 @@ def test_riemann_classify_grid(tmp_path):
     assert len(rows) == 1 + 25
 
 
+def test_riemann_map_csv_is_the_csv_of_its_columns(tmp_path):
+    # an uneven grid whose u_R axis ends at -0.0: the rows the handler joins
+    # are the rows _csv writes from the three columns of the cells
+    out = tmp_path / "map.csv"
+    assert run_cli(["riemann", "--gamma", GAMMA6, "--classify-grid=-1.2:1.2:7,-1:-0:5",
+                    "--output", str(out)]) == 0
+    text = out.read_text()
+    params = dict(ln[2:].split(" = ", 1) for ln in text.splitlines()
+                  if ln.startswith("# "))
+    u_l, u_r = np.linspace(-1.2, 1.2, 7), np.linspace(-1.0, -0.0, 5)
+    assert math.copysign(1.0, u_r[-1]) == -1.0
+    pat = riemann.classify_plane(float(GAMMA6), u_l, u_r)
+    assert text == _csv(params, {"u_left": np.repeat(u_l, 5),
+                                 "u_right": np.tile(u_r, 7),
+                                 "pattern": pat.ravel().tolist()})
+    assert "\n-1.2,-0,R\n" in text
+
+
+def test_psystem_kinetic_query_of_a_huge_u_minus(tmp_path):
+    out = tmp_path / "pk.json"
+    assert run_cli(["psystem", "--A", "4", "--u-minus", "1e30",
+                    "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert -1e30 <= payload["u_plus"] <= -0.5e30
+
+
 def test_phase_trajectory_csv(tmp_path):
     out = tmp_path / "orbit.csv"
     rc = run_cli(["phase", "--gamma", GAMMA6, "--u-minus", "0.32851421960867366",
@@ -652,6 +678,7 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     ["phase", "--gamma", "0.4", "--u-minus", "1e200", "--u-plus", "0"],
     ["psystem", "--A", "1e-300", "--b=-0.6"],
     ["simulate", "--uL", "1e200", "--uR", "0"],
+    ["psystem", "--A", "4", "--u-minus", "1e300"],
     # u_+ is not an equilibrium at this speed
     ["phase", "--gamma", "0.40824829", "--u-minus", "0.3285142",
      "--u-plus=-0.5475237", "--s", "0.78"],

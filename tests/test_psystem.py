@@ -113,6 +113,20 @@ def test_kinetic_u_plus_threshold_strict():
         psys_kinetic_u_plus(0.1, 4.0)
 
 
+@pytest.mark.parametrize("u_minus", [1e30, 1e100])
+def test_kinetic_u_plus_of_a_huge_u_minus(u_minus):
+    # y = 1 + b lies below the spacing of floats at b = -1 (a brentq sign
+    # error at 1e30 and a ZeroDivisionError at 1e100 before)
+    up = psys_kinetic_u_plus(u_minus, 4.0)
+    assert math.isfinite(up)
+    assert -u_minus <= up <= -0.5 * u_minus
+
+
+def test_kinetic_u_plus_of_a_u_minus_whose_cube_overflows():
+    with pytest.raises(DomainError, match=r"u_minus\^3=inf \(must be finite\)"):
+        psys_kinetic_u_plus(1e300, 4.0)
+
+
 def test_kinetic_monotonicity():
     # larger u_- maps to b closer to -1 (ratio decreasing)
     A = 2.0

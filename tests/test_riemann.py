@@ -213,6 +213,71 @@ def test_classify_plane_equals_solve(gamma):
             assert pat[i, j] == solve(ul, ur, gamma).pattern, (ul, ur)
 
 
+def _oracle_kinetic_pair(u_r, gamma):
+    """(psi(u_r), u_0) when u_r <= 0 lies inside the kinetic range, else None."""
+    if not gamma < GAMMA_MAX:
+        return None
+    lo, hi = u_plus_bounds(gamma)
+    if not lo + EQ_TOL < u_r < hi - EQ_TOL:
+        return None
+    u_m = kinetic_u_minus(u_r, gamma)
+    return u_m, -u_r - u_m
+
+
+def _oracle_pattern(u_l, u_r, kinetic):
+    """The scalar pattern rule, one cell at a time, kept as an oracle for the
+    array rule that solve and classify_plane share: the label of the data
+    (u_l, u_r <= 0), with kinetic = _oracle_kinetic_pair(u_r)."""
+    if kinetic is not None:
+        u_m, u_0 = kinetic
+        if u_l > u_0 + EQ_TOL:
+            if abs(u_l - u_m) <= EQ_TOL:
+                return "Σ"
+            return ("S" if u_l < u_m else "R") + "Σ"
+    if u_l == u_r:
+        return ""
+    if u_l < u_r or u_r == 0.0:
+        return "R"
+    return "S" if u_l <= -0.5 * u_r + EQ_TOL else "RS"
+
+
+@pytest.mark.parametrize("gamma", [0.05, 0.3, GAMMA, 0.6, GAMMA_MAX, 0.7])
+def test_classify_plane_at_the_breakpoints(gamma):
+    # the u_L axis holds every breakpoint of every column, and the floats
+    # one and two ulps either side: u_R, the tangent point, u_0 + EQ_TOL,
+    # psi(u_R) -+ EQ_TOL, and 0.0 and -0.0; the columns lie inside and
+    # outside the kinetic range, on both sides of u_R = 0
+    u_rs = [-1.2, -0.7, -0.3, -0.02, -0.0, 0.0, 0.02, 0.5, 1.1]
+    if gamma < GAMMA_MAX:
+        lo, hi = u_plus_bounds(gamma)
+        u_rs += [lo + (hi - lo) * f for f in (0.02, 0.5, 0.98)]
+        u_rs += [-u for u in u_rs[-3:]]
+    columns = []
+    u_ls = []
+    for u_r in u_rs:
+        sign = -1.0 if u_r > 0.0 else 1.0
+        mirrored = sign * u_r
+        kinetic = _oracle_kinetic_pair(mirrored, gamma)
+        columns.append((sign, kinetic))
+        points = [mirrored, -0.5 * mirrored + EQ_TOL, 0.0, -0.0]
+        if kinetic is not None:
+            u_m, u_0 = kinetic
+            points += [u_0 + EQ_TOL, u_m - EQ_TOL, u_m + EQ_TOL]
+        for p in points:
+            below = np.nextafter(p, -np.inf)
+            above = np.nextafter(p, np.inf)
+            near = [np.nextafter(below, -np.inf), below, p, above,
+                    np.nextafter(above, np.inf)]
+            u_ls += [sign * float(u) for u in near]
+    assert any(k is not None for _, k in columns) == (gamma < GAMMA_MAX)
+    pat = classify_plane(gamma, u_ls, u_rs)
+    assert pat.dtype == object and pat.shape == (len(u_ls), len(u_rs))
+    for j, (u_r, (sign, kinetic)) in enumerate(zip(u_rs, columns)):
+        for i, u_l in enumerate(u_ls):
+            want = _oracle_pattern(sign * u_l, sign * u_r, kinetic)
+            assert pat[i, j] == want, (u_l, u_r)
+
+
 def test_json_round_trip():
     sol = solve(0.4, -0.8, GAMMA)
     payload = json.dumps(solution_to_dict(sol))
