@@ -53,7 +53,7 @@ class PSystemLocusPoint:
 
     def P(self, u):
         um, s = self.u_minus, self.s
-        return -(u**3 - um**3 - s * s * (u - um)) / (s * self.A)
+        return -(u * u * u - um * um * um - s * s * (u - um)) / (s * self.A)
 
     def dP(self, u):
         return -(3.0 * u * u - self.s * self.s) / (self.s * self.A)

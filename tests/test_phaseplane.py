@@ -4,7 +4,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import DOP853
 from scipy.optimize import brentq
@@ -16,10 +16,13 @@ from ucwaves import (
     ShootingBudgetError,
     TWProblem,
     Verdict,
+    a_tilde,
     eigenvalues,
     equilibria,
     locus_point,
     parabola_residual,
+    psys_locus,
+    psys_symmetry,
     rh_speed,
     shoot_unstable,
     solve,
@@ -27,7 +30,8 @@ from ucwaves import (
 )
 from ucwaves import phaseplane
 from ucwaves.errors import DomainError
-from ucwaves.phaseplane import STIFF_RATIO, jacobian
+from ucwaves.phaseplane import SEED_OFFSET, STIFF_RATIO, jacobian
+from ucwaves.psystem import resolved_parabola_coefficient
 
 GAMMA = 1 / math.sqrt(6)
 
@@ -198,6 +202,19 @@ def test_shoot_rejects_non_saddle_start():
         shoot_unstable(prob, 0.1, 0.3)
 
 
+def test_shots_refuse_coincident_ends_and_a_start_without_unstable_direction():
+    # a shot spans the distance between its ends; both used to return a
+    # verdict for a shot from an equilibrium to itself
+    prob = TWProblem(GAMMA, 0.25, 1.0)
+    for backward in (False, True):
+        with pytest.raises(DomainError, match="two distinct equilibria"):
+            shoot_unstable(prob, 1.0, 1.0, backward=backward)
+    # gamma = 0 at a saddle-node start: both eigenvalues vanish (this used
+    # to raise ZeroDivisionError)
+    with pytest.raises(DomainError, match="no unstable direction"):
+        shoot_unstable(TWProblem(0.0, 0.25, -0.5), -0.5, 1.0)
+
+
 #: the README's phase example, a saddle-saddle pair at its RH speed 0.77216...
 README_PAIR = (0.3285142, -0.5475237)
 
@@ -244,6 +261,7 @@ def test_lax_profile_backward_shoot():
     res = shoot_unstable(prob, 0.3, 0.1, backward=True)
     assert res.verdict is Verdict.CONNECTS
     assert res.terminal_distance <= 1e-6
+    _assert_lax_orbit_starts_at_its_saddle(res, 0.3)
     # a Lax orbit is nowhere near the undercompressive parabola
     assert parabola_residual(res, 0.1, 0.3) > 1e-3
 
@@ -255,6 +273,158 @@ def test_lax_profile_fails_beyond_kinetic_threshold():
         prob = TWProblem(GAMMA, rh_speed(ul, -0.8), ul)
         res = shoot_unstable(prob, -0.8, ul, backward=True)
         assert (res.verdict is Verdict.CONNECTS) == expect
+        _assert_lax_orbit_starts_at_its_saddle(res, -0.8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(u=st.floats(-2.0, 2.0))
+@example(u=1.740289695151073)  # P: u**3 of a float (libm pow) != the array's
+@example(u=1.9686715461435784)  # dP: u**2 of a float != numpy's u*u
+def test_lienard_forms_give_a_float_and_an_array_the_same_bits(u):
+    for form in (TWProblem(0.4, 0.3, 0.2), psys_locus(-0.7, 2.0)):
+        for f in (form.P, form.dP):
+            assert np.float64(f(u)).tobytes() == f(np.array([u]))[0].tobytes()
+
+
+def _series(form, u_s, toward, lam):
+    """The Taylor coefficients c_1..c_K of the manifold graph at u_s, and
+    the scaled ones b_m, proportional to c_m * span^m."""
+    span = abs(toward - u_s)
+    b, v_scale = phaseplane._manifold_series(form, u_s, lam, span)
+    return [bm * v_scale / span**m for m, bm in enumerate(b, 1)], b
+
+
+def _shot_saddles(form, u_from, u_to):
+    """(saddle, other end, eigenvalue) of the two arcs of a saddle-saddle
+    shot: the unstable manifold of u_from, the stable one of u_to."""
+    return ((u_from, u_to, eigenvalues(u_from, form)[0]),
+            (u_to, u_from, eigenvalues(u_to, form)[1]))
+
+
+def _psys_ends(p):
+    """(u_from, u_to) of ``psys_shoot``: it leaves the lower state when the
+    resolved parabola coefficient is negative."""
+    lower, upper = sorted((p.u_minus, p.u_plus))
+    k = resolved_parabola_coefficient(p)
+    return (lower, upper) if k < 0 else (upper, lower)
+
+
+PSYS_QUADRANTS = [(), ("odd",), ("a_flip",), ("odd", "a_flip")]
+
+
+def _psys_point(b, A, symmetries):
+    p = psys_locus(b, A)
+    for which in symmetries:
+        p = psys_symmetry(p, which)
+    return p
+
+
+# The saddle-node end a = 1/2 (f = 0) and points across each branch.  On the
+# locus the manifold is the parabola v = (u - u_-)(u - u_+)/sqrt(2): about
+# either saddle c_1 is the eigenvalue, c_2 = 1/sqrt(2), and the series ends.
+@pytest.mark.parametrize("f", [0.0, 0.5, 0.999])
+@pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+@pytest.mark.parametrize("gamma", [0.05, GAMMA, 0.6])
+def test_manifold_series_is_the_parabola_on_the_locus(gamma, branch, f):
+    p = locus_point(0.5 + f * (a_tilde(gamma) - 0.5), gamma, branch)
+    prob = TWProblem.from_kinetic_point(p)
+    for u_s, toward, lam in _shot_saddles(prob, p.u_minus, p.u_plus):
+        c, b = _series(prob, u_s, toward, lam)
+        assert len(c) == phaseplane.MANIFOLD_ORDER
+        assert c[0] == pytest.approx(lam, rel=1e-14)
+        assert c[1] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-13)
+        # c_3..c_K at rounding: each term at the far end of the span
+        assert max(map(abs, b[2:])) <= 1e-12 * abs(b[0])
+
+
+@pytest.mark.parametrize("symmetries", PSYS_QUADRANTS)
+@pytest.mark.parametrize("b,A", [(-0.99, 0.5), (-0.7, 2.0), (-0.51, 40.0),
+                                 (-0.5, 4.0)])
+def test_manifold_series_is_the_parabola_of_the_psystem(b, A, symmetries):
+    # T = 1/A < 0 after the A-flip; the parabola coefficient is signed
+    p = _psys_point(b, A, symmetries)
+    for u_s, toward, lam in _shot_saddles(p, *_psys_ends(p)):
+        c, coef = _series(p, u_s, toward, lam)
+        assert c[0] == pytest.approx(lam, rel=1e-14)
+        k = resolved_parabola_coefficient(p)
+        assert c[1] == pytest.approx(k, rel=1e-13)
+        assert max(map(abs, coef[2:])) <= 1e-12 * abs(coef[0])
+
+
+@pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+@pytest.mark.parametrize("gamma", [0.05, GAMMA, 0.6])
+def test_manifold_series_does_not_end_off_the_locus(gamma, branch):
+    p = locus_point(0.5 + 0.999 * (a_tilde(gamma) - 0.5), gamma, branch)
+    up = 1.01 * p.u_plus
+    prob = TWProblem(gamma, rh_speed(p.u_minus, up), p.u_minus)
+    for u_s, toward, lam in _shot_saddles(prob, p.u_minus, up):
+        _, b = _series(prob, u_s, toward, lam)
+        assert abs(b[2]) > 1e-5 * abs(b[0])
+
+
+def _invariance_residual(form, u_s, toward, lam, p_scale):
+    """|phi*phi' - T*phi - P| at the launch point of the shot from u_s
+    toward ``toward``, over the size of its terms; ``p_scale(u)`` bounds the
+    terms of P(u), whose cancellation sets its rounding."""
+    us, vs = phaseplane._launch(form, u_s, toward, lam)
+    u, phi = us[-1], vs[-1]
+    span = abs(toward - u_s)
+    b, v_scale = phaseplane._manifold_series(form, u_s, lam, span)
+    t = (u - u_s) / span
+    dphi = v_scale / span * sum(m * bm * t ** (m - 1)
+                                for m, bm in enumerate(b, 1))
+    resid = phi * dphi - form.T * phi - form.P(u)
+    return abs(resid) / (abs(phi * dphi) + abs(form.T * phi) + p_scale(u))
+
+
+@settings(max_examples=100, deadline=None)
+@given(gamma=st.floats(0.01, 0.7), log_s=st.floats(-6.0, -0.01),
+       u_minus=st.floats(-1.1, 1.1), b=st.floats(-0.99, -0.5),
+       A=st.floats(0.2, 40.0), symmetries=st.sampled_from(PSYS_QUADRANTS))
+def test_launch_point_lies_on_the_invariant_manifold(gamma, log_s, u_minus, b,
+                                                     A, symmetries):
+    # phi*phi' = T*phi + P(u) to rounding where each shot starts: both
+    # eigen-directions of an outer saddle toward each other equilibrium
+    prob = TWProblem(gamma, 10.0**log_s, u_minus)
+    um, s = prob.u_minus, prob.s
+    scalar_scale = lambda u: (abs(u)**3 + abs(u) + abs(um)**3 + abs(um)
+                              + s * abs(u - um))
+    eqs = prob.equilibria
+    for saddle in (eqs[0], eqs[-1]):
+        for toward in eqs:
+            if toward == saddle or prob.dP(saddle) <= 0.0:
+                continue
+            for lam in eigenvalues(saddle, prob):
+                assert _invariance_residual(prob, saddle, toward, lam,
+                                            scalar_scale) <= 1e-14
+    p = _psys_point(b, A, symmetries)
+    psys_scale = lambda u: ((abs(u)**3 + abs(p.u_minus)**3 + p.s * p.s
+                             * abs(u - p.u_minus)) / abs(p.s * p.A))
+    for u_s, toward, lam in _shot_saddles(p, *_psys_ends(p)):
+        assert _invariance_residual(p, u_s, toward, lam, psys_scale) <= 1e-14
+
+
+# u_+ moved by 1e-3 (relative) off the locus: the shot must not connect
+@pytest.mark.parametrize("fac", [1.001, 0.999])
+@pytest.mark.parametrize("branch", [Branch.PLUS, Branch.MINUS])
+@pytest.mark.parametrize("gamma", [0.05, GAMMA, 0.6])
+def test_shot_rejects_a_pair_a_thousandth_off_the_locus(gamma, branch, fac):
+    p = locus_point(0.5 + 0.9 * (a_tilde(gamma) - 0.5), gamma, branch)
+    up = fac * p.u_plus
+    prob = TWProblem(gamma, rh_speed(p.u_minus, up), p.u_minus)
+    assert shoot_unstable(prob, p.u_minus, up).verdict in (
+        Verdict.MISSES_ABOVE, Verdict.MISSES_BELOW)
+
+
+def _assert_lax_orbit_starts_at_its_saddle(res, saddle):
+    """The first row lies within SEED_OFFSET * max(1, |u|) of the saddle, xi
+    starts at 0, and the shot's time -xi increases along the orbit (the
+    stable manifold is integrated backward in xi)."""
+    xi, u = res.trajectory[:, 0], res.trajectory[:, 1]
+    near = SEED_OFFSET * max(1.0, abs(saddle))
+    assert abs(u[0] - saddle) <= near * (1 + 1e-6)
+    assert xi[0] == 0.0
+    assert np.all(np.diff(xi) < 0)
 
 
 def test_trajectory_endpoints():
@@ -317,9 +487,11 @@ def test_stiff_lax_cell_verifies():
 @given(log_s=st.floats(-16.0, -2.0), gamma=st.floats(0.01, 0.7),
        side=st.sampled_from([1.0, -1.0]))
 def test_small_speed_lax_shots_connect_within_budget(log_s, gamma, side):
-    res = _lax_shot(gamma, 10.0 ** log_s, side=side)
+    prob, saddle = _lax_problem(gamma, 10.0 ** log_s, side=side)
+    res = shoot_unstable(prob, saddle, 0.0, backward=True)
     assert res.verdict is Verdict.CONNECTS
     assert res.terminal_distance <= 1e-6
+    _assert_lax_orbit_starts_at_its_saddle(res, saddle)
 
 
 def test_weak_lax_shock_of_a_sigma_pattern_verifies():
@@ -355,11 +527,14 @@ def test_explicit_and_implicit_shots_agree_at_the_threshold(u_node, side,
     monkeypatch.setattr(phaseplane, "_dop853", compiled)
     gamma = 0.4
     t_star = brentq(excess, 1.0, 100.0)
-    below, above = (_lax_shot(gamma, (gamma / (t_star * f)) ** 2, u_node, side)
-                    for f in (1.0 - 1e-3, 1.0 + 1e-3))
+    for f in (1.0 - 1e-3, 1.0 + 1e-3):
+        prob, saddle = _lax_problem(gamma, (gamma / (t_star * f)) ** 2,
+                                    u_node, side)
+        res = shoot_unstable(prob, saddle, u_node, backward=True)
+        assert res.verdict is Verdict.CONNECTS
+        assert res.terminal_distance <= 1e-6
+        _assert_lax_orbit_starts_at_its_saddle(res, saddle)
     assert methods == ["DOP853", "BDF"]
-    assert below.verdict is above.verdict is Verdict.CONNECTS
-    assert max(below.terminal_distance, above.terminal_distance) <= 1e-6
 
 
 FIG3_AXIS = np.linspace(-1.2, 1.2, 97)

@@ -17,7 +17,7 @@ from ucwaves import (
     psys_symmetry,
     psys_threshold,
 )
-from ucwaves.errors import DomainError
+from ucwaves.errors import DomainError, UCWavesError
 from ucwaves.phaseplane import jacobian
 
 B_GRID = [-0.95, -0.9, -0.85, -0.8, -0.75, -0.7, -0.65, -0.6, -0.55]
@@ -158,15 +158,28 @@ def test_shoot_connects_at_large_states(b, A):
 
 
 def test_shoot_rejects_perturbed():
-    p = psys_locus(-0.6, 4.0)
-    for fac in (1.05, 0.95):
-        up = p.u_plus * fac
-        s = -math.sqrt(up**2 + up * p.u_minus + p.u_minus**2)
-        from dataclasses import replace
-        q = replace(p, u_plus=up, s=s, u_zero=-(p.u_minus + up),
-                    k=1 / math.sqrt(-2 * p.A * s))
-        res = psys_shoot(q)
-        assert res.verdict is not Verdict.CONNECTS
+    # down to u_+ moved by 1e-3 (relative), at two A
+    from dataclasses import replace
+    for A in (0.5, 4.0):
+        p = psys_locus(-0.6, A)
+        for fac in (1.05, 0.95, 1.001, 0.999):
+            up = p.u_plus * fac
+            s = -math.sqrt(up**2 + up * p.u_minus + p.u_minus**2)
+            q = replace(p, u_plus=up, s=s, u_zero=-(p.u_minus + up),
+                        k=1 / math.sqrt(-2 * p.A * s))
+            res = psys_shoot(q)
+            assert res.verdict is not Verdict.CONNECTS
+
+
+@pytest.mark.parametrize("A", [1e-30, 1e-60, 1e-90])
+def test_shoot_of_huge_states_is_finite_or_a_typed_error(A):
+    # |u| ~ 1/A: the manifold series is scaled so that no power of the span
+    # overflows, and the launch point handed to the integrator is finite
+    try:
+        res = psys_shoot(psys_locus(-0.6, A))
+    except UCWavesError:
+        return
+    assert np.isfinite(res.trajectory).all()
 
 
 def test_shoot_refuses_an_end_off_equilibrium():
