@@ -105,13 +105,14 @@ def discriminant(a, gamma):
     a = np.asarray(a, dtype=float)
     if (a == 1.0).any():
         raise PoleError("discriminant has a pole at a = 1")
-    return 1.0 - (8.0 / 9.0) * gamma**2 * (1.0 + a / (a - 1.0) ** 2)
+    return 1.0 - (8.0 / 9.0) * (gamma * gamma) * (
+        1.0 + a / ((a - 1.0) * (a - 1.0)))
 
 
 def a_tilde(gamma):
     """Largest ratio a with D(a, gamma) >= 0; in (1/2, 1) for gamma < sqrt(3/8)."""
     _check_gamma(gamma)
-    k = 8.0 * gamma**2 / 9.0
+    k = 8.0 * (gamma * gamma) / 9.0
     return (k - 2.0 + math.sqrt(k * (4.0 - 3.0 * k))) / (2.0 * (k - 1.0))
 
 
@@ -135,7 +136,8 @@ def _locus_point(a, gamma, branch, at):
         raise PoleError("discriminant has a pole at a = 1")
     # 1 - D <= 1 on [1/2, a_tilde]; above 1 it is rounding, about
     # 2e-16/(1 - a) next to a_tilde, which nears the pole a = 1 as gamma -> 0
-    one_minus_d = min((8.0 / 9.0) * gamma**2 * (1.0 + a / (a - 1.0) ** 2), 1.0)
+    one_minus_d = min((8.0 / 9.0) * (gamma * gamma)
+                      * (1.0 + a / ((a - 1.0) * (a - 1.0))), 1.0)
     sigma = one_minus_d / (2.0 * (1.0 + math.sqrt(1.0 - one_minus_d)))
     s, q = (sigma, 1.0 - sigma) if branch is Branch.PLUS else (1.0 - sigma, sigma)
     w = -math.sqrt(2.0) / 3.0 * gamma / math.sqrt(s)
@@ -162,7 +164,7 @@ def u_plus_bounds(gamma):
     gamma = sqrt(3/8).
     """
     _check_gamma(gamma)
-    inner = math.sqrt(max(1.0 - 8.0 * gamma**2 / 3.0, 0.0))
+    inner = math.sqrt(max(1.0 - 8.0 * (gamma * gamma) / 3.0, 0.0))
     lower = -math.sqrt(2.0 / 3.0 * (1.0 + inner))
     # 1 - inner = (8/3)*gamma^2/(1 + inner) keeps the digits as gamma -> 0
     upper = -4.0 / 3.0 * gamma / math.sqrt(1.0 + inner)
@@ -272,7 +274,8 @@ def kinetic_u_plus_candidates(u_minus, gamma):
     for w in _pairing_roots(u_minus, -u_minus, gamma, end_rule=True):
         u_plus = w - u_minus
         a = -u_minus / u_plus
-        s = 2.0 / 9.0 * (gamma / w) ** 2  # the pairing law s*w^2 = 2gamma^2/9
+        r = gamma / w
+        s = 2.0 / 9.0 * (r * r)  # the pairing law s*w^2 = 2gamma^2/9
         branch = Branch.PLUS if s < 0.5 else Branch.MINUS
         out.append(KineticPoint(a, branch, u_minus, -(u_minus + u_plus),
                                 u_plus, s, gamma, _endpoint(a, at)))
@@ -289,10 +292,11 @@ def entropy_integral(u_minus, u_plus):
     (|u_-| < |u_+|) and zero when u_+ = -u_-.
     """
     s = rh_speed(u_minus, u_plus)
-    b = u_minus**3 - u_minus
+    b = u_minus * u_minus * u_minus - u_minus
 
     def antideriv(u):
-        return u**4 / 4.0 - u**2 / 2.0 - b * u + s * (u**2 / 2.0 - u_minus * u)
+        uu = u * u
+        return uu * uu / 4.0 - uu / 2.0 - b * u + s * (uu / 2.0 - u_minus * u)
 
     return antideriv(u_minus) - antideriv(u_plus)
 

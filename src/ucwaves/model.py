@@ -53,22 +53,28 @@ def flux(u):
 
 
 def char_speed(u):
-    """Characteristic speed f'(u) = 1 - 3u**2."""
+    """Characteristic speed f'(u) = 1 - 3u**2, by multiplication: a float's
+    power calls libm's pow, which is not correctly rounded, and an array's
+    square is u*u."""
     u = np.asarray(u) if not np.isscalar(u) else u
-    return 1.0 - 3.0 * u**2
+    return 1.0 - 3.0 * (u * u)
 
 
 def rh_speed(u_minus, u_plus):
     """Rankine-Hugoniot speed: chord slope s = 1 - (u_+^2 + u_+ u_- + u_-^2).
 
     Symmetric in its arguments; reduces to char_speed(u) when both states
-    coincide.  Raises DomainError where a Python float power overflows.
+    coincide.  Raises DomainError where the square of a finite state
+    overflows; a sum of finite squares that overflows gives -inf.
     """
-    try:
-        return 1.0 - (u_plus**2 + u_plus * u_minus + u_minus**2)
-    except OverflowError:
+    mm, pp = u_minus * u_minus, u_plus * u_plus
+    s = 1.0 - (pp + u_plus * u_minus + mm)
+    if not np.isfinite(s).all() and np.any(
+            np.isinf(mm) & np.isfinite(u_minus)
+            | np.isinf(pp) & np.isfinite(u_plus)):
         raise DomainError(f"invalid rh_speed: the square of u_minus={u_minus!r} "
-                          f"or u_plus={u_plus!r} overflows") from None
+                          f"or u_plus={u_plus!r} overflows")
+    return s
 
 
 def classify_shock(u_minus, u_plus):

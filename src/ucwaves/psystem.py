@@ -86,14 +86,15 @@ def psys_locus(b, A, v_minus=0.0):
     _check_cubes(f"psys_locus at b={b!r}, A={A!r}", u_minus=u_minus)
     u_plus = b * u_minus
     u_zero = -(u_minus + u_plus)
-    s = -math.sqrt(u_plus**2 + u_plus * u_minus + u_minus**2)
+    s = -math.sqrt(u_plus * u_plus + u_plus * u_minus + u_minus * u_minus)
     k = 1.0 / math.sqrt(-2.0 * A * s)
     v_plus = v_minus - s * (u_plus - u_minus)
     return PSystemLocusPoint(b, A, u_minus, u_plus, u_zero, s, k, v_minus, v_plus)
 
 
 def _u_minus(b, A):
-    return 2.0 / (9.0 * (1.0 + b) ** 2) * math.sqrt(b * b + b + 1.0) / A
+    y = 1.0 + b
+    return 2.0 / (9.0 * (y * y)) * math.sqrt(b * b + b + 1.0) / A
 
 
 def psys_kinetic_u_plus(u_minus, A):

@@ -1,5 +1,8 @@
+import ast
 import gc
+import inspect
 import math
+import textwrap
 import weakref
 
 import numpy as np
@@ -17,7 +20,10 @@ from ucwaves import (
     TWProblem,
     Verdict,
     a_tilde,
+    char_speed,
+    discriminant,
     eigenvalues,
+    entropy_integral,
     equilibria,
     locus_point,
     parabola_residual,
@@ -26,9 +32,10 @@ from ucwaves import (
     rh_speed,
     shoot_unstable,
     solve,
+    u_plus_bounds,
     verify_solution,
 )
-from ucwaves import phaseplane
+from ucwaves import kinetics, phaseplane, psystem
 from ucwaves.errors import DomainError
 from ucwaves.phaseplane import SEED_OFFSET, STIFF_RATIO, jacobian
 from ucwaves.psystem import resolved_parabola_coefficient
@@ -276,14 +283,43 @@ def test_lax_profile_fails_beyond_kinetic_threshold():
         _assert_lax_orbit_starts_at_its_saddle(res, -0.8)
 
 
+def _same_bits(f, *args):
+    """Whether f of floats and f of one-element arrays agree to the bit."""
+    return (np.float64(f(*args)).tobytes()
+            == f(*(np.array([x]) for x in args))[0].tobytes())
+
+
 @settings(max_examples=200, deadline=None)
-@given(u=st.floats(-2.0, 2.0))
-@example(u=1.740289695151073)  # P: u**3 of a float (libm pow) != the array's
-@example(u=1.9686715461435784)  # dP: u**2 of a float != numpy's u*u
-def test_lienard_forms_give_a_float_and_an_array_the_same_bits(u):
+@given(u=st.floats(-2.0, 2.0), w=st.floats(-2.0, 2.0))
+@example(u=1.740289695151073, w=0.0)  # P: u**3 of a float (libm pow) != the array's
+@example(u=1.9686715461435784, w=0.0)  # dP: u**2 of a float != numpy's u*u
+@example(u=-1.0798461936420436, w=0.29864772598326583)  # char_speed, rh_speed
+@example(u=0.8752956962632124, w=1.5152512010219268)  # entropy_integral
+@example(u=1.4873696142784607, w=0.0)  # discriminant: (a - 1)**2
+def test_lienard_forms_give_a_float_and_an_array_the_same_bits(u, w):
     for form in (TWProblem(0.4, 0.3, 0.2), psys_locus(-0.7, 2.0)):
         for f in (form.P, form.dP):
-            assert np.float64(f(u)).tobytes() == f(np.array([u]))[0].tobytes()
+            assert _same_bits(f, u)
+    assert _same_bits(char_speed, u)
+    assert _same_bits(rh_speed, u, w)
+    assert _same_bits(entropy_integral, u, w)
+    if u != 1.0:  # the pole
+        assert _same_bits(lambda a: discriminant(a, 0.4), u)
+
+
+#: the closed forms that take only floats, and so are held to products by
+#: their source: a float's power calls libm's pow, which is not correctly
+#: rounded, so the figures built on them could change with the host's libm
+_FLOAT_ONLY_FORMS = [a_tilde, kinetics._locus_point, u_plus_bounds,
+                     kinetics.kinetic_u_plus_candidates, psys_locus,
+                     psystem._u_minus]
+
+
+@pytest.mark.parametrize("f", _FLOAT_ONLY_FORMS, ids=lambda f: f.__name__)
+def test_float_only_closed_forms_take_no_powers(f):
+    tree = ast.parse(textwrap.dedent(inspect.getsource(f)))
+    assert not [node for node in ast.walk(tree)
+                if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)]
 
 
 def _series(form, u_s, toward, lam):
