@@ -475,6 +475,14 @@ def _graph_orbit(u, v, verdict, dist):
                        float(dist))
 
 
+def _v_scale(form, u_from, u_to, lam):
+    """max(1, span*rate), the scale of v on an orbit leaving u_from toward
+    u_to with eigenvalue lam, as in _manifold_series: v grows like span^2
+    on the p-system, where past |u| ~ 1e4 its rounding passes
+    CONNECTION_TOL."""
+    return max(1.0, abs(u_to - u_from) * (abs(lam) + abs(form.T)))
+
+
 def shoot_saddle_connection(form, u_from, u_to, vmax=V_BOX):
     """Bidirectional saddle-saddle shooting for the Lienard form ``form``.
 
@@ -514,7 +522,7 @@ def shoot_saddle_connection(form, u_from, u_to, vmax=V_BOX):
     # both arcs end exactly at the midpoint section; keep one copy
     uu = np.concatenate([uf, ub[::-1][1:]])
     vv = np.concatenate([vf, vb[::-1][1:]])
-    if abs(defect) < CONNECTION_TOL:
+    if abs(defect) < CONNECTION_TOL * _v_scale(form, u_from, u_to, lam_u):
         return _graph_orbit(uu, vv, Verdict.CONNECTS, abs(defect))
     verdict = Verdict.MISSES_ABOVE if defect > 0 else Verdict.MISSES_BELOW
     return _graph_orbit(uu, vv, verdict, closest)

@@ -157,6 +157,23 @@ def test_shoot_connects_at_large_states(b, A):
     assert res.terminal_distance < 1e-6
 
 
+@pytest.mark.parametrize("b,A", [(-0.6, 1e-5), (-0.55, 1e-8), (-0.8, 1e-40)])
+def test_shoot_judges_the_defect_on_the_scale_of_its_orbit(b, A):
+    # |u_-| from 1.2e5 to 1.3e40: v ~ span^2, and the matching defect of the
+    # connection is rounding far above an absolute 1e-6; judged against
+    # CONNECTION_TOL * span * rate, the locus connects and u_+ moved by 5%
+    # or 1e-3 (relative) misses
+    from dataclasses import replace
+    p = psys_locus(b, A)
+    assert psys_shoot(p).verdict is Verdict.CONNECTS
+    for fac in (1.05, 0.95, 1.001, 0.999):
+        up = p.u_plus * fac
+        s = -math.sqrt(up * up + up * p.u_minus + p.u_minus * p.u_minus)
+        q = replace(p, u_plus=up, s=s, u_zero=-(p.u_minus + up),
+                    k=1 / math.sqrt(-2 * p.A * s))
+        assert psys_shoot(q).verdict is not Verdict.CONNECTS
+
+
 def test_shoot_rejects_perturbed():
     # down to u_+ moved by 1e-3 (relative), at two A
     from dataclasses import replace
