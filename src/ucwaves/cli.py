@@ -205,13 +205,27 @@ def _cmd_kinetics(args, params):
                 {"u_plus": p.u_plus, "a": p.a, "branch": p.branch.value,
                  "s": p.s} for p in cands]})
     n_points = _count("points", 101 if args.points is None else args.points)
-    points = []
+    rows = []
     for g in args.gamma if isinstance(args.gamma, tuple) else [args.gamma]:
         a_values = (_parse_sweep(args.sweep_a) if args.sweep_a is not None
                     else np.linspace(0.5, kinetics.a_tilde(g), n_points))
-        points += [p for p in kinetics.locus_sweep(g, a_values)
-                   if args.branch in ("both", p.branch.value)]
-    return _records(params, kinetics.KineticPoint, points)
+        rows += _locus_rows(g, a_values, args.branch)
+    return _csv_rows(params, [f.name for f in dataclasses.fields(
+        kinetics.KineticPoint)], rows)
+
+
+def _locus_rows(gamma, a_values, branch):
+    """The CSV rows of ``locus_sweep(gamma, a_values)`` on ``branch`` (or
+    "both"), from its columns: the text of each ratio and of its gamma and
+    endpoint is made once for both branches."""
+    a, ends, columns = kinetics._sweep(gamma, a_values)
+    heads = [f"{x:{FLOAT_FMT}}," for x in a]
+    tails = [f",{gamma:{FLOAT_FMT}},{end or ''}" for end in ends]
+    return [f"{head}{name},{um:{FLOAT_FMT}},{u0:{FLOAT_FMT}},"
+            f"{up:{FLOAT_FMT}},{s:{FLOAT_FMT}}{tail}"
+            for name, cols in zip((b.value for b in Branch), columns)
+            if branch in ("both", name)
+            for head, um, u0, up, s, tail in zip(heads, *cols, tails)]
 
 
 def _cmd_phase(args, params):

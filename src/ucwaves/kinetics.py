@@ -134,17 +134,31 @@ def _locus_point(a, gamma, branch, at):
     a = min(max(a, 0.5), at)
     if a == 1.0:  # a_tilde rounds to 1 for gamma below about 1e-16
         raise PoleError("discriminant has a pole at a = 1")
+    if gamma * gamma < sys.float_info.min:
+        raise DomainError(f"gamma={gamma!r} is too small: its square is "
+                          "subnormal, and with it s or q")
+    u_minus, u_zero, u_plus, s = map(float, _locus_graph(a, gamma, branch))
+    return KineticPoint(a, branch, u_minus, u_zero, u_plus, s, gamma,
+                        _endpoint(a, at))
+
+
+def _locus_graph(a, gamma, branch):
+    """(u_-, u_0, u_+, s) on the branch at the ratios a, a float or an array
+    in [1/2, a_tilde] that holds no pole a = 1, for a gamma whose square is
+    normal (below, s or q loses its digits, and s underflows to 0 under
+    1e-162).  Only products, sqrt, + - * / and a minimum: an array gives the
+    bits of each of its floats.
+    """
     # 1 - D <= 1 on [1/2, a_tilde]; above 1 it is rounding, about
     # 2e-16/(1 - a) next to a_tilde, which nears the pole a = 1 as gamma -> 0
-    one_minus_d = min((8.0 / 9.0) * (gamma * gamma)
-                      * (1.0 + a / ((a - 1.0) * (a - 1.0))), 1.0)
-    sigma = one_minus_d / (2.0 * (1.0 + math.sqrt(1.0 - one_minus_d)))
+    one_minus_d = np.minimum((8.0 / 9.0) * (gamma * gamma)
+                             * (1.0 + a / ((a - 1.0) * (a - 1.0))), 1.0)
+    sigma = one_minus_d / (2.0 * (1.0 + np.sqrt(1.0 - one_minus_d)))
     s, q = (sigma, 1.0 - sigma) if branch is Branch.PLUS else (1.0 - sigma, sigma)
-    w = -math.sqrt(2.0) / 3.0 * gamma / math.sqrt(s)
-    u_plus = 0.5 * (w - math.sqrt(4.0 * q - 3.0 * w * w))
+    w = -math.sqrt(2.0) / 3.0 * gamma / np.sqrt(s)
+    u_plus = 0.5 * (w - np.sqrt(4.0 * q - 3.0 * w * w))
     u_minus = -a * u_plus
-    return KineticPoint(a, branch, u_minus, -(u_minus + u_plus), u_plus, s,
-                        gamma, _endpoint(a, at))
+    return u_minus, -(u_minus + u_plus), u_plus, s
 
 
 def _endpoint(a, at):
@@ -304,7 +318,27 @@ def entropy_integral(u_minus, u_plus):
 def locus_sweep(gamma, a_values):
     """Plus, then minus branch at the distinct a_values clipped to a_tilde,
     in increasing order; gamma is checked once, an a < 1/2 is a DomainError."""
+    a, ends, columns = _sweep(gamma, a_values)
+    return [KineticPoint(x, branch, u_minus, u_zero, u_plus, s, gamma, end)
+            for branch, cols in zip(Branch, columns)
+            for x, end, u_minus, u_zero, u_plus, s in zip(a, ends, *cols)]
+
+
+def _sweep(gamma, a_values):
+    """The ratios a of ``locus_sweep(gamma, a_values)``, their endpoint flags
+    and, for each branch in the order of Branch, the columns u_-, u_0, u_+
+    and s, all lists of floats: one array pass of _locus_graph a branch.
+    Raises what _locus_point raises at the first ratio it refuses."""
     at = a_tilde(gamma)
     grid = sorted({min(float(a), at) for a in a_values})
-    return [_locus_point(a, gamma, branch, at)
-            for branch in (Branch.PLUS, Branch.MINUS) for a in grid]
+    raw = np.array(grid, dtype=float)
+    a = np.minimum(np.maximum(raw, 0.5), at)
+    # the ratios _locus_point refuses, and every ratio if it refuses gamma
+    refused = (~((0.5 - _A_ENDPOINT_ATOL <= raw) & (raw <= at + _A_ENDPOINT_ATOL))
+               | (a == 1.0) | (gamma * gamma < sys.float_info.min))
+    if refused.any():
+        _locus_point(grid[refused.argmax()], gamma, Branch.PLUS, at)
+    ratios = a.tolist()
+    return (ratios, [_endpoint(x, at) for x in ratios],
+            [[c.tolist() for c in _locus_graph(a, gamma, branch)]
+             for branch in Branch])

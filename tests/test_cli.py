@@ -1,7 +1,9 @@
+import hashlib
 import json
 import math
 import os
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from ucwaves import (
     Branch,
     kinetic_u_minus,
     kinetics,
+    locus_point,
     pde,
     phaseplane,
     psys_locus,
@@ -25,6 +28,8 @@ from ucwaves.cli import (
     _cell,
     _csv,
     _json,
+    _parse_sweep,
+    _records,
     build_parser,
     main,
 )
@@ -146,6 +151,39 @@ def test_fig2_rows_are_the_kinetics_sweep_of_each_gamma(tmp_path):
             == _data_rows(out), gamma
     # a_tilde(sqrt(3/8)) rounds to the float after 1/2: two ratios a branch
     assert len(rows) == 9 * 2 * 101 + 2 * 2
+
+
+def _echo(text):
+    """The echoed parameters of a CLI artifact, {name: text}."""
+    return dict(ln[2:].split(" = ", 1) for ln in text.splitlines()
+                if ln.startswith("# "))
+
+
+def test_kinetics_sweep_csv_is_the_csv_of_its_points(tmp_path):
+    # rows joined from the columns equal _records over locus_sweep's points;
+    # the sweep starts 1e-13 below 1/2 (clipped to it) and runs past a_tilde
+    out = tmp_path / "sweep.csv"
+    sweep = "0.4999999999999:0.99:0.0173"
+    assert run_cli(["kinetics", "--gamma", "0.3", f"--sweep-a={sweep}",
+                    "--branch", "minus", "--output", str(out)]) == 0
+    text = out.read_text()
+    points = [p for p in kinetics.locus_sweep(0.3, _parse_sweep(sweep))
+              if p.branch is Branch.MINUS]
+    assert {p.endpoint for p in points} == {"a_half", None, "a_tilde"}
+    assert text == _records(_echo(text), kinetics.KineticPoint, points)
+
+
+def test_fig2_cells_are_the_text_of_their_locus_points(tmp_path):
+    out = tmp_path / "fig2.csv"
+    assert run_cli(["kinetics", "--preset", "fig2", "--output", str(out)]) == 0
+    text = out.read_text()
+    points = []
+    for gamma in PRESETS["kinetics"]["fig2"]["gamma"]:
+        at = kinetics.a_tilde(gamma)
+        grid = sorted({min(a, at) for a in np.linspace(0.5, at, 101).tolist()})
+        points += [locus_point(a, gamma, branch) for branch in Branch
+                   for a in grid]
+    assert text == _records(_echo(text), kinetics.KineticPoint, points)
 
 
 def test_gamma_flag_wins_over_fig2(tmp_path):
@@ -558,7 +596,7 @@ PHASE = ["--gamma", "0.40824829", "--u-minus", "0.3285142", "--u-plus=-0.5475237
 #: function that does the work)
 _WORK = {
     "kinetics-o": (["kinetics", "--preset", "fig2"], "-o",
-                   kinetics, "locus_sweep"),
+                   kinetics, "_sweep"),
     "riemann-o": (["riemann", "--preset", "fig3"], "-o",
                   riemann, "classify_plane"),
     "psystem-o": (["psystem", "--preset", "fig5"], "-o",
@@ -791,6 +829,26 @@ def test_preset_fig5(tmp_path):
     assert rc == 0
     rows = [ln for ln in out.read_text().splitlines() if not ln.startswith("#")]
     assert len(rows) == 1 + 11
+
+
+#: sha256 of the fig1, fig2, fig3 and fig5 artifacts, as ``sha256sum`` writes
+#: them; README "Reproducing the figures" says how to re-baseline.  fig4
+#: (tanh, exp, FFT and LAPACK in the PDE run) is not pinned.
+PRESET_DIGESTS = Path(__file__).with_name("preset_digests.sha256")
+
+
+def test_presets_keep_their_committed_digests(tmp_path):
+    pinned = dict(line.split()[::-1] for line in
+                  PRESET_DIGESTS.read_text().splitlines())
+    assert sorted(pinned) == ["fig1.csv", "fig2.csv", "fig3.csv", "fig5.csv"]
+    got = {}
+    for name in pinned:
+        preset = name.removesuffix(".csv")
+        command = next(c for c, presets in PRESETS.items() if preset in presets)
+        out = tmp_path / name
+        assert run_cli([command, "--preset", preset, "-o", str(out)]) == 0
+        got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == pinned
 
 
 def test_write_csv_text_format():

@@ -331,6 +331,53 @@ def test_locus_sweep_errors():
         locus_sweep(0.7, [0.6])
 
 
+def _point_bits(p):
+    """A KineticPoint with each float as its bytes: -0.0 and NaN compare."""
+    return (p.branch, p.endpoint) + tuple(
+        np.float64(v).tobytes()
+        for v in (p.a, p.u_minus, p.u_zero, p.u_plus, p.s, p.gamma))
+
+
+def _sweep_of_locus_points(gamma, a_values):
+    """The locus sweep point by point, as it was written before its array
+    pass: the outcome, a list of points or the error raised."""
+    try:
+        at = a_tilde(gamma)
+        grid = sorted({min(float(a), at) for a in a_values})
+        return [locus_point(a, gamma, branch) for branch in Branch for a in grid]
+    except (DomainError, NoLocusError, PoleError) as exc:
+        return exc
+
+
+@settings(max_examples=200, deadline=None)
+@given(gamma=st.one_of(st.floats(0.0, GAMMA_MAX, exclude_min=True),
+                       st.floats(math.log(1e-170), 0.0).map(math.exp)
+                       .filter(lambda g: g <= GAMMA_MAX)),
+       fractions=st.lists(st.floats(0.0, 2.0), max_size=40),
+       below_half=st.lists(st.floats(0.5 - 2e-12, 0.5), max_size=2))
+@example(gamma=GAMMA, fractions=[0.0, 1.0, 1.5], below_half=[])
+@example(gamma=GAMMA_MAX, fractions=[0.3, 1.0], below_half=[0.5 - 1e-12])
+@example(gamma=1e-17, fractions=[0.5], below_half=[])  # a_tilde rounds to 1
+@example(gamma=1e-160, fractions=[0.5], below_half=[])  # gamma^2 subnormal
+def test_locus_sweep_is_its_locus_points_to_the_bit(gamma, fractions,
+                                                   below_half):
+    # ratios across [1/2, a_tilde] and past it (clipped), 1/2 and a_tilde
+    # themselves, and ratios at most 2e-12 below 1/2 (clipped, or refused)
+    at = a_tilde(gamma)
+    a_values = ([0.5, at] + [0.5 + f * (at - 0.5) for f in fractions]
+                + below_half)
+    expected = _sweep_of_locus_points(gamma, a_values)
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as exc:
+            locus_sweep(gamma, a_values)
+        assert str(exc.value) == str(expected)
+        return
+    got = locus_sweep(gamma, np.array(a_values))
+    assert list(map(_point_bits, got)) == list(map(_point_bits, expected))
+    assert {type(v) for p in got
+            for v in (p.a, p.u_minus, p.u_zero, p.u_plus, p.s)} == {float}
+
+
 @pytest.mark.parametrize("gamma", [1e-3, 0.3, GAMMA, 0.6])
 def test_locus_sweep_points_are_locus_points_in_floats(gamma):
     for p in locus_sweep(gamma, np.linspace(0.5, a_tilde(gamma), 17)):
