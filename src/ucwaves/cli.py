@@ -14,7 +14,10 @@ win.  ``--preset`` then fills, from ``PRESETS``, every option still unset.
 output path the command takes, and only then runs its handler.  A handler
 only computes: it returns the text of its ``-o`` artifact, JSON or CSV, and
 ``main`` writes it.  The echo holds every option that has a value except
-the output-routing names in ``_NOT_ECHOED``.
+the output-routing names in ``_NOT_ECHOED``.  The two large CSVs, the
+``kinetics`` sweeps and the ``riemann`` pattern map, join their rows from
+the columns of one array pass and format each shared value once; every
+cell has the text ``_cell`` gives it.
 """
 
 import argparse

@@ -24,7 +24,11 @@ the small one of s and q keeps its digits on both branches, and the a = 1/2
 end of the minus branch equals the upper end of u_plus_bounds to rounding.
 The locus is still parametrised by a: next to a_tilde, sqrt(D) magnifies
 the rounding of a, and once gamma is below about 1e-16, a_tilde rounds to
-the pole a = 1.
+the pole a = 1.  locus_point and locus_sweep share this graph
+(_locus_graph), which uses only products, sqrt, + - * / and a minimum, so
+locus_sweep evaluates a branch in one array pass and gets the bits of each
+point.  No closed form here takes a float power: a float's x**2 calls
+libm's pow, which is not correctly rounded, where an array squares by x*x.
 
 Both kinetic maps solve the pairing equation in w = u_- + u_+, given one
 known state k (u_+ for kinetic_u_minus, u_- for kinetic_u_plus_candidates):
@@ -135,8 +139,8 @@ def _locus_point(a, gamma, branch, at):
     if a == 1.0:  # a_tilde rounds to 1 for gamma below about 1e-16
         raise PoleError("discriminant has a pole at a = 1")
     if gamma * gamma < sys.float_info.min:
-        raise DomainError(f"gamma={gamma!r} is too small: its square is "
-                          "subnormal, and with it s or q")
+        raise DomainError(f"gamma={gamma!r} is too small for the locus: "
+                          "its square is subnormal")
     u_minus, u_zero, u_plus, s = map(float, _locus_graph(a, gamma, branch))
     return KineticPoint(a, branch, u_minus, u_zero, u_plus, s, gamma,
                         _endpoint(a, at))

@@ -475,14 +475,6 @@ def _graph_orbit(u, v, verdict, dist):
                        float(dist))
 
 
-def _v_scale(form, u_from, u_to, lam):
-    """max(1, span*rate), the scale of v on an orbit leaving u_from toward
-    u_to with eigenvalue lam, as in _manifold_series: v grows like span^2
-    on the p-system, where past |u| ~ 1e4 its rounding passes
-    CONNECTION_TOL."""
-    return max(1.0, abs(u_to - u_from) * (abs(lam) + abs(form.T)))
-
-
 def shoot_saddle_connection(form, u_from, u_to, vmax=V_BOX):
     """Bidirectional saddle-saddle shooting for the Lienard form ``form``.
 
@@ -491,7 +483,8 @@ def shoot_saddle_connection(form, u_from, u_to, vmax=V_BOX):
     exit along the T-eigendirection, which needs T > 0).  Marches the
     unstable-manifold graph from u_from and the stable-manifold graph from
     u_to to the midpoint section and compares them there; they connect when
-    the defect is below CONNECTION_TOL.
+    the defect is below CONNECTION_TOL times the orbit's v-scale max(1,
+    span*rate), the scale of the launch's series (``_manifold_series``).
     """
     _check_equilibria(form, u_from=u_from, u_to=u_to)
     if form.dP(u_from) < -1e-9 or form.dP(u_to) <= 0.0:
@@ -522,7 +515,10 @@ def shoot_saddle_connection(form, u_from, u_to, vmax=V_BOX):
     # both arcs end exactly at the midpoint section; keep one copy
     uu = np.concatenate([uf, ub[::-1][1:]])
     vv = np.concatenate([vf, vb[::-1][1:]])
-    if abs(defect) < CONNECTION_TOL * _v_scale(form, u_from, u_to, lam_u):
+    # v grows like span^2 on the p-system, where an absolute tolerance reads
+    # the rounding of the defect past |u| ~ 1e4
+    v_scale = max(1.0, abs(u_to - u_from) * (abs(lam_u) + abs(form.T)))
+    if abs(defect) < CONNECTION_TOL * v_scale:
         return _graph_orbit(uu, vv, Verdict.CONNECTS, abs(defect))
     verdict = Verdict.MISSES_ABOVE if defect > 0 else Verdict.MISSES_BELOW
     return _graph_orbit(uu, vv, verdict, closest)
