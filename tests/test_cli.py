@@ -267,12 +267,10 @@ def test_riemann_map_csv_is_the_csv_of_its_columns(tmp_path):
     assert run_cli(["riemann", "--gamma", GAMMA6, "--classify-grid=-1.2:1.2:7,-1:-0:5",
                     "--output", str(out)]) == 0
     text = out.read_text()
-    params = dict(ln[2:].split(" = ", 1) for ln in text.splitlines()
-                  if ln.startswith("# "))
     u_l, u_r = np.linspace(-1.2, 1.2, 7), np.linspace(-1.0, -0.0, 5)
     assert math.copysign(1.0, u_r[-1]) == -1.0
     pat = riemann.classify_plane(float(GAMMA6), u_l, u_r)
-    assert text == _csv(params, {"u_left": np.repeat(u_l, 5),
+    assert text == _csv(_echo(text), {"u_left": np.repeat(u_l, 5),
                                  "u_right": np.tile(u_r, 7),
                                  "pattern": pat.ravel().tolist()})
     assert "\n-1.2,-0,R\n" in text
