@@ -830,8 +830,9 @@ def test_preset_fig5(tmp_path):
 
 
 #: sha256 of the fig1, fig2, fig3 and fig5 artifacts, as ``sha256sum`` writes
-#: them; README "Reproducing the figures" says how to re-baseline.  fig4
-#: (tanh, exp, FFT and LAPACK in the PDE run) is not pinned.
+#: them; README ("Command line", after the preset commands) says how to
+#: re-baseline.  fig4 (tanh, exp, FFT and LAPACK in the PDE run) is not
+#: pinned.
 PRESET_DIGESTS = Path(__file__).with_name("preset_digests.sha256")
 
 
