@@ -1,0 +1,34 @@
+"""scipy's entry points, each imported on its first call.
+
+Importing ``scipy.optimize``, ``scipy.integrate`` or ``scipy.linalg`` takes
+several times as long as a closed-form command or a periodic simulation
+runs, and those never call scipy.  So the package imports numpy only, and
+the modules bind these forwarders under scipy's names: ``kinetics.brentq``,
+``psystem.brentq``, ``pde.solve_banded`` and ``phaseplane.solve_ivp`` stay
+module attributes that every call goes through.  A forwarder keeps scipy's
+function once it has imported it: an import statement on every call would
+cost about 1 us, against 41 us for a Dirichlet solve.
+"""
+
+import importlib
+
+
+def _imported_on_first_call(module, name):
+    """A function that imports ``module.name`` on its first call and
+    forwards every call to it."""
+    target = None
+
+    def forward(*args, **kwargs):
+        nonlocal target
+        if target is None:
+            target = getattr(importlib.import_module(module), name)
+        return target(*args, **kwargs)
+
+    forward.__name__ = forward.__qualname__ = name
+    forward.__doc__ = f"``{module}.{name}``, imported on the first call."
+    return forward
+
+
+brentq = _imported_on_first_call("scipy.optimize", "brentq")
+solve_banded = _imported_on_first_call("scipy.linalg", "solve_banded")
+solve_ivp = _imported_on_first_call("scipy.integrate", "solve_ivp")

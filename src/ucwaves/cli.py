@@ -41,7 +41,8 @@ FLOAT_FMT = ".17g"
 
 _GAMMA6 = 1.0 / math.sqrt(6.0)
 
-#: the most points a --sweep-a or --sweep-b range may hold
+#: the most points a --sweep-a or --sweep-b range, a --points branch or a
+#: --classify-grid may hold
 _MAX_SWEEP = 10**6
 
 #: The reference figures' options, {command: {preset: {option: value}}}.  A
@@ -174,21 +175,24 @@ def _parse_sweep(arg):
 
 
 def _count(name, n):
-    """A number of points, which must be at least 1."""
-    if n < 1:
-        raise DomainError(f"{name}={n!r} (must be >= 1)")
+    """A number of points, which must be at least 1 and at most _MAX_SWEEP."""
+    if not 1 <= n <= _MAX_SWEEP:
+        raise DomainError(f"{name}={n!r} (must be >= 1 and <= {_MAX_SWEEP})")
     return n
 
 
 def _parse_grid(arg):
-    """uLmin:uLmax:n,uRmin:uRmax:n, the two axes of the classification grid."""
+    """uLmin:uLmax:n,uRmin:uRmax:n, the two axes of the classification grid,
+    of at most _MAX_SWEEP cells."""
     try:
         (l0, l1, nl), (r0, r1, nr) = (axis.split(":") for axis in arg.split(","))
-        return (np.linspace(float(l0), float(l1), _count("grid n", int(nl))),
-                np.linspace(float(r0), float(r1), _count("grid n", int(nr))))
+        l0, l1, nl, r0, r1, nr = (float(l0), float(l1), int(nl),
+                                  float(r0), float(r1), int(nr))
     except ValueError:
         raise UCWavesError(
             f"bad grid {arg!r}; expected uLmin:uLmax:n,uRmin:uRmax:n")
+    _count("grid cells", _count("grid n", nl) * _count("grid n", nr))
+    return np.linspace(l0, l1, nl), np.linspace(r0, r1, nr)
 
 
 # ---------------------------------------------------------------------------

@@ -55,8 +55,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._scipy import brentq
 from .errors import DomainError, NoLocusError, PoleError, _check_finite
 from .model import rh_speed
 

@@ -113,9 +113,10 @@ def dispersion_lambda(u_bar, beta, mu, xi):
     denominator vanishes at xi = 1/sqrt(-mu) (raises PoleError) and
     Re(lambda) > 0 beyond it.
     """
-    denom = 1.0 + mu * xi**2
+    xi2 = xi * xi
+    denom = 1.0 + mu * xi2
     if denom == 0.0:
         raise PoleError(
             f"dispersion relation has a pole at xi = 1/sqrt(-mu) = {xi}"
         )
-    return (-1j * xi * char_speed(u_bar) - beta * xi**2) / denom
+    return (-1j * xi * char_speed(u_bar) - beta * xi2) / denom

@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.linalg import solve_banded
 
+from ._scipy import solve_banded
 from .errors import (DomainError, SimulationDivergedError, _check_cubes,
                      _check_finite, _not_finite)
 from .kinetics import KineticPoint
@@ -188,7 +188,7 @@ def default_dt(cfg: SimConfig):
     if mu < 0:
         return DEFAULT_CFL * dx / amax
     bound_im = min(amax / (2.0 * np.sqrt(mu)), amax / dx)
-    bound_re = min(cfg.beta / mu, 4.0 * cfg.beta / dx**2)
+    bound_re = min(cfg.beta / mu, 4.0 * cfg.beta / (dx * dx))
     return DEFAULT_SYMBOL_SAFETY * _RK4_REAL_LIMIT / (bound_im + bound_re)
 
 
@@ -213,10 +213,10 @@ class _Operator:
         self.left, self.right = _GHOSTS[cfg.bc]
         _, self.dx = x_grid(cfg)
         n, dx, mu = cfg.nx, self.dx, cfg.mu
-        self.dx2, self.two_dx = dx**2, 2.0 * dx
+        self.dx2, self.two_dx = dx * dx, 2.0 * dx
         if cfg.bc is BoundaryCondition.PERIODIC:
             modes = np.fft.rfftfreq(n, d=1.0 / n)  # 0..n/2
-            lam = (2.0 * np.cos(2.0 * np.pi * modes / n) - 2.0) / dx**2
+            lam = (2.0 * np.cos(2.0 * np.pi * modes / n) - 2.0) / self.dx2
             self.symbol = 1.0 - mu * lam
             if np.any(np.abs(self.symbol) < 1e-14):
                 raise DomainError(
@@ -225,7 +225,7 @@ class _Operator:
             self.solve = self._solve_fft
             return
         ab = np.zeros((3, n))
-        r = mu / dx**2
+        r = mu / self.dx2
         ab[1, :] = 1.0 + 2.0 * r
         ab[0, 1:] = -r
         ab[2, :-1] = -r

@@ -39,13 +39,18 @@ of CONNECTION_TOL of the node and misses outside the box.  Two steppers feed
 it: scipy's compiled DOP853 (``scipy.integrate.ode``, whose per-step cost is
 a fraction of ``solve_ivp``'s on a 2-vector) and scipy's ``BDF`` stepped
 directly.  Only the graph march runs through ``solve_ivp``, whose events
-locate the fold inside the step.  A shot that spends more than MAX_NFEV
+locate the fold inside the step.  scipy is imported on the first shot, not
+with the module: the march calls ``solve_ivp`` through the forwarder of
+``ucwaves._scipy``, the stiff branch imports ``BDF``, and the one compiled
+integrator of the process is made by ``_compiled_dop853`` on the first
+compiled shot.  A shot that spends more than MAX_NFEV
 right-hand-side evaluations raises ``ShootingBudgetError``; a backward shot
 stiffer than MAX_STIFF_RATIO, where BDF itself fails, raises
 ``DegenerateSpeedError`` before it starts.  So does an end that is not an
 equilibrium of the form to within the seed offset (``DomainError``).
 """
 
+import functools
 import math
 import operator
 import threading
@@ -54,8 +59,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.integrate import BDF, ode, solve_ivp
 
+from ._scipy import solve_ivp
 from .errors import (
     DegenerateSpeedError,
     DomainError,
@@ -179,7 +184,7 @@ def equilibria(u_minus, s):
     returned once (sorted tuple).
     """
     roots = [u_minus]
-    disc = 4.0 * (1.0 - s) - 3.0 * u_minus**2
+    disc = 4.0 * (1.0 - s) - 3.0 * (u_minus * u_minus)
     if disc >= 0.0:
         r = np.sqrt(disc)
         roots += [0.5 * (-u_minus + r), 0.5 * (-u_minus - r)]
@@ -250,8 +255,9 @@ class _Shot:
 #: keeps a reference to every right-hand side and integrator handed to it,
 #: so a closure per shot would leak its problem and trajectory (13.6 MB over
 #: 960 shots of one cell).  All shots share one field function instead, and
-#: all compiled shots one integrator, which read the shot from here;
-#: _SHOT_LOCK keeps two threads from running a shot at once.
+#: all compiled shots the one integrator of ``_compiled_dop853``, which read
+#: the shot from here; _SHOT_LOCK keeps two threads from running a shot at
+#: once, and from making that integrator twice.
 _shot = None
 _SHOT_LOCK = threading.Lock()
 
@@ -268,24 +274,31 @@ def _step_end(t, y):
     return -1 if _shot.stops(t, y) else 0
 
 
-# nsteps at the int32 limit: the evaluation budget, checked in _Shot.stops,
-# bounds a shot instead
-_DOP853 = ode(_reversed_field).set_integrator(
-    "dop853", rtol=RTOL, atol=ATOL, nsteps=2**31 - 1)
-_DOP853.set_solout(_step_end)
+@functools.cache
+def _compiled_dop853():
+    """The process's one compiled DOP853, made on the first compiled shot
+    (under _SHOT_LOCK), so that importing the package loads no scipy."""
+    from scipy.integrate import ode
+    # nsteps at the int32 limit: the evaluation budget, checked in
+    # _Shot.stops, bounds a shot instead
+    integrator = ode(_reversed_field).set_integrator(
+        "dop853", rtol=RTOL, atol=ATOL, nsteps=2**31 - 1)
+    integrator.set_solout(_step_end)
+    return integrator
 
 
 def _dop853(y0, horizon):
     """Run the shot from y0 on the shared compiled DOP853."""
-    _DOP853.set_initial_value(y0, 0.0)
+    integrator = _compiled_dop853()
+    integrator.set_initial_value(y0, 0.0)
     # IWORK(4) < 0 turns off DOP853's stiffness test, which scipy does not
     # expose: its interrupt (istate -4) would read as a miss.  A failed
     # step (istate < 0) warns; the shot reads it as a miss, so the warning
     # is silenced to keep stderr clean.
-    _DOP853._integrator.iwork[3] = -1
+    integrator._integrator.iwork[3] = -1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", UserWarning)
-        _DOP853.integrate(horizon)
+        integrator.integrate(horizon)
 
 
 def _step_through(solver):
@@ -308,6 +321,7 @@ def _backward_shot(form, node_u, y0, horizon, stiff):
         _shot = shot
         try:
             if stiff:
+                from scipy.integrate import BDF
                 _step_through(BDF(_reversed_field, 0.0, y0, horizon,
                                   rtol=RTOL, atol=ATOL,
                                   jac=lambda _, y: -jacobian(y[0], form)))

@@ -25,8 +25,7 @@ orientation.
 import math
 from dataclasses import dataclass, replace
 
-from scipy.optimize import brentq
-
+from ._scipy import brentq
 from .errors import (DomainError, NoLocusError, NoSaddleError, _check_cubes,
                      _check_finite)
 from .kinetics import _RTOL
@@ -146,7 +145,7 @@ def psys_shoot(point: PSystemLocusPoint):
         )
     k = resolved_parabola_coefficient(point)
     span = abs(point.u_minus - point.u_plus)
-    vmax = 50.0 * (1.0 + abs(k) * span**2)
+    vmax = 50.0 * (1.0 + abs(k) * (span * span))
     lower, upper = sorted((point.u_minus, point.u_plus))
     start, end = (lower, upper) if k < 0 else (upper, lower)
     return shoot_saddle_connection(point, start, end, vmax=vmax)

@@ -2,6 +2,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -718,6 +720,9 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     # u_+ is not an equilibrium at this speed
     ["phase", "--gamma", "0.40824829", "--u-minus", "0.3285142",
      "--u-plus=-0.5475237", "--s", "0.78"],
+    # more points than a sweep may hold, refused before any is made
+    ["kinetics", "--gamma", "0.4", "--points", "1000001"],
+    ["riemann", "--gamma", "0.4", "--classify-grid=-1:1:2000,-1:1:2000"],
 ])
 def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
     sim = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",
@@ -848,6 +853,42 @@ def test_presets_keep_their_committed_digests(tmp_path):
         assert run_cli([command, "--preset", preset, "-o", str(out)]) == 0
         got[name] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert got == pinned
+
+
+def _scipy_loaded_by(runs, tmp_path):
+    """The scipy modules a fresh interpreter holds after importing the
+    package and its CLI and running ``main`` on each argv of ``runs``."""
+    script = ("import json, sys\n"
+              "import ucwaves, ucwaves.cli\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    assert ucwaves.cli.main(argv) == 0, argv\n"
+              "print(json.dumps([m for m in sys.modules\n"
+              "                  if m.partition('.')[0] == 'scipy']))\n")
+    src = str(Path(kinetics.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True, check=True)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_closed_forms_and_periodic_runs_load_no_scipy(tmp_path):
+    runs = [["kinetics", "--preset", "fig1", "-o", "fig1.csv"],
+            ["kinetics", "--preset", "fig2", "-o", "fig2.csv"],
+            ["psystem", "--preset", "fig5", "-o", "fig5.csv"],
+            ["psystem", "--A", "4", "--b=-0.6", "-o", "psys.json"],
+            ["simulate", "--uL", "0.4", "--uR=-0.8", "--beta", "0.1",
+             "--mu", "0.06", "--x-min=-8", "--x-max", "8", "--nx", "64",
+             "--t-end", "0.1", "--bc", "periodic", "-o", "periodic.json"]]
+    assert _scipy_loaded_by(runs, tmp_path) == set()
+
+
+def test_dirichlet_run_loads_scipy_linalg_alone(tmp_path):
+    loaded = _scipy_loaded_by([["simulate", "--uL", "0.4", "--uR=-0.8", *SIM,
+                                "-o", "dirichlet.json"]], tmp_path)
+    assert "scipy.linalg" in loaded
+    assert not {"scipy.optimize", "scipy.integrate"} & loaded
 
 
 def test_write_csv_text_format():

@@ -3,6 +3,7 @@ import gc
 import inspect
 import math
 import textwrap
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -22,6 +23,7 @@ from ucwaves import (
     a_tilde,
     char_speed,
     discriminant,
+    dispersion_lambda,
     eigenvalues,
     entropy_integral,
     equilibria,
@@ -35,7 +37,7 @@ from ucwaves import (
     u_plus_bounds,
     verify_solution,
 )
-from ucwaves import kinetics, phaseplane, psystem
+from ucwaves import kinetics, pde, phaseplane, psystem
 from ucwaves.errors import DomainError
 from ucwaves.phaseplane import SEED_OFFSET, STIFF_RATIO, jacobian
 from ucwaves.psystem import resolved_parabola_coefficient
@@ -307,15 +309,17 @@ def test_lienard_forms_give_a_float_and_an_array_the_same_bits(u, w):
         assert _same_bits(lambda a: discriminant(a, 0.4), u)
 
 
-#: the closed forms that take only floats, and so are held to products by
+#: the closed forms that take only floats, and the float squares of the
+#: grid, the shot ends and the dispersion relation, held to products by
 #: their source: a float's power calls libm's pow, which is not correctly
 #: rounded, so the figures built on them could change with the host's libm
-_FLOAT_ONLY_FORMS = [a_tilde, kinetics._locus_point, u_plus_bounds,
+_NO_POWER_FORMS = [a_tilde, kinetics._locus_point, u_plus_bounds,
                      kinetics.kinetic_u_plus_candidates, psys_locus,
-                     psystem._u_minus]
+                     psystem._u_minus, pde.default_dt, pde._Operator,
+                     equilibria, psystem.psys_shoot, dispersion_lambda]
 
 
-@pytest.mark.parametrize("f", _FLOAT_ONLY_FORMS, ids=lambda f: f.__name__)
+@pytest.mark.parametrize("f", _NO_POWER_FORMS, ids=lambda f: f.__name__)
 def test_float_only_closed_forms_take_no_powers(f):
     tree = ast.parse(textwrap.dedent(inspect.getsource(f)))
     assert not [node for node in ast.walk(tree)
@@ -603,3 +607,37 @@ def test_compiled_shot_releases_its_problem():
         del prob
         gc.collect()
         assert first() is None
+
+
+def test_compiled_shots_share_one_integrator(monkeypatch):
+    made, factory = [], phaseplane._compiled_dop853
+
+    def recorded():
+        made.append(factory())
+        return made[-1]
+    monkeypatch.setattr(phaseplane, "_compiled_dop853", recorded)
+    for s in (0.01, 0.02):
+        assert _lax_shot(0.4, s).verdict is Verdict.CONNECTS
+    assert len(made) == 2 and made[0] is made[1]
+
+
+#: traced bytes that 100 compiled shots of one cell may leave behind: scipy
+#: 1.17 keeps about 64 B a shot (the argument list of each DOP853 reset),
+#: 9-10 kB over 100 shots with the shared integrator; one integrator per
+#: shot kept about 109 kB
+_HUNDRED_SHOTS_BYTES = 40_000
+
+
+def test_repeated_compiled_shots_hold_little_memory():
+    prob, saddle = _lax_problem(0.4, 0.01)
+    shoot_unstable(prob, saddle, 0.0, backward=True)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for _ in range(100):
+            shoot_unstable(prob, saddle, 0.0, backward=True)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < _HUNDRED_SHOTS_BYTES
