@@ -7,13 +7,14 @@ term bounds the symbol of the right-hand side independent of dx, so the
 default explicit step is set by beta, mu and max|f'|, not by the grid
 (``default_dt``).  mu < 0 (the linearly unstable regime) is accepted so
 the growth of short waves can be observed; the solve then loses diagonal
-dominance but remains an ordinary banded LU, and the default step falls
-back to a CFL step in dx.
+dominance but remains an ordinary pivoted LU (a singular one is refused),
+and the default step falls back to a CFL step in dx.
 
 One ghost-cell stencil serves every boundary condition, which only names
 the two values outside the grid.  Only the implicit solve differs: FFT
-diagonalization for periodic runs, banded LU with the condition's own
-boundary rows otherwise; the operator picks its solve once per config.
+diagonalization for periodic runs, a tridiagonal LU with the condition's
+own boundary rows otherwise.  The operator factors once per config (the
+symbol, or LAPACK's dgttrf), and each stage only solves (dgttrs).
 
 Each RK4 step allocates three work arrays and runs every stage in place, in
 the operation order of the textbook expressions, so profiles keep their bits
@@ -28,7 +29,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._scipy import solve_banded
+from ._scipy import dgttrf, dgttrs as solve_banded
 from .errors import (DomainError, SimulationDivergedError, _check_cubes,
                      _check_finite, _not_finite)
 from .kinetics import KineticPoint
@@ -204,8 +205,12 @@ _GHOSTS = {
 class _Operator:
     """u_t of one config (stencil and implicit solve) and its time step.
 
-    Cached per config and shared, so it holds no arrays a call writes to:
-    the caller passes the work arrays."""
+    The implicit operator I - mu*D2 is factored here, once per config: its
+    FFT symbol for periodic runs, otherwise its LU factors with partial
+    pivoting (LAPACK dgttrf), which every stage solves with (dgttrs).  A
+    singular operator (mu < 0 only) raises DomainError.  Cached per config
+    and shared, so it holds no arrays a call writes to: the caller passes
+    the work arrays."""
 
     def __init__(self, cfg: SimConfig):
         self.beta = cfg.beta
@@ -224,20 +229,20 @@ class _Operator:
                 )
             self.solve = self._solve_fft
             return
-        ab = np.zeros((3, n))
         r = mu / self.dx2
-        ab[1, :] = 1.0 + 2.0 * r
-        ab[0, 1:] = -r
-        ab[2, :-1] = -r
+        d = np.full(n, 1.0 + 2.0 * r)
+        du, dl = np.full(n - 1, -r), np.full(n - 1, -r)
         if cfg.bc is BoundaryCondition.DIRICHLET_FARFIELD:
-            ab[1, 0] = ab[1, -1] = 1.0
-            ab[0, 1] = ab[2, -2] = 0.0
+            d[0] = d[-1] = 1.0
+            du[0] = dl[-1] = 0.0
             self.solve = self._solve_pinned
         else:  # Neumann: the mirrored ghost doubles the inward coupling
-            ab[0, 1] = -2.0 * r
-            ab[2, -2] = -2.0 * r
+            du[0] = dl[-1] = -2.0 * r
             self.solve = self._solve_banded
-        self.ab = ab
+        *self.lu, info = dgttrf(dl, d, du)  # (dl, d, du, du2, ipiv)
+        if info > 0:
+            raise DomainError(f"mu < 0 pole lands on a mode of the {cfg.bc.value} grid "
+                              "(I - mu*D2 is singular); shift mu or the domain size")
 
     def _solve_fft(self, rhs):
         spec = np.fft.rfft(rhs)
@@ -245,7 +250,7 @@ class _Operator:
         return np.fft.irfft(spec, n=len(rhs))
 
     def _solve_banded(self, rhs):
-        return solve_banded((1, 1), self.ab, rhs, check_finite=False)
+        return solve_banded(*self.lu, rhs)[0]  # (x, info): x is a fresh array
 
     def _solve_pinned(self, rhs):
         rhs[0] = rhs[-1] = 0.0
@@ -497,7 +502,8 @@ def fit_front_speeds(cfg: SimConfig, result: SimResult, transient="linear"):
                 continue
             p = float(cands[np.argmin(np.abs(cands - anchor))])
             # reject jumps faster than any characteristic or chord speed
-            max_jump = 2.0 * max(1.0, float(np.abs(st.u).max())) ** 2
+            umax = max(1.0, float(np.abs(st.u).max()))
+            max_jump = 2.0 * umax * umax
             if abs(p - anchor) > max_jump * abs(t_anchor - st.t) + 2.0:
                 continue
             ts.append(st.t)

@@ -723,6 +723,10 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     # more points than a sweep may hold, refused before any is made
     ["kinetics", "--gamma", "0.4", "--points", "1000001"],
     ["riemann", "--gamma", "0.4", "--classify-grid=-1:1:2000,-1:1:2000"],
+    # mu < 0 makes I - mu*D2 singular on this grid: refused as it is factored
+    *(["simulate", "--mu=-0.5", "--x-min", "0", "--x-max", "2", "--nx", "3",
+       "--steepness", "1", "--dt", "0.05", "--bc", bc]
+      for bc in ("dirichlet_farfield", "neumann")),
 ])
 def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
     sim = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",

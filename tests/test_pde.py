@@ -27,6 +27,7 @@ from ucwaves import (
     simulate,
     step,
 )
+from ucwaves import pde
 from ucwaves.errors import DomainError
 from ucwaves.pde import (
     DEFAULT_CFL,
@@ -185,6 +186,41 @@ def test_simulate_has_the_bits_of_textbook_rk4(bc, mu):
     u = simulate(cfg).final.u
     assert np.isfinite(u).all() and np.abs(u - initial_profile(cfg).u).max() > 1e-3
     assert u.tobytes() == textbook_rk4(cfg, 20).tobytes()
+
+
+def _counted(monkeypatch, name):
+    """The list that gets one entry per call through ``pde``'s ``name``."""
+    calls, fn = [], getattr(pde, name)
+
+    def counted(*args):
+        calls.append(None)
+        return fn(*args)
+
+    monkeypatch.setattr(pde, name, counted)
+    return calls
+
+
+def test_operator_factors_once_per_config_and_solves_once_per_stage(monkeypatch):
+    factors = _counted(monkeypatch, "dgttrf")
+    solves = _counted(monkeypatch, "solve_banded")
+    pde._operator.cache_clear()
+    cfg = smoothed_cfg(nx=101, dt=0.01, t_end=0.2)  # 20 steps
+    first, second = simulate(cfg), simulate(cfg)
+    assert len(factors) == 1
+    assert len(solves) == 2 * 4 * 20
+    assert first.final.u.tobytes() == second.final.u.tobytes()
+    simulate(smoothed_cfg(bc=BoundaryCondition.PERIODIC, nx=64, t_end=0.2))
+    assert (len(factors), len(solves)) == (1, 2 * 4 * 20)
+
+
+@pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET_FARFIELD,
+                                BoundaryCondition.NEUMANN], ids=lambda bc: bc.value)
+def test_singular_implicit_operator_is_a_domain_error(bc):
+    # dx = 1 and mu = -1/2: the Dirichlet middle row 1 + 2 mu/dx^2 is 0, and
+    # the two Neumann end rows are equal
+    cfg = smoothed_cfg(bc=bc, mu=-0.5, x_min=0.0, x_max=2.0, nx=3, dt=0.05)
+    with pytest.raises(DomainError, match=f"pole lands on a mode of the {bc.value} grid"):
+        simulate(cfg)
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)

@@ -316,7 +316,8 @@ def test_lienard_forms_give_a_float_and_an_array_the_same_bits(u, w):
 _NO_POWER_FORMS = [a_tilde, kinetics._locus_point, u_plus_bounds,
                      kinetics.kinetic_u_plus_candidates, psys_locus,
                      psystem._u_minus, pde.default_dt, pde._Operator,
-                     equilibria, psystem.psys_shoot, dispersion_lambda]
+                     equilibria, psystem.psys_shoot, dispersion_lambda,
+                     pde.fit_front_speeds]
 
 
 @pytest.mark.parametrize("f", _NO_POWER_FORMS, ids=lambda f: f.__name__)
