@@ -8,6 +8,7 @@ from .errors import (
     NoLocusError,
     NoSaddleError,
     PoleError,
+    RootFindError,
     ShootingBudgetError,
     SimulationDivergedError,
     UCWavesError,

@@ -1,14 +1,14 @@
 """scipy's entry points, each imported on its first call.
 
-Importing ``scipy.optimize``, ``scipy.integrate`` or ``scipy.linalg`` takes
-several times as long as a closed-form command or a periodic simulation
+Importing ``scipy.integrate`` or ``scipy.linalg`` takes several times as
+long as a closed-form command, a kinetic root-find or a periodic simulation
 runs, and those never call scipy.  So the package imports numpy only, and
-the modules bind these forwarders: ``kinetics.brentq``, ``psystem.brentq``,
-``pde.dgttrf`` and ``pde.solve_banded`` (LAPACK's tridiagonal LU and
-``dgttrs``, the solve with its factors) and ``phaseplane.solve_ivp`` stay
-module attributes that every call goes through.  A forwarder keeps scipy's
-function once it has imported it: an import statement on every call would
-cost about 1 us, against about 18 us for a Dirichlet solve.
+the modules bind these forwarders: ``pde.dgttrf`` and ``pde.solve_banded``
+(LAPACK's tridiagonal LU and ``dgttrs``, the solve with its factors) and
+``phaseplane.solve_ivp`` stay module attributes that every call goes
+through.  A forwarder keeps scipy's function once it has imported it: an
+import statement on every call would cost about 1 us, against about 18 us
+for a Dirichlet solve.
 """
 
 import importlib
@@ -30,7 +30,6 @@ def _imported_on_first_call(module, name):
     return forward
 
 
-brentq = _imported_on_first_call("scipy.optimize", "brentq")
 dgttrf = _imported_on_first_call("scipy.linalg.lapack", "dgttrf")
 dgttrs = _imported_on_first_call("scipy.linalg.lapack", "dgttrs")
 solve_ivp = _imported_on_first_call("scipy.integrate", "solve_ivp")

@@ -33,6 +33,11 @@ class ShootingBudgetError(UCWavesError):
     """A phase-plane shot spent its budget of right-hand-side evaluations."""
 
 
+class RootFindError(UCWavesError):
+    """A root-find's ends do not bracket a sign change, or it ran out of
+    steps."""
+
+
 class SimulationDivergedError(UCWavesError):
     """A simulation step produced a non-finite value (the run blew up)."""
 

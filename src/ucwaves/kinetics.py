@@ -47,6 +47,11 @@ lies below the bracket, which holds exactly one.  Two end rules:
   strictly inside u_plus_bounds, where the end is never a root;
 - s is computed as a product that vanishes at the q = 1 ends, so r is
   exactly sqrt(2)/3*gamma > 0 at an s = 0 end, which never hides a root.
+
+brentq, which psystem shares, is a port of scipy's brentq.c (Brent,
+Algorithms for Minimization without Derivatives, 1973, ch. 4): it takes
+the same float operations in the same order, so it keeps scipy's roots to
+the bit and its count of evaluations, and a kinetic map loads no scipy.
 """
 
 import math
@@ -56,8 +61,8 @@ from enum import Enum
 
 import numpy as np
 
-from ._scipy import brentq
-from .errors import DomainError, NoLocusError, PoleError, _check_finite
+from .errors import (DomainError, NoLocusError, PoleError, RootFindError,
+                     _check_finite)
 from .model import rh_speed
 
 #: No undercompressive locus exists at or beyond this dissipation ratio.
@@ -220,6 +225,61 @@ def _at_a_half(u_plus, gamma):
     inner = 0.75 * (lower * lower - upper * upper)
     tol = _RTOL / max(inner, math.sqrt(_RTOL))
     return min(abs(u_plus / lower - 1.0), abs(u_plus / upper - 1.0)) <= tol
+
+
+def brentq(f, a, b, args=(), *, xtol, rtol, maxiter=100):
+    """A root of f(x, *args) in the bracket [a, b], by Brent's method.
+
+    A port of scipy's ``brentq.c``, the compiled core of scipy's brentq:
+    the same steps in the same float operations, so the same root to the
+    bit and the same evaluations of f.  Returns once the bracket is within
+    2*delta, delta = (xtol + rtol*|x|)/2.  Raises RootFindError when f(a)
+    and f(b) have the same sign, or after maxiter steps.
+    """
+    x_pre, x_cur = a, b
+    f_pre, f_cur = f(a, *args), f(b, *args)
+    if f_pre == 0.0:
+        return x_pre
+    if f_cur == 0.0:
+        return x_cur
+    if (f_pre < 0.0) == (f_cur < 0.0):
+        raise RootFindError(f"f({a!r}) = {f_pre!r} and f({b!r}) = {f_cur!r} "
+                            "have the same sign")
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    for _ in range(maxiter):
+        if f_cur == 0.0:
+            return x_cur
+        if (f_pre < 0.0) != (f_cur < 0.0):  # x_pre becomes the far end
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):  # x_cur takes the smaller |f|
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        delta = (xtol + rtol * abs(x_cur)) / 2.0
+        s_bis = (x_blk - x_cur) / 2.0
+        if abs(s_bis) < delta:
+            return x_cur
+        s_try = math.inf  # bisect unless the test below takes a short step
+        if abs(s_pre) > delta and abs(f_cur) < abs(f_pre):
+            try:
+                if x_pre == x_blk:  # secant
+                    s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+                else:  # inverse quadratic interpolation
+                    d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                    d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                    s_try = (-f_cur * (f_blk * d_blk - f_pre * d_pre)
+                             / (d_blk * d_pre * (f_blk - f_pre)))
+            except ZeroDivisionError:  # C's inf or nan, which bisects
+                pass
+        if 2.0 * abs(s_try) < min(abs(s_pre), 3.0 * abs(s_bis) - delta):
+            s_pre, s_cur = s_cur, s_try
+        else:
+            s_pre = s_cur = s_bis
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += s_cur if abs(s_cur) > delta else (delta if s_bis > 0.0 else -delta)
+        f_cur = f(x_cur, *args)
+    raise RootFindError(f"no root within {maxiter} steps; the last "
+                        f"iterate is {x_cur!r}")
 
 
 def _pairing_roots(k, w_half, gamma, end_rule):

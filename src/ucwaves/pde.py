@@ -7,8 +7,8 @@ term bounds the symbol of the right-hand side independent of dx, so the
 default explicit step is set by beta, mu and max|f'|, not by the grid
 (``default_dt``).  mu < 0 (the linearly unstable regime) is accepted so
 the growth of short waves can be observed; the solve then loses diagonal
-dominance but remains an ordinary pivoted LU (a singular one is refused),
-and the default step falls back to a CFL step in dx.
+dominance but remains an ordinary pivoted LU (a nearly singular one is
+refused), and the default step falls back to a CFL step in dx.
 
 One ghost-cell stencil serves every boundary condition, which only names
 the two values outside the grid.  Only the implicit solve differs: FFT
@@ -208,9 +208,9 @@ class _Operator:
     The implicit operator I - mu*D2 is factored here, once per config: its
     FFT symbol for periodic runs, otherwise its LU factors with partial
     pivoting (LAPACK dgttrf), which every stage solves with (dgttrs).  A
-    singular operator (mu < 0 only) raises DomainError.  Cached per config
-    and shared, so it holds no arrays a call writes to: the caller passes
-    the work arrays."""
+    singular or nearly singular operator (mu < 0 only) raises DomainError.
+    Cached per config and shared, so it holds no arrays a call writes to:
+    the caller passes the work arrays."""
 
     def __init__(self, cfg: SimConfig):
         self.beta = cfg.beta
@@ -239,8 +239,13 @@ class _Operator:
         else:  # Neumann: the mirrored ghost doubles the inward coupling
             du[0] = dl[-1] = -2.0 * r
             self.solve = self._solve_banded
-        *self.lu, info = dgttrf(dl, d, du)  # (dl, d, du, du2, ipiv)
-        if info > 0:
+        *self.lu, _ = dgttrf(dl, d, du)  # (dl, d, du, du2, ipiv)
+        # a pivot of U tiny against the largest row sum (a zero one, where
+        # dgttrf reports info > 0, too), as the periodic symbol is refused
+        row_sums = np.abs(d)
+        row_sums[1:] += np.abs(dl)
+        row_sums[:-1] += np.abs(du)
+        if np.abs(self.lu[1]).min() < 1e-14 * row_sums.max():
             raise DomainError(f"mu < 0 pole lands on a mode of the {cfg.bc.value} grid "
                               "(I - mu*D2 is singular); shift mu or the domain size")
 

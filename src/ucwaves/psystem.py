@@ -25,10 +25,9 @@ orientation.
 import math
 from dataclasses import dataclass, replace
 
-from ._scipy import brentq
 from .errors import (DomainError, NoLocusError, NoSaddleError, _check_cubes,
                      _check_finite)
-from .kinetics import _RTOL
+from .kinetics import _RTOL, brentq
 from .phaseplane import OrbitResult, shoot_saddle_connection
 
 

@@ -878,14 +878,27 @@ def _scipy_loaded_by(runs, tmp_path):
 
 
 def test_closed_forms_and_periodic_runs_load_no_scipy(tmp_path):
+    # the kinetic root-finds too: riemann, kinetics --u-plus/--u-minus and
+    # psystem --u-minus run kinetics.brentq, which imports no scipy
     runs = [["kinetics", "--preset", "fig1", "-o", "fig1.csv"],
             ["kinetics", "--preset", "fig2", "-o", "fig2.csv"],
             ["psystem", "--preset", "fig5", "-o", "fig5.csv"],
             ["psystem", "--A", "4", "--b=-0.6", "-o", "psys.json"],
             ["simulate", "--uL", "0.4", "--uR=-0.8", "--beta", "0.1",
              "--mu", "0.06", "--x-min=-8", "--x-max", "8", "--nx", "64",
-             "--t-end", "0.1", "--bc", "periodic", "-o", "periodic.json"]]
+             "--t-end", "0.1", "--bc", "periodic", "-o", "periodic.json"],
+            ["riemann", "--gamma", "0.4", "--uL", "0.4", "--uR=-0.8"],
+            ["riemann", "--preset", "fig3", "-o", "fig3.csv"],
+            ["kinetics", "--gamma", "0.3", "--u-plus=-0.5"],
+            ["kinetics", "--gamma", "0.3", "--u-minus", "0.5"],
+            ["psystem", "--A", "4", "--u-minus", "0.5"]]
     assert _scipy_loaded_by(runs, tmp_path) == set()
+
+
+def test_no_source_file_names_scipy_optimize():
+    package = Path(kinetics.__file__).parent
+    assert [path.name for path in sorted(package.glob("*.py"))
+            if "scipy.optimize" in path.read_text()] == []
 
 
 def test_dirichlet_run_loads_scipy_linalg_alone(tmp_path):

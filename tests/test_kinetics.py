@@ -3,6 +3,7 @@ from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,8 @@ from ucwaves import (
     GAMMA_MAX,
     NoLocusError,
     PoleError,
+    RootFindError,
+    UCWavesError,
     a_tilde,
     discriminant,
     entropy_integral,
@@ -19,10 +22,14 @@ from ucwaves import (
     kinetic_u_plus_candidates,
     locus_point,
     locus_sweep,
+    psys_kinetic_u_plus,
+    psys_threshold,
     rh_speed,
     u_plus_bounds,
 )
+from ucwaves import kinetics, psystem
 from ucwaves.errors import DomainError
+from ucwaves.kinetics import _RTOL, brentq
 
 GAMMA = 1 / math.sqrt(6)
 
@@ -521,3 +528,100 @@ def test_locus_points_keep_the_pairing_law_in_s(gamma, f, branch):
     assert p.u_minus == -p.a * p.u_plus
     assert p.s * (p.u_plus * (1.0 - p.a)) ** 2 == pytest.approx(
         2.0 * gamma**2 / 9.0, rel=1e-13, abs=0)
+
+
+def _counted(f):
+    """f and a list whose length counts its calls."""
+    calls = []
+
+    def counted(*x):
+        calls.append(x)
+        return f(*x)
+    return counted, calls
+
+
+def _as_scipy(f, a, b, args=(), **tols):
+    """kinetics.brentq on f, checked against scipy.optimize.brentq on the
+    same bracket and tolerances: the same root, bit for bit, or the same
+    failure, after the same evaluations of f.  Returns (root.hex() or None,
+    evaluations)."""
+    out = []
+    for solver, failure in ((brentq, RootFindError),
+                            (scipy.optimize.brentq, RuntimeError)):
+        counted, calls = _counted(f)
+        try:
+            root = solver(counted, a, b, args, **tols).hex()
+        except failure:
+            root = None
+        out.append((root, len(calls)))
+    assert out[0] == out[1], (a, b, args, tols)
+    return out[0]
+
+
+def _root_finds_against_scipy(run):
+    """Run ``run()`` with every brentq of kinetics and psystem checked by
+    _as_scipy.  Returns the number of root-finds."""
+    finds = []
+
+    def checked(f, a, b, args=(), **tols):
+        finds.append(_as_scipy(f, a, b, args, **tols))
+        return brentq(f, a, b, args, **tols)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kinetics, "brentq", checked)
+        mp.setattr(psystem, "brentq", checked)
+        run()
+    return len(finds)
+
+
+# gamma log-uniform down to 1e-300, where w/gamma and the pairing residual
+# still keep clear of overflow and underflow
+TINY_GAMMAS = st.floats(math.log(1e-300),
+                        math.log(GAMMA_MAX * (1.0 - 1e-6))).map(math.exp)
+
+
+@settings(max_examples=300, deadline=None)
+@given(gamma=TINY_GAMMAS,
+       u_plus=st.one_of(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                        st.floats(-1.0 - 1e-9, -1.0 + 1e-9)),
+       u_minus=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+@example(gamma=1e-300, u_plus=-1.0, u_minus=0.5)  # the root |w| ~ 1e-200
+def test_brentq_is_scipys_on_the_pairing_equation(gamma, u_plus, u_minus):
+    lower, upper = u_plus_bounds(gamma)
+    if u_plus > 0.0:  # a fraction of the way along the range of u_+
+        u_plus = lower + u_plus * (upper - lower)
+    assume(lower < u_plus < upper)
+    _root_finds_against_scipy(lambda: kinetic_u_minus(u_plus, gamma))
+    _root_finds_against_scipy(lambda: kinetic_u_plus_candidates(u_minus, gamma))
+
+
+@settings(max_examples=300, deadline=None)
+@given(A=st.floats(math.log(1e-3), math.log(1e3)).map(math.exp),
+       excess=st.floats(math.log(1e-14), math.log(1e100)).map(math.exp))
+@example(A=4.0, excess=1e-14)
+def test_brentq_is_scipys_on_the_psystem_map(A, excess):
+    u_minus = psys_threshold(A) * (1.0 + excess)
+    assume(math.isfinite(u_minus * u_minus * u_minus))
+    assert _root_finds_against_scipy(lambda: psys_kinetic_u_plus(u_minus, A)) == 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(c=st.floats(-1.0, 1.0), power=st.sampled_from([1, 3, 5]),
+       a=st.floats(-3.0, -1.0), b=st.floats(1.0, 3.0),
+       xtol=st.sampled_from([math.ulp(0.0), 2e-12, 1e-3]))
+def test_brentq_is_scipys_at_multiple_roots(c, power, a, b, xtol):
+    # a root of odd multiplicity takes every branch of Brent's step (secant,
+    # inverse quadratic interpolation, either one refused, bisection), and
+    # with xtol = 5e-324 it may spend scipy's default 100 steps
+    _as_scipy(lambda x: (x - c) ** power, a, b, xtol=xtol, rtol=_RTOL)
+
+
+def test_brentq_failures_are_typed():
+    tols = dict(xtol=math.ulp(0.0), rtol=_RTOL)
+    with pytest.raises(RootFindError, match="have the same sign") as same_sign:
+        brentq(lambda x: x * x + 1.0, -1.0, 1.0, **tols)
+    with pytest.raises(RootFindError, match="no root within 1 steps") as spent:
+        brentq(lambda x: x * x * x - 2.0, 0.0, 2.0, maxiter=1, **tols)
+    for err in (same_sign.value, spent.value):
+        assert isinstance(err, UCWavesError)
+        assert not isinstance(err, (RuntimeError, ValueError))

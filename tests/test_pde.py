@@ -223,6 +223,18 @@ def test_singular_implicit_operator_is_a_domain_error(bc):
         simulate(cfg)
 
 
+@pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET_FARFIELD,
+                                BoundaryCondition.NEUMANN], ids=lambda bc: bc.value)
+@pytest.mark.parametrize("mu", [math.nextafter(-0.5, 0.0), math.nextafter(-0.5, -1.0)],
+                         ids=["ulp_above", "ulp_below"])
+def test_nearly_singular_implicit_operator_is_a_domain_error(bc, mu):
+    # one ulp off mu = -1/2 a pivot is about 2e-16; such a run was let
+    # through and blew up within six steps
+    cfg = smoothed_cfg(bc=bc, mu=mu, x_min=0.0, x_max=2.0, nx=3, dt=0.05)
+    with pytest.raises(DomainError, match=f"pole lands on a mode of the {bc.value} grid"):
+        simulate(cfg)
+
+
 @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
 def test_mass_conservation_equal_far_field_fluxes(bc):
     # f(0.4) = f(w) for w = (-0.4 + sqrt(3.52))/2: a stationary shock pair
