@@ -27,6 +27,7 @@ import json
 import math
 import operator
 import os
+import stat
 import sys
 from enum import Enum
 
@@ -135,12 +136,35 @@ def _records(params, cls, records):
 
 
 def _write_text(path, text):
+    """Write ``text`` to stdout (None or "-") or over the file ``path``.
+
+    A regular file is overwritten in place and then cut to the new length,
+    never truncated to zero first: ext4 (``auto_da_alloc``) flushes a file
+    truncated to zero when it is closed, several times the cost of the write.
+    The file keeps its inode, mode, links and symlink target, as with
+    ``open(path, "w")``; a device or FIFO (``/dev/null``) is only written.
+    A write that fails leaves a regular file empty, so no new head sits in
+    front of an old tail, and raises UCWavesError."""
     if path in (None, "-"):
         sys.stdout.write(text)
         return
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            try:
+                # closefd=False: on an error the wrapper is closed, and its
+                # unwritten buffer dropped, before the file is cut to zero
+                with open(fd, "w", encoding="utf-8", closefd=False) as fh:
+                    fh.write(text)
+            except OSError:
+                if regular:
+                    os.ftruncate(fd, 0)
+                raise
+            if regular:
+                os.ftruncate(fd, os.lseek(fd, 0, os.SEEK_CUR))
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise UCWavesError(f"cannot write {path!r}: {exc.strerror}") from None
 

@@ -42,6 +42,9 @@ DEFAULT_CFL = 0.4  # mu < 0: share of the CFL step dx/max|f'|
 #: a 13x smaller step; at 1.0 the front speeds leave that tolerance.
 DEFAULT_SYMBOL_SAFETY = 0.35
 _RK4_REAL_LIMIT = 2.78  # RK4 is stable on [-2.78, 0] (and on i*[-2.83, 2.83])
+#: The most time steps a run may plan; t_end/dt above it is refused before
+#: the run (fig4 plans 5000).
+MAX_STEPS = 10**6
 #: Grid points a flat run needs to count as a plateau, and the scale of the
 #: gap across which two runs of nearly equal value merge (4 * MIN_RUN).
 MIN_RUN = 25
@@ -325,8 +328,14 @@ def step(state: SimState, cfg: SimConfig, dt=None):
 
 
 def _time_step(cfg: SimConfig):
-    """(steps, step) of a run: its dt, adjusted to divide t_end evenly."""
-    nsteps = max(1, int(round(cfg.t_end / _operator(cfg).dt)))
+    """(steps, step) of a run: its dt, adjusted to divide t_end evenly.
+    DomainError when t_end/dt is not finite or rounds above MAX_STEPS."""
+    dt = _operator(cfg).dt
+    ratio = cfg.t_end / dt
+    if not ratio < MAX_STEPS + 0.5:  # NaN and inf too
+        raise DomainError(f"t_end={cfg.t_end!r} at dt={float(dt)!r} plans "
+                          f"{ratio:.7g} steps, more than {MAX_STEPS}")
+    nsteps = max(1, int(round(ratio)))
     return nsteps, cfg.t_end / nsteps
 
 

@@ -492,15 +492,22 @@ def _graph_orbit(u, v, verdict, dist):
 def shoot_saddle_connection(form, u_from, u_to, vmax=V_BOX):
     """Bidirectional saddle-saddle shooting for the Lienard form ``form``.
 
-    Both ends must be distinct equilibria (``_check_equilibria``) with
-    dP > 0 (saddles); dP = 0 is accepted at u_from (saddle-node endpoint,
-    exit along the T-eigendirection, which needs T > 0).  Marches the
+    Both ends must be distinct equilibria (``_check_equilibria``), more
+    than twice the seed offset apart, with dP > 0 (saddles); dP = 0 is
+    accepted at u_from (saddle-node endpoint, exit along the
+    T-eigendirection, which needs T > 0).  Marches the
     unstable-manifold graph from u_from and the stable-manifold graph from
     u_to to the midpoint section and compares them there; they connect when
     the defect is below CONNECTION_TOL times the orbit's v-scale max(1,
     span*rate), the scale of the launch's series (``_manifold_series``).
     """
     _check_equilibria(form, u_from=u_from, u_to=u_to)
+    # each arc's first row lies SEED_OFFSET*max(1, |u|) out from its end
+    seed = SEED_OFFSET * max(1.0, abs(u_from), abs(u_to))
+    if not abs(u_to - u_from) > 2.0 * seed:
+        raise DomainError(f"shooting requires ends more than twice the seed "
+                          f"offset {seed:.3g} apart, or an arc starts past the "
+                          f"midpoint: u_from={u_from!r}, u_to={u_to!r}")
     if form.dP(u_from) < -1e-9 or form.dP(u_to) <= 0.0:
         raise DomainError("shooting requires saddle equilibria at both ends")
     sgn = 1.0 if u_to > u_from else -1.0

@@ -23,6 +23,7 @@ orientation.
 """
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 from .errors import (DomainError, NoLocusError, NoSaddleError, _check_cubes,
@@ -83,6 +84,12 @@ def psys_locus(b, A, v_minus=0.0):
     u_minus = _u_minus(b, A)
     _check_cubes(f"psys_locus at b={b!r}, A={A!r}", u_minus=u_minus)
     u_plus = b * u_minus
+    # |u_+| < u_-: below 1.5e-154 its square loses digits, then underflows
+    # to 0, where s = -0.0 and k = 1/sqrt(-2*A*s) divides by zero
+    if u_plus * u_plus < sys.float_info.min:
+        raise DomainError(f"psys_locus at b={b!r}, A={A!r}: the square of "
+                          f"u_plus={u_plus!r} underflows (u_plus^2="
+                          f"{u_plus * u_plus!r})")
     u_zero = -(u_minus + u_plus)
     s = -math.sqrt(u_plus * u_plus + u_plus * u_minus + u_minus * u_minus)
     k = 1.0 / math.sqrt(-2.0 * A * s)

@@ -727,6 +727,14 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     *(["simulate", "--mu=-0.5", "--x-min", "0", "--x-max", "2", "--nx", "3",
        "--steepness", "1", "--dt", "0.05", "--bc", bc]
       for bc in ("dirichlet_farfield", "neumann")),
+    # tiny states: u_-^2 underflows to 0 (a ZeroDivisionError before); the
+    # shot's ends lie within its seed offset (scipy's ValueError before)
+    ["psystem", "--A", "1e200", "--b=-0.57735"],
+    ["psystem", "--A", "1e100", "--b=-0.57735", "--shoot"],
+    # more steps than a run may plan: round(inf) raised OverflowError, and
+    # the other two never ended (--uL 1e100 has a default dt of 1.6e-201)
+    ["simulate", "--dt", "5e-324"], ["simulate", "--dt", "1e-300"],
+    ["simulate", "--uL", "1e100"],
 ])
 def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
     sim = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",
@@ -933,3 +941,70 @@ def test_write_json_text_format():
         '{\n  "b": true,\n  "f": 0.1,\n  "i": -3,\n'
         '  "params": {\n    "a": "\'x\'"\n  },\n'
         '  "t": [\n    1,\n    2.5\n  ]\n}\n')
+
+
+def test_an_overwrite_has_the_bytes_of_a_fresh_write(tmp_path, monkeypatch):
+    # the fig3 map is longer than one cell: an overwrite must cut its tail
+    out, fresh = tmp_path / "out.csv", tmp_path / "fresh.json"
+    cell = ["riemann", "--gamma", "0.4", "--uL", "0.4", "--uR=-0.8"]
+    assert run_cli(["riemann", "--preset", "fig3", "-o", str(out)]) == 0
+    inode = out.stat().st_ino
+    calls, real_open = [], os.open
+
+    def recording_open(path, flags, *args):
+        calls.append((path, flags))
+        return real_open(path, flags, *args)
+
+    monkeypatch.setattr(os, "open", recording_open)
+    assert run_cli(cell + ["-o", str(out)]) == 0
+    assert run_cli(cell + ["-o", str(fresh)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_ino == inode
+    # written in place: a file truncated to zero is flushed on close by ext4
+    assert [p for p, _ in calls] == [str(out), str(fresh)]
+    assert not any(flags & os.O_TRUNC for _, flags in calls)
+
+
+def test_an_overwrite_keeps_links_and_mode(tmp_path):
+    # as open(path, "w") does, and an unlink-then-create would not
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_text("x" * 100_000)
+    target.chmod(0o640)
+    link.symlink_to(target)
+    assert run_cli(["kinetics", "--preset", "fig1", "-o", str(link)]) == 0
+    assert link.is_symlink()
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert run_cli(["kinetics", "--preset", "fig1", "-o",
+                    str(tmp_path / "fresh.csv")]) == 0
+    assert target.read_bytes() == (tmp_path / "fresh.csv").read_bytes()
+
+
+def test_output_to_a_device(capsys):
+    assert run_cli(["riemann", "--preset", "fig3", "-o", os.devnull]) == 0
+    assert run_cli(["riemann", "--preset", "fig3", "-o", "/dev/full"]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    record = json.loads(line)
+    assert record["error"] == "UCWavesError"
+    assert record["message"].startswith("cannot write '/dev/full': ")
+
+
+def test_a_failed_overwrite_leaves_an_empty_file(tmp_path):
+    # a file-size limit of 4096 bytes (on the child alone) fails the write
+    # of fig3 part way: no head of the map in front of the old bytes
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"x" * 100_000)
+    script = ("import resource, signal, sys\n"
+              "resource.setrlimit(resource.RLIMIT_FSIZE, (4096, 4096))\n"
+              "signal.signal(signal.SIGXFSZ, signal.SIG_IGN)\n"
+              "import ucwaves.cli\n"
+              "sys.exit(ucwaves.cli.main(sys.argv[1:]))\n")
+    src = str(Path(kinetics.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", script, "riemann", "--preset",
+                           "fig3", "-o", str(out)], env=env,
+                          capture_output=True, text=True)
+    assert done.returncode == 2
+    (line,) = done.stderr.splitlines()
+    assert json.loads(line)["error"] == "UCWavesError"
+    assert out.read_bytes() == b""

@@ -216,6 +216,27 @@ def test_locus_of_a_tiny_A_is_a_domain_error(A):
     assert math.isfinite(psys_locus(-0.6, 1e-102).s)
 
 
+@pytest.mark.parametrize("A", [1e200, 1e154])
+def test_locus_of_a_state_whose_square_underflows_is_a_domain_error(A):
+    # u_- ~ 1e-201 at A = 1e200: u_-^2 = 0, s = -0.0 and k divided by zero;
+    # at 1e154 the square of u_+ ~ 6e-155 is subnormal
+    with pytest.raises(DomainError, match=r"square of u_plus=-\S+ underflows"):
+        psys_locus(-0.57735, A)
+    p = psys_locus(-0.57735, 1e153)
+    assert p.s < 0.0 and math.isfinite(p.k)
+
+
+@pytest.mark.parametrize("A", [1e8, 1e100])
+def test_shoot_refuses_ends_within_twice_the_seed_offset(A):
+    # each arc starts 1e-8 out from its end, past the midpoint of ends
+    # 1.7e-8 apart (a start past the midpoint before) or 1.7e-100 apart (a
+    # launch point that is not finite, scipy's ValueError before)
+    p = psys_locus(-0.57735, A)
+    with pytest.raises(DomainError, match=rf"seed offset .*u_from={p.u_plus!r}"):
+        psys_shoot(p)
+    assert psys_shoot(psys_locus(-0.57735, 1e7)).verdict is Verdict.CONNECTS
+
+
 def test_shoot_requires_saddles():
     p = psys_locus(-0.6, 4.0)
     from dataclasses import replace
