@@ -13,7 +13,13 @@ two arcs are matched at the midpoint section; the matching defect is the
 connection certificate (reported as ``terminal_distance``).  Lax profiles
 (node-to-saddle) are verified by integrating the saddle's stable manifold
 backward in xi until it falls into the node, which is attracting for the
-reversed flow.
+reversed flow.  The shot connects as soon as a step end enters a sublevel
+set of a quadratic Lyapunov function of the node's linearisation on which
+that function provably decreases under the full cubic field
+(``_capture_certificate``; H. K. Khalil, Nonlinear Systems, 3rd ed., 2002,
+chs. 4 and 8): from there the flow cannot miss the node, so the slow last
+approach to it is not integrated.  That approach held 60 % of the steps of
+the Lax shots of the ``riemann_map`` benchmark.
 
 Every shot starts on the Taylor graph v = phi(u) of its saddle's invariant
 manifold, as at the ends of a connecting orbit in W.-J. Beyn, "The
@@ -34,11 +40,11 @@ I), except stiff backward shots, which use BDF with the analytic Jacobian
 order T off the manifold while the shot moves along it at its slow rates, as
 slow as ~|P'|/T; an explicit method then takes ~T steps per unit of xi, BDF
 a few hundred steps in all.  Every backward shot is judged by one rule,
-``_Shot.stops``, at the end of each accepted step: it connects inside half
-of CONNECTION_TOL of the node and misses outside the box.  Two steppers feed
-it: scipy's compiled DOP853 (``scipy.integrate.ode``, whose per-step cost is
-a fraction of ``solve_ivp``'s on a 2-vector) and scipy's ``BDF`` stepped
-directly.  Only the graph march runs through ``solve_ivp``, whose events
+``_Shot.stops``, at the end of each accepted step: it connects inside the
+node's capture certificate or inside half of CONNECTION_TOL of the node,
+and misses outside the box.  Two steppers feed it: scipy's compiled DOP853
+(``scipy.integrate.ode``, whose per-step cost is a fraction of
+``solve_ivp``'s on a 2-vector) and scipy's ``BDF`` stepped directly.  Only the graph march runs through ``solve_ivp``, whose events
 locate the fold inside the step.  scipy is imported on the first shot, not
 with the module: the march calls ``solve_ivp`` through the forwarder of
 ``ucwaves._scipy``, the stiff branch imports ``BDF``, and the one compiled
@@ -46,8 +52,9 @@ integrator of the process is made by ``_compiled_dop853`` on the first
 compiled shot.  A shot that spends more than MAX_NFEV
 right-hand-side evaluations raises ``ShootingBudgetError``; a backward shot
 stiffer than MAX_STIFF_RATIO, where BDF itself fails, raises
-``DegenerateSpeedError`` before it starts.  So does an end that is not an
-equilibrium of the form to within the seed offset (``DomainError``).
+``DegenerateSpeedError`` before it starts.  An end that is not an
+equilibrium of the form to within the seed offset, or ends within twice
+the seed offset of each other, raise ``DomainError``.
 """
 
 import functools
@@ -91,12 +98,13 @@ SEED_OFFSET = 1e-8
 #: Order of the Taylor graph of a shot's invariant manifold (``_launch``).
 #: It does not change the graph marches of the kinetic locus, whose series
 #: ends at order 2.  Off the locus a higher order holds the series farther
-#: out: the 16 Lax shots of the ``riemann_map`` benchmark at seed 1 take
-#: 2192 DOP853 steps from the linear seed, and 2176, 1963, 1881, 1711,
-#: 1570, 1519 and 1462 steps at orders 4, 6, 8, 12, 16, 20 and 24, about
-#: 12 us a step (2-vCPU Xeon, Python 3.11).  Each order costs ~3 us a
-#: launch, which the locus marches pay without gain; past 20 the Lax steps
-#: fall by under 4 %.
+#: out: the 16 Lax shots of the ``riemann_map`` benchmark at seed 1, run
+#: until they came within CONNECTION_TOL / 2 of their nodes (before the
+#: capture certificate), took 2192 DOP853 steps from the linear seed, and
+#: 2176, 1963, 1881, 1711, 1570, 1519 and 1462 steps at orders 4, 6, 8,
+#: 12, 16, 20 and 24, about 12 us a step (2-vCPU Xeon, Python 3.11).
+#: Each order costs ~3 us a launch, which the locus marches pay without
+#: gain; past 20 the Lax steps fall by under 4 %.
 MANIFOLD_ORDER = 20
 CONNECTION_TOL = 1e-6
 U_BOX = 3.0
@@ -124,9 +132,15 @@ class OrbitResult:
     launch point (``_launch``), where xi runs from 0 by the trapezoid rule
     on du / v.  Graph-marched orbits keep that rule throughout; a backward
     shot continues from the launch with xi decreasing by the reversed time
-    it integrates.  For CONNECTS, terminal_distance is the matching defect
-    of the two arcs at the midpoint section; otherwise it is the closest
-    approach of the computed arc to the target equilibrium.
+    it integrates.  For a saddle-saddle CONNECTS, terminal_distance is the
+    matching defect of the two arcs at the midpoint section.  For a
+    backward CONNECTS it is the distance of the orbit's last row from the
+    node: below CONNECTION_TOL / 2 when the shot closed in on the node, or
+    below r / sqrt(2), r the radius of the node's capture certificate
+    (``_capture_certificate``), when it stopped on entering that
+    certificate, from which the flow provably falls into the node.  The
+    distance is then not below CONNECTION_TOL in general.  Otherwise it is
+    the closest approach of the computed arc to the target equilibrium.
     """
 
     trajectory: np.ndarray
@@ -229,23 +243,88 @@ def _over_budget(method, t, span):
         f"evaluations")
 
 
-class _Shot:
-    """One backward shot: the field's T and P, the node it aims at, its
-    evaluation count, and its accepted steps (t, u, v)."""
+def _cubic_terms(form, u):
+    """Taylor coefficients P_1, P_2, P_3 of the form's cubic P at u: dP(u),
+    and from dP by central differences with step max(1, |u|), exact for a
+    quadratic dP.  P_m = 0 above 3."""
+    h = max(1.0, abs(u))
+    lo, mid, hi = form.dP(u - h), form.dP(u), form.dP(u + h)
+    return mid, (hi - lo) / (4.0 * h), (hi - 2.0 * mid + lo) / (6.0 * h * h)
 
-    __slots__ = ("T", "P", "node_u", "nfev", "steps", "connects")
+
+#: A backward shot connects once V(e) < _CAPTURE_MARGIN * lam_min(M) * r^2,
+#: halfway into the certified sublevel set, so that the true orbit, off the
+#: computed step end by the step's error, is still inside that set.
+_CAPTURE_MARGIN = 0.5
+#: the certificate of a node that does not attract the reversed flow: V = 0
+#: and no point below level 0
+_NO_CAPTURE = (0.0, 0.0, 0.0, 0.0)
+
+
+def _capture_certificate(form, node_u):
+    """Lyapunov certificate (m1, m2, m3, level) that the reversed flow
+    u' = -v, v' = -(T*v + P(u)) carries every point with V(e) < level into
+    the equilibrium node_u, where e = (u - node_u, v) and V(e) = e^T M e,
+    M = [[m1, m2], [m2, m3]]; _NO_CAPTURE when a linearised eigenvalue has
+    real part >= 0.
+
+    J = [[0, -1], [-P_1, -T]] is the linearisation at the node, P_1 =
+    dP(node_u); its eigenvalues have negative real parts exactly when T > 0
+    and P_1 < 0.  M solves J^T M + M J = -I: m2 = 1/(2 P_1), m3 = (1/2 -
+    m2)/T, m1 = -T m2 - P_1 m3, positive definite with det M = -m2/2 -
+    P_1 m3^2.  The remainder of the cubic P about the node is exactly
+    P_2 x^2 + P_3 x^3 (``_cubic_terms``), so along the reversed flow
+    dV/dt <= -|e|^2 (1 - 2 ||M|| (|P_2| r + |P_3| r^2)) on the ball
+    |e| <= r.  So V decreases on the ball of the radius r at which that
+    bracket vanishes, and the sublevel set V < lam_min(M) r^2 lies inside
+    it (H. K. Khalil, Nonlinear Systems, 3rd ed., 2002, chs. 4 and 8).
+    The level keeps _CAPTURE_MARGIN of that.
+    """
+    T = float(form.T)
+    p1, p2, p3 = _cubic_terms(form, float(node_u))
+    if not (T > 0.0 and p1 < 0.0):
+        return _NO_CAPTURE
+    m2 = 0.5 / p1
+    m3 = (0.5 - m2) / T
+    m1 = -T * m2 - p1 * m3
+    # the larger eigenvalue is a sum of positive terms; the smaller one is
+    # det/lam_max, not half_trace - dev, which cancels when m1 >> m3
+    lam_max = 0.5 * (m1 + m3) + math.hypot(0.5 * (m1 - m3), m2)
+    if not lam_max < math.inf:  # M overflows: T or 1/P_1 near the float limit
+        return _NO_CAPTURE
+    lam_min = (-0.5 * m2 - p1 * (m3 * m3)) / lam_max
+    # positive root of |P_3| r^2 + |P_2| r = c, in the form without
+    # cancellation (r = c/|P_2| when P_3 = 0)
+    c = 0.5 / lam_max
+    a2, a3 = abs(p2), abs(p3)
+    r = 2.0 * c / (a2 + math.sqrt(a2 * a2 + 4.0 * a3 * c))
+    return m1, m2, m3, _CAPTURE_MARGIN * lam_min * (r * r)
+
+
+class _Shot:
+    """One backward shot: the field's T and P, the node it aims at and its
+    capture certificate, its evaluation count, and its accepted steps
+    (t, u, v)."""
+
+    __slots__ = ("T", "P", "node_u", "capture", "nfev", "steps", "connects")
 
     def __init__(self, form, node_u):
         self.T, self.P, self.node_u = form.T, form.P, node_u
+        self.capture = _capture_certificate(form, node_u)
         self.nfev, self.steps, self.connects = 0, [], False
 
     def stops(self, t, y):
-        """Record the step end (t, y); the shot stops inside half the
-        tolerance of the node (so the recorded end is within
-        CONNECTION_TOL), outside the box, or over the evaluation budget."""
+        """Record the step end (t, y).  The shot connects at a step end
+        inside the node's capture certificate (``_capture_certificate``),
+        from which the flow provably falls into the node, or within half of
+        CONNECTION_TOL of it; it misses outside the box or over the
+        evaluation budget."""
         u, v = y.tolist()
         self.steps.append((t, u, v))
-        if math.hypot(u - self.node_u, v) < 0.5 * CONNECTION_TOL:
+        x = u - self.node_u
+        m1, m2, m3, level = self.capture
+        if (math.hypot(x, v) < 0.5 * CONNECTION_TOL
+                or x * (m1 * x + 2.0 * m2 * v) + m3 * (v * v) < level):
             self.connects = True
             return True
         return abs(u) > U_BOX or abs(v) > V_BOX or self.nfev > MAX_NFEV
@@ -344,8 +423,7 @@ def _manifold_series(form, u_s, lam, span):
     phi*phi' = T*phi + P(u) gives, for x = u - u_s and phi = sum_m c_m*x^m,
     c_1 = lam and c_m*((m+1)*lam - T) = P_m - (m+1)/2*sum_{i=2}^{m-1}
     c_i*c_{m+1-i}, where P_1..P_3 are the Taylor coefficients of the cubic
-    P at u_s: dP(u_s), and from dP by central differences with step
-    max(1, |u_s|), exact for a quadratic dP.  At a saddle (and at a
+    P at u_s (``_cubic_terms``).  At a saddle (and at a
     saddle-node start, lam = T > 0) the divisor has the sign of lam for
     either sign of T and is of the order of rate or larger, so it never
     vanishes.  The series stops before a coefficient that is not finite.
@@ -353,12 +431,10 @@ def _manifold_series(form, u_s, lam, span):
     # in Python floats: numpy scalar arithmetic costs several times more
     T, lam, u_s = float(form.T), float(lam), float(u_s)
     rate = abs(lam) + abs(T)
-    h = max(1.0, abs(u_s))
-    lo, mid, hi = form.dP(u_s - h), form.dP(u_s), form.dP(u_s + h)
+    _, p2, p3 = _cubic_terms(form, u_s)
     scale = span / rate
     # P_m * span^(m-1) / rate^2 for m = 2, 3; P_m = 0 above 3
-    q = {2: (hi - lo) / (4.0 * h) / rate * scale,
-         3: (hi - 2.0 * mid + lo) / (6.0 * h * h) * scale * scale}
+    q = {2: p2 / rate * scale, 3: p3 * scale * scale}
     b = [lam / rate]
     for m in range(2, MANIFOLD_ORDER + 1):
         inner = b[1:m - 1]  # b_2..b_{m-1}
@@ -418,10 +494,14 @@ def _launch(form, u_s, toward, lam):
 
 
 def _check_equilibria(form, **ends):
-    """Raise DomainError naming each end u off equilibrium by more than the
-    seed offset: |P(u)| above SEED_OFFSET * max(1, |u|) * max(1, |dP(u)|),
-    or NaN.  An end whose cube overflows is refused first, and then ends
-    that coincide: the span between them scales a shot's launch."""
+    """Raise DomainError naming each of the two ends u off equilibrium by
+    more than the seed offset: |P(u)| above SEED_OFFSET * max(1, |u|) *
+    max(1, |dP(u)|), or NaN.  An end whose cube overflows is refused first,
+    and then ends that coincide: the span between them scales a shot's
+    launch.  Last, ends not more than twice the seed offset SEED_OFFSET *
+    max(1, |u_1|, |u_2|) apart are refused: the orbit's first row lies that
+    offset out from its start, past the midpoint of a saddle-saddle march
+    or past the node of a backward shot."""
     _check_cubes("shooting", **ends)
     bad = [f"{name}={u!r} (P(u) = {form.P(u):.3g})" for name, u in ends.items()
            if not abs(form.P(u)) <= SEED_OFFSET * max(1.0, abs(u))
@@ -429,9 +509,16 @@ def _check_equilibria(form, **ends):
     if bad:
         raise DomainError("shooting requires equilibria at both ends; off "
                           "equilibrium: " + ", ".join(bad))
-    if len(set(ends.values())) < len(ends):
-        raise DomainError("shooting requires two distinct equilibria, got "
-                          + ", ".join(f"{k}={u!r}" for k, u in ends.items()))
+    a, b = ends.values()
+    seed = SEED_OFFSET * max(1.0, abs(a), abs(b))
+    if not abs(b - a) > 2.0 * seed:
+        named = ", ".join(f"{k}={u!r}" for k, u in ends.items())
+        if a == b:
+            raise DomainError("shooting requires two distinct equilibria, got "
+                              + named)
+        raise DomainError(f"shooting requires ends more than twice the seed "
+                          f"offset {seed:.3g} apart, or the orbit starts past "
+                          f"its other end: {named}")
 
 
 def _march_arc(form, rows, u_end, vmax):
@@ -502,12 +589,6 @@ def shoot_saddle_connection(form, u_from, u_to, vmax=V_BOX):
     span*rate), the scale of the launch's series (``_manifold_series``).
     """
     _check_equilibria(form, u_from=u_from, u_to=u_to)
-    # each arc's first row lies SEED_OFFSET*max(1, |u|) out from its end
-    seed = SEED_OFFSET * max(1.0, abs(u_from), abs(u_to))
-    if not abs(u_to - u_from) > 2.0 * seed:
-        raise DomainError(f"shooting requires ends more than twice the seed "
-                          f"offset {seed:.3g} apart, or an arc starts past the "
-                          f"midpoint: u_from={u_from!r}, u_to={u_to!r}")
     if form.dP(u_from) < -1e-9 or form.dP(u_to) <= 0.0:
         raise DomainError("shooting requires saddle equilibria at both ends")
     sgn = 1.0 if u_to > u_from else -1.0
@@ -577,7 +658,9 @@ def _slow_time(form, saddle_u, node_u, tol):
 
 def _shoot_backward_to_node(form, saddle_u, node_u):
     """Reverse-xi integration of the saddle's stable manifold; it connects
-    when it closes in on the node to CONNECTION_TOL."""
+    when a step end enters the node's capture certificate or comes within
+    half of CONNECTION_TOL of the node (``_Shot.stops``).  The ends are
+    checked as a saddle-saddle shot's are (``_check_equilibria``)."""
     _check_equilibria(form, saddle_u=saddle_u, node_u=node_u)
     if form.dP(saddle_u) <= 0:
         raise DomainError(f"u={saddle_u!r} is not a saddle of the problem")
@@ -587,7 +670,8 @@ def _shoot_backward_to_node(form, saddle_u, node_u):
     T = float(form.T)
     t_slow = _slow_time(form, saddle_u, node_u, CONNECTION_TOL)
     stiffness = T * t_slow
-    if stiffness > MAX_STIFF_RATIO:
+    # NaN at T = inf, whose node term is 0
+    if not stiffness <= MAX_STIFF_RATIO:
         raise DegenerateSpeedError(
             f"backward shot at T = {T:.6g} is too stiff to integrate: T times "
             f"its slow time is {stiffness:.3g}, above {MAX_STIFF_RATIO:.0e}")

@@ -214,9 +214,12 @@ def verify_solution(sol: RiemannSolution):
 
     Undercompressive shocks must sit on the kinetic locus (pairing residual
     < 1e-8); strict Lax shocks with s > 0 must possess a phase-plane profile
-    (backward shoot from the saddle into the middle equilibrium, to within
-    phaseplane.CONNECTION_TOL).  Attached shocks (sonic or characteristic by
-    ``classify_shock``, within EQ_TOL) and negative-speed Lax shocks are
+    (backward shoot from the saddle into the middle equilibrium, until it
+    enters the node's capture certificate or comes within
+    phaseplane.CONNECTION_TOL).  A shot that cannot be made raises:
+    ``DegenerateSpeedError`` when it is too stiff, ``DomainError`` when its
+    ends lie within twice the seed offset of each other.  Attached shocks
+    (sonic or characteristic by ``classify_shock``, within EQ_TOL) and negative-speed Lax shocks are
     accepted by construction: for s < 0 the traveling wave runs from the
     middle equilibrium into an attracting outside equilibrium of a damped
     field and exists unconditionally, and the phase-plane reduction used

@@ -328,10 +328,13 @@ def test_phase_lax_check_refuses_a_shot_too_stiff_for_bdf(tmp_path, capsys):
     assert run_cli(lax + ["--s", "1e-29", "--output", str(out)]) == 0
     assert json.loads(out.read_text())["verdict"] == "connects"
     out.unlink()
-    for s in ("1e-300", "1e-308", "5e-324"):
+    # at gamma = 1e300, s = 1e-300 T overflows to inf and the product is NaN
+    # (the shot used to exit 0 with "diverges" and a NaN terminal_distance)
+    for argv in [*(lax + ["--s", s] for s in ("1e-300", "1e-308", "5e-324")),
+                 lax[:1] + ["--gamma", "1e300", "--s", "1e-300"] + lax[3:]]:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # stderr holds the record only
-            assert run_cli(lax + ["--s", s, "--output", str(out)]) == 2
+            assert run_cli(argv + ["--output", str(out)]) == 2
         assert not out.exists()
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1
@@ -735,6 +738,10 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     # the other two never ended (--uL 1e100 has a default dt of 1.6e-201)
     ["simulate", "--dt", "5e-324"], ["simulate", "--dt", "1e-300"],
     ["simulate", "--uL", "1e100"],
+    # a Lax shock of span 1e-9, below twice its shot's seed offset (the
+    # shot launched past the node and reported "connects" before)
+    ["riemann", "--gamma", "0.4", "--uL", "0.3", "--uR", "0.300000001",
+     "--verify"],
 ])
 def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
     sim = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",

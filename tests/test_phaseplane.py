@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
-from scipy.integrate import DOP853
+from scipy.integrate import DOP853, solve_ivp
 from scipy.optimize import brentq
 
 from ucwaves import (
@@ -39,7 +39,7 @@ from ucwaves import (
 )
 from ucwaves import kinetics, pde, phaseplane, psystem
 from ucwaves.errors import DomainError
-from ucwaves.phaseplane import SEED_OFFSET, STIFF_RATIO, jacobian
+from ucwaves.phaseplane import CONNECTION_TOL, SEED_OFFSET, STIFF_RATIO, jacobian
 from ucwaves.psystem import resolved_parabola_coefficient
 
 GAMMA = 1 / math.sqrt(6)
@@ -224,6 +224,19 @@ def test_shots_refuse_coincident_ends_and_a_start_without_unstable_direction():
         shoot_unstable(TWProblem(0.0, 0.25, -0.5), -0.5, 1.0)
 
 
+def test_backward_shot_refuses_ends_within_twice_the_seed_offset():
+    # a Lax shock of span 1e-9: the orbit's first row, 1e-8 out from the
+    # saddle, lay past the node, and the shot used to report CONNECTS
+    prob = TWProblem(0.4, rh_speed(0.3, 0.300000001), 0.3)
+    with pytest.raises(DomainError, match=r"seed offset 1e-08 apart.*"
+                       r"saddle_u=0\.300000001, node_u=0\.3$"):
+        shoot_unstable(prob, 0.300000001, 0.3, backward=True)
+    # three seed offsets apart, the shot runs and connects
+    prob = TWProblem(0.4, rh_speed(0.3, 0.30000003), 0.3)
+    res = shoot_unstable(prob, 0.30000003, 0.3, backward=True)
+    assert res.verdict is Verdict.CONNECTS
+
+
 #: the README's phase example, a saddle-saddle pair at its RH speed 0.77216...
 README_PAIR = (0.3285142, -0.5475237)
 
@@ -269,7 +282,7 @@ def test_lax_profile_backward_shoot():
     prob = TWProblem(GAMMA, rh_speed(0.1, 0.3), 0.1)
     res = shoot_unstable(prob, 0.3, 0.1, backward=True)
     assert res.verdict is Verdict.CONNECTS
-    assert res.terminal_distance <= 1e-6
+    _assert_captured(res, prob, 0.1)
     _assert_lax_orbit_starts_at_its_saddle(res, 0.3)
     # a Lax orbit is nowhere near the undercompressive parabola
     assert parabola_residual(res, 0.1, 0.3) > 1e-3
@@ -468,6 +481,34 @@ def _assert_lax_orbit_starts_at_its_saddle(res, saddle):
     assert np.all(np.diff(xi) < 0)
 
 
+def _reversed_field(prob):
+    return lambda t, y: [-y[1], -(prob.T * y[1] + prob.P(y[0]))]
+
+
+def _assert_captured(res, prob, node_u):
+    """A backward CONNECTS ends within CONNECTION_TOL/2 of the node, or in
+    the node's certified capture set, and then scipy's LSODA, continuing the
+    reversed flow from that end, reaches CONNECTION_TOL/2 of the node."""
+    _, u, v = res.trajectory[-1]
+    x = u - node_u
+    dist = math.hypot(x, v)
+    if dist < 0.5 * CONNECTION_TOL:
+        return
+    m1, m2, m3, level = phaseplane._capture_certificate(prob, node_u)
+    assert m1 * x * x + 2.0 * m2 * x * v + m3 * v * v < level
+    # the slowest linear rate at the node, from numpy, sets the horizon
+    rate = -np.linalg.eigvals([[0.0, -1.0], [-prob.dP(node_u), -prob.T]]).real.max()
+    assert rate > 0.0
+
+    def close(t, y):
+        return math.hypot(y[0] - node_u, y[1]) - 0.5 * CONNECTION_TOL
+    close.terminal = True
+    horizon = 10.0 * (1.0 + max(0.0, math.log(dist / CONNECTION_TOL))) / rate
+    sol = solve_ivp(_reversed_field(prob), (0.0, horizon), [u, v],
+                    method="LSODA", rtol=1e-10, atol=1e-12, events=close)
+    assert sol.status == 1 and sol.t_events[0].size == 1
+
+
 def test_trajectory_endpoints():
     p = locus_point(0.58, GAMMA, Branch.MINUS)
     prob = TWProblem.from_kinetic_point(p)
@@ -531,7 +572,7 @@ def test_small_speed_lax_shots_connect_within_budget(log_s, gamma, side):
     prob, saddle = _lax_problem(gamma, 10.0 ** log_s, side=side)
     res = shoot_unstable(prob, saddle, 0.0, backward=True)
     assert res.verdict is Verdict.CONNECTS
-    assert res.terminal_distance <= 1e-6
+    _assert_captured(res, prob, 0.0)
     _assert_lax_orbit_starts_at_its_saddle(res, saddle)
 
 
@@ -573,12 +614,81 @@ def test_explicit_and_implicit_shots_agree_at_the_threshold(u_node, side,
                                     u_node, side)
         res = shoot_unstable(prob, saddle, u_node, backward=True)
         assert res.verdict is Verdict.CONNECTS
-        assert res.terminal_distance <= 1e-6
+        _assert_captured(res, prob, u_node)
         _assert_lax_orbit_starts_at_its_saddle(res, saddle)
     assert methods == ["DOP853", "BDF"]
 
 
 FIG3_AXIS = np.linspace(-1.2, 1.2, 97)
+
+
+# a Lax configuration: u_node the middle equilibrium at speed s, which
+# P'(u_node) = 3 u_node^2 - 1 + s < 0 makes it; gamma and s spread T^2 +
+# 4 P'(u_node) over both signs, so the node is a node or a focus
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(gamma=st.floats(0.01, 1.0), u_node=st.floats(-0.5, 0.5),
+       f=st.floats(1e-3, 0.999))
+@example(gamma=0.01, u_node=0.0, f=0.5)  # a focus
+@example(gamma=1.0, u_node=-0.5, f=1e-3)  # a node
+def test_capture_certificate_is_a_lyapunov_sublevel_set(gamma, u_node, f):
+    prob = TWProblem(gamma, f * (1.0 - 3.0 * u_node * u_node), u_node)
+    m1, m2, m3, level = phaseplane._capture_certificate(prob, u_node)
+    M = np.array([[m1, m2], [m2, m3]])
+    # J^T M + M J = -I to rounding, J the linearised reversed flow
+    J = np.array([[0.0, -1.0], [-prob.dP(u_node), -prob.T]])
+    residual = J.T @ M + M @ J + np.eye(2)
+    assert np.abs(residual).max() <= 1e-14 * np.abs(J).max() * np.abs(M).max()
+    # the level is half of lam_min(M) r^2, where r solves 2 ||M|| (|P_2| r +
+    # |P_3| r^2) = 1; P_2 = 3 u_node and P_3 = 1 for the scalar cubic
+    lam_min, lam_max = np.linalg.eigvalsh(M)
+    assert lam_min > 0.0
+    r = max(np.roots([1.0, 3.0 * abs(u_node), -0.5 / lam_max]).real)
+    assert level == pytest.approx(0.5 * lam_min * r * r, rel=1e-6)
+    # on the boundaries of the sublevel sets V < level and V < 2 level, the
+    # full cubic field points inward
+    angle = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
+    d = np.array([np.cos(angle), np.sin(angle)])
+    for c in (level, 2.0 * level):
+        x, v = d * np.sqrt(c / np.einsum("in,ij,jn->n", d, M, d))
+        assert np.all(np.hypot(x, v) <= r * (1.0 + 1e-12))
+        field = np.array(_reversed_field(prob)(0.0, (u_node + x, v)))
+        assert np.all(np.einsum("in,ij,jn->n", np.array([x, v]), M, field) < 0.0)
+
+
+@pytest.mark.parametrize("gamma,u_node", [
+    (GAMMA, 0.3),  # a saddle: P'(0.3) > 0 at s = 0.9
+    (0.0, 0.0),  # T = 0: a center, eigenvalues +-i sqrt(0.1)
+])
+def test_a_target_that_does_not_attract_gets_no_capture_certificate(gamma,
+                                                                    u_node):
+    prob = TWProblem(gamma, 0.9, u_node)
+    assert phaseplane._capture_certificate(prob, u_node) == phaseplane._NO_CAPTURE
+    # no point next to the target is captured, only the distance test holds
+    shot = phaseplane._Shot(prob, u_node)
+    for e in (1e-3, 1e-6):
+        assert not shot.stops(0.0, np.array([u_node + e, 0.0]))
+    assert shot.stops(0.0, np.array([u_node + 1e-7, 0.0])) and shot.connects
+
+
+def test_a_node_whose_lyapunov_matrix_overflows_gets_no_capture_certificate():
+    # T = 1e300/1e-150 overflows to inf: m1 = -T*m2 is inf
+    prob = TWProblem(1e300, 1e-300, 0.0)
+    assert prob.T == math.inf
+    assert phaseplane._capture_certificate(prob, 0.0) == phaseplane._NO_CAPTURE
+
+
+def test_a_fig3_lax_shot_stops_in_its_capture_certificate():
+    # the S cell (0, -0.6) of the fig3 grid: its Lax shot ends inside the
+    # certificate, far outside CONNECTION_TOL of the node u_L = 0
+    sol = solve(float(FIG3_AXIS[48]), float(FIG3_AXIS[24]), GAMMA)
+    (shock,) = sol.waves
+    prob = TWProblem(GAMMA, shock.speed_range[0], shock.left_state)
+    res = shoot_unstable(prob, shock.right_state, shock.left_state,
+                         backward=True)
+    assert res.verdict is Verdict.CONNECTS
+    assert res.terminal_distance > 1e-2
+    _assert_captured(res, prob, shock.left_state)
+
 
 
 # a fifth of the cells shoot a Lax profile; the rest are filtered out

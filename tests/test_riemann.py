@@ -135,6 +135,15 @@ def test_strong_right_state_goes_classical():
     assert all(c.passed for c in verify_solution(sol))
 
 
+def test_verify_refuses_a_lax_shock_within_the_seed_offset():
+    # its backward shot would launch past the node: a DomainError, not a
+    # verdict, as a shot too stiff to integrate is a DegenerateSpeedError
+    sol = solve(0.3, 0.300000001, 0.4)
+    assert sol.pattern == "S"
+    with pytest.raises(DomainError, match="twice the seed offset"):
+        verify_solution(sol)
+
+
 def test_negative_speed_shock_accepted():
     sol = solve(0.5, -1.5, GAMMA)
     assert sol.waves[0].speed_range[0] < 0
