@@ -266,7 +266,7 @@ def _capture_certificate(form, node_u):
     u' = -v, v' = -(T*v + P(u)) carries every point with V(e) < level into
     the equilibrium node_u, where e = (u - node_u, v) and V(e) = e^T M e,
     M = [[m1, m2], [m2, m3]]; _NO_CAPTURE when a linearised eigenvalue has
-    real part >= 0.
+    real part >= 0, or when lam_max(M) or the level overflows.
 
     J = [[0, -1], [-P_1, -T]] is the linearisation at the node, P_1 =
     dP(node_u); its eigenvalues have negative real parts exactly when T > 0
@@ -298,7 +298,12 @@ def _capture_certificate(form, node_u):
     c = 0.5 / lam_max
     a2, a3 = abs(p2), abs(p3)
     r = 2.0 * c / (a2 + math.sqrt(a2 * a2 + 4.0 * a3 * c))
-    return m1, m2, m3, _CAPTURE_MARGIN * lam_min * (r * r)
+    level = _CAPTURE_MARGIN * lam_min * (r * r)
+    # m3*m3 overflows first when T is tiny (m3 ~ 1/T): an infinite level
+    # would capture every point
+    if not level < math.inf:
+        return _NO_CAPTURE
+    return m1, m2, m3, level
 
 
 class _Shot:

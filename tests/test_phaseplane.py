@@ -677,6 +677,18 @@ def test_a_node_whose_lyapunov_matrix_overflows_gets_no_capture_certificate():
     assert phaseplane._capture_certificate(prob, 0.0) == phaseplane._NO_CAPTURE
 
 
+def test_a_focus_whose_lyapunov_level_overflows_gets_no_capture_certificate():
+    # T = 2e-200: m3 ~ 1/T stays finite, so does lam_max, but m3*m3 in
+    # lam_min overflows; an infinite level would capture every point
+    prob = TWProblem(1e-200, 0.25, 0.0)
+    assert phaseplane._capture_certificate(prob, 0.0) == phaseplane._NO_CAPTURE
+    shot = phaseplane._Shot(prob, 0.0)
+    assert not shot.stops(0.0, np.array([0.5, 0.0]))
+    # the focus decays at a rate of 1e-200: the shot cannot reach it
+    with pytest.raises(ShootingBudgetError):
+        shoot_unstable(prob, math.sqrt(0.75), 0.0, backward=True)
+
+
 def test_a_fig3_lax_shot_stops_in_its_capture_certificate():
     # the S cell (0, -0.6) of the fig3 grid: its Lax shot ends inside the
     # certificate, far outside CONNECTION_TOL of the node u_L = 0
