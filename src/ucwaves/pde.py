@@ -12,15 +12,19 @@ refused), and the default step falls back to a CFL step in dx.
 
 One ghost-cell stencil serves every boundary condition, which only names
 the two values outside the grid.  Only the implicit solve differs: FFT
-diagonalization for periodic runs, a tridiagonal LU with the condition's
-own boundary rows otherwise.  The operator factors once per config (the
-symbol, or LAPACK's dgttrf), and each stage only solves (dgttrs).
+diagonalization for periodic runs, otherwise a tridiagonal factorization
+with the condition's own boundary rows.  For mu > 0 the operator is
+symmetric positive definite in the form the solve uses (Dirichlet: the
+interior rows; Neumann: both end rows halved), so it is factored as LDL^T
+(LAPACK's dpttrf) and each stage solves in place on its own right-hand side
+(dpttrs).  For mu < 0 it is indefinite and keeps the LU with partial
+pivoting (dgttrf, then dgttrs).  The operator factors once per config.
 
-Each RK4 step allocates three work arrays and runs every stage in place, in
-the operation order of the textbook expressions, so profiles keep their bits
-(``step``).  The ``"exp"`` front-speed fit scores all its decay rates in one
-array pass (``_fit_positions``).  ``detect_fronts`` trims, values and groups
-each flat run in one pass of array operations.
+Each RK4 step runs every stage in place, in the operation order of the
+textbook expressions, so profiles keep their bits (``step``).  The
+``"exp"`` front-speed fit scores all its decay rates in one array pass
+(``_fit_positions``).  ``detect_fronts`` trims, values and groups each flat
+run in one pass of array operations.
 """
 
 import functools
@@ -29,7 +33,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._scipy import dgttrf, dgttrs as solve_banded
+from ._scipy import dgttrf, dgttrs, dpttrf, dpttrs as solve_banded
 from .errors import (DomainError, SimulationDivergedError, _check_cubes,
                      _check_finite, _not_finite)
 from .kinetics import KineticPoint
@@ -41,10 +45,13 @@ DEFAULT_CFL = 0.4  # mu < 0: share of the CFL step dx/max|f'|
 #: within 9 % of the Riemann solver's tolerance (1 %, 2 %) of their values at
 #: a 13x smaller step; at 1.0 the front speeds leave that tolerance.
 DEFAULT_SYMBOL_SAFETY = 0.35
+_FLOAT_MAX = float(np.finfo(float).max)
 _RK4_REAL_LIMIT = 2.78  # RK4 is stable on [-2.78, 0] (and on i*[-2.83, 2.83])
 #: The most time steps a run may plan; t_end/dt above it is refused before
 #: the run (fig4 plans 5000).
 MAX_STEPS = 10**6
+#: The most grid points a run may have.
+MAX_NX = 10**6
 #: Grid points a flat run needs to count as a plateau, and the scale of the
 #: gap across which two runs of nearly equal value merge (4 * MIN_RUN).
 MIN_RUN = 25
@@ -126,8 +133,8 @@ class SimConfig:
             bad.append(f"beta={self.beta!r} (must be > 0)")
         if self.mu == 0:
             bad.append("mu=0 (must be nonzero; mu < 0 only to probe instability)")
-        if self.nx < 3:
-            bad.append(f"nx={self.nx!r} (must be >= 3)")
+        if not 3 <= self.nx <= MAX_NX:
+            bad.append(f"nx={self.nx!r} (must be >= 3 and <= {MAX_NX})")
         if self.x_max <= self.x_min:
             bad.append(f"x range [{self.x_min!r}, {self.x_max!r}] (empty)")
         if self.dt is not None and self.dt <= 0:
@@ -209,19 +216,26 @@ class _Operator:
     """u_t of one config (stencil and implicit solve) and its time step.
 
     The implicit operator I - mu*D2 is factored here, once per config: its
-    FFT symbol for periodic runs, otherwise its LU factors with partial
-    pivoting (LAPACK dgttrf), which every stage solves with (dgttrs).  A
-    singular or nearly singular operator (mu < 0 only) raises DomainError.
-    Cached per config and shared, so it holds no arrays a call writes to:
-    the caller passes the work arrays."""
+    FFT symbol for periodic runs; for mu > 0 its LDL^T factors (LAPACK
+    dpttrf) in the symmetric form, which every stage solves with in place
+    (dpttrs, bound as ``solve_banded``); for mu < 0 its LU factors with
+    partial pivoting (dgttrf), solved with dgttrs.  DomainError refuses an
+    operator whose entries overflow, a singular or nearly singular one for
+    mu < 0 (a pole on a grid mode), and, for mu > 0, a Neumann one whose
+    identity part is lost to rounding (the stored matrix is then mu*D2, which
+    annihilates constants).  Cached per config and shared, so it holds no
+    arrays a call writes to: the caller passes the work arrays."""
 
     def __init__(self, cfg: SimConfig):
         self.beta = cfg.beta
-        self.dt = cfg.dt if cfg.dt is not None else default_dt(cfg)
         self.left, self.right = _GHOSTS[cfg.bc]
-        _, self.dx = x_grid(cfg)
-        n, dx, mu = cfg.nx, self.dx, cfg.mu
+        n, dx, mu = cfg.nx, float(x_grid(cfg)[1]), cfg.mu
         self.dx2, self.two_dx = dx * dx, 2.0 * dx
+        # 4*|mu|/dx**2 bounds every entry and eigenvalue of mu*D2
+        if not abs(mu) <= _FLOAT_MAX / 4.0 * self.dx2:
+            raise DomainError(f"4*|mu|/dx**2 overflows at mu={mu!r}, dx={dx!r}; "
+                              "shrink |mu| or coarsen the grid")
+        self.dt = cfg.dt if cfg.dt is not None else default_dt(cfg)
         if cfg.bc is BoundaryCondition.PERIODIC:
             modes = np.fft.rfftfreq(n, d=1.0 / n)  # 0..n/2
             lam = (2.0 * np.cos(2.0 * np.pi * modes / n) - 2.0) / self.dx2
@@ -233,42 +247,74 @@ class _Operator:
             self.solve = self._solve_fft
             return
         r = mu / self.dx2
+        pinned = cfg.bc is BoundaryCondition.DIRICHLET_FARFIELD
+        if mu > 0:
+            # Dirichlet: the interior rows (w = 0 at the ends); Neumann: all
+            # rows, the end rows (whose mirrored ghost doubles the inward
+            # coupling) halved, which is exact and makes the form symmetric
+            d = np.full(n - 2 if pinned else n, 1.0 + 2.0 * r)
+            if not pinned:
+                d[0] = d[-1] = 0.5 + r
+            # (f2py wants one off-diagonal entry where d has one; none is read)
+            e = np.full(max(len(d) - 1, 1), -r)
+            *self.factors, info = dpttrf(d, e)  # (d, e)
+            if info:  # Neumann from mu/dx**2 ~ 4.5e15, where 0.5 + r rounds to r
+                raise DomainError(f"I - mu*D2 on the {cfg.bc.value} grid rounds to a "
+                                  f"singular matrix at mu/dx**2={r!r}; shrink mu or "
+                                  "coarsen the grid")
+            self.solve = self._solve_pinned_ldl if pinned else self._solve_halved_ldl
+            return
         d = np.full(n, 1.0 + 2.0 * r)
         du, dl = np.full(n - 1, -r), np.full(n - 1, -r)
-        if cfg.bc is BoundaryCondition.DIRICHLET_FARFIELD:
+        if pinned:
             d[0] = d[-1] = 1.0
             du[0] = dl[-1] = 0.0
-            self.solve = self._solve_pinned
+            self.solve = self._solve_pinned_lu
         else:  # Neumann: the mirrored ghost doubles the inward coupling
             du[0] = dl[-1] = -2.0 * r
-            self.solve = self._solve_banded
-        *self.lu, _ = dgttrf(dl, d, du)  # (dl, d, du, du2, ipiv)
+            self.solve = self._solve_lu
+        *self.factors, _ = dgttrf(dl, d, du)  # (dl, d, du, du2, ipiv)
         # a pivot of U tiny against the largest row sum (a zero one, where
         # dgttrf reports info > 0, too), as the periodic symbol is refused
         row_sums = np.abs(d)
         row_sums[1:] += np.abs(dl)
         row_sums[:-1] += np.abs(du)
-        if np.abs(self.lu[1]).min() < 1e-14 * row_sums.max():
+        if np.abs(self.factors[1]).min() < 1e-14 * row_sums.max():
             raise DomainError(f"mu < 0 pole lands on a mode of the {cfg.bc.value} grid "
                               "(I - mu*D2 is singular); shift mu or the domain size")
+
+    # each solve overwrites rhs with w and returns it
 
     def _solve_fft(self, rhs):
         spec = np.fft.rfft(rhs)
         spec /= self.symbol
-        return np.fft.irfft(spec, n=len(rhs))
+        return np.fft.irfft(spec, n=len(rhs), out=rhs)
 
-    def _solve_banded(self, rhs):
-        return solve_banded(*self.lu, rhs)[0]  # (x, info): x is a fresh array
-
-    def _solve_pinned(self, rhs):
+    def _solve_pinned_ldl(self, rhs):
         rhs[0] = rhs[-1] = 0.0
-        return self._solve_banded(rhs)
+        solve_banded(*self.factors, rhs[1:-1], overwrite_b=1)
+        return rhs
 
-    def u_t(self, g, rhs, tmp):
-        """Solve (I - mu*D2) w = beta*D2 u - D1 f(u) for w = u_t.
+    def _solve_halved_ldl(self, rhs):
+        rhs[0] *= 0.5
+        rhs[-1] *= 0.5
+        solve_banded(*self.factors, rhs, overwrite_b=1)
+        return rhs
+
+    def _solve_lu(self, rhs):
+        dgttrs(*self.factors, rhs, overwrite_b=1)
+        return rhs
+
+    def _solve_pinned_lu(self, rhs):
+        rhs[0] = rhs[-1] = 0.0
+        return self._solve_lu(rhs)
+
+    def u_t(self, g, tmp):
+        """Solve (I - mu*D2) w = beta*D2 u - D1 f(u) for w = u_t, a fresh
+        array.
 
         ``g`` (len(u) + 2) holds u in ``g[1:-1]``; this fills its ghost
-        cells.  ``rhs`` and ``tmp`` (len(u)) are overwritten.  The in-place
+        cells.  ``tmp`` (len(u)) is overwritten.  The in-place
         ufuncs take the operations of
         beta*(g[2:] - 2*g[1:-1] + g[:-2])/dx**2 - (f[2:] - f[:-2])/(2*dx)
         in the same order, so the bits are those of that expression.
@@ -277,7 +323,7 @@ class _Operator:
         g[:1] = u[self.left]
         g[-1:] = u[self.right]
         f = flux(g)
-        np.multiply(u, 2.0, out=rhs)
+        rhs = np.multiply(u, 2.0)  # the solve's own right-hand side
         np.subtract(g[2:], rhs, out=rhs)
         rhs += g[:-2]
         rhs *= self.beta
@@ -303,20 +349,20 @@ def step(state: SimState, cfg: SimConfig, dt=None):
     h = dt if dt is not None else op.dt
     u = state.u
     n = len(u)
-    g, rhs, tmp = np.empty(n + 2), np.empty(n), np.empty(n)
+    g, tmp = np.empty(n + 2), np.empty(n)
     y = g[1:-1]
     y[...] = u
-    k1 = op.u_t(g, rhs, tmp)
+    k1 = op.u_t(g, tmp)
     np.multiply(k1, 0.5 * h, out=y)
     y += u
-    k2 = op.u_t(g, rhs, tmp)
+    k2 = op.u_t(g, tmp)
     np.multiply(k2, 0.5 * h, out=y)
     y += u
-    k3 = op.u_t(g, rhs, tmp)
+    k3 = op.u_t(g, tmp)
     np.multiply(k3, h, out=y)
     y += u
-    k4 = op.u_t(g, rhs, tmp)
-    new = k2  # each k is a fresh array from the solve
+    k4 = op.u_t(g, tmp)
+    new = k2  # each k is a fresh array
     new *= 2.0
     new += k1
     k3 *= 2.0

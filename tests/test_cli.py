@@ -683,6 +683,39 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     assert "not finite" in record["message"]
 
 
+HUGE_MU = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--x-min=-30",
+           "--x-max", "60", "--nx", "1801", "--t-end", "1"]
+
+
+@pytest.mark.parametrize("mu,bc", [("1e12", "dirichlet_farfield"),
+                                   ("1e200", "dirichlet_farfield"),
+                                   ("1e12", "neumann"), ("1e13", "neumann")])
+def test_simulate_with_a_huge_positive_mu_runs(mu, bc, tmp_path):
+    # at mu/dx**2 = 4e14 the Dirichlet end rows' pivot 1 fell below 1e-14 of
+    # the row sum, and the run was refused as a mu < 0 pole
+    out, prof = tmp_path / "sim.json", tmp_path / "profile.csv"
+    assert run_cli(["simulate", *HUGE_MU, "--mu", mu, "--bc", bc,
+                    "--output", str(out), "--profile-output", str(prof)]) == 0
+    assert json.loads(out.read_text())["t_final"] == 1.0
+    rows = [ln for ln in prof.read_text().splitlines() if not ln.startswith("#")]
+    u = np.array([float(row.split(",")[1]) for row in rows[1:]])
+    # steepness beta/sqrt(mu) makes the initial profile all but flat at -0.2
+    assert u.size == 1801 and np.abs(u + 0.2).max() < 1e-3
+
+
+def test_simulate_refuses_a_neumann_operator_that_rounds_to_singular(tmp_path, capsys):
+    # mu/dx**2 = 4e202: 1 + 2r and 0.5 + r round to 2r and r, so the stored
+    # I - mu*D2 is mu*D2, which maps constants to 0
+    out = tmp_path / "sim.json"
+    assert run_cli(["simulate", *HUGE_MU, "--mu", "1e200", "--bc", "neumann",
+                    "--output", str(out)]) == 2
+    assert not out.exists()
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "DomainError"
+    assert "rounds to a singular matrix" in record["message"]
+    assert "mu < 0" not in record["message"]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--dt", "nan"], ["simulate", "--t-end", "inf"],
     ["simulate", "--beta", "nan"],
@@ -742,6 +775,12 @@ def test_simulate_blow_up_exits_2(tmp_path, capsys):
     # shot launched past the node and reported "connects" before)
     ["riemann", "--gamma", "0.4", "--uL", "0.3", "--uR", "0.300000001",
      "--verify"],
+    # far more grid points than a run may have (numpy's MemoryError before)
+    ["simulate", "--nx", "1000000000000"],
+    # 4*mu/dx**2 overflows: a RuntimeWarning and exit 0 (periodic), or NaN
+    # factors and SimulationDivergedError (Dirichlet) before
+    *(["simulate", "--mu", "1e300", "--x-min", "0", "--x-max", "1e-3", "--nx",
+       "1000", "--bc", bc] for bc in ("periodic", "dirichlet_farfield", "neumann")),
 ])
 def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
     sim = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",

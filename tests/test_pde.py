@@ -1,12 +1,13 @@
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded
+from scipy.linalg import solve_banded, solveh_banded
 
 from ucwaves import (
     BoundaryCondition,
@@ -62,6 +63,14 @@ def test_config_validation_lists_all_fields():
     msg = str(err.value)
     for field in ("beta", "mu", "nx", "x range", "dt", "t_end", "initial"):
         assert field in msg
+
+
+def test_config_caps_nx():
+    # far above any memory, so that no grid is ever allocated
+    with pytest.raises(DomainError, match=r"nx=1000000000000 \(must be >= 3 and "
+                                          r"<= 1000000\)"):
+        smoothed_cfg(nx=10**12)
+    assert smoothed_cfg(nx=pde.MAX_NX).nx == 10**6
 
 
 @pytest.mark.parametrize("field", ["beta", "mu", "x_min", "x_max", "t_end", "dt"])
@@ -145,7 +154,9 @@ def test_single_step_matches_simulate_steps():
 
 def textbook_rk4(cfg, nsteps):
     """u after nsteps of classical RK4 on the method-of-lines u_t, written
-    with fresh arrays for every operation."""
+    with fresh arrays for every operation.  For mu > 0 scipy's
+    ``solveh_banded`` solves the symmetric form: the Dirichlet interior
+    rows, or the Neumann rows with both end rows halved."""
     u, dx, n, bc = initial_profile(cfg).u, x_grid(cfg)[1], cfg.nx, cfg.bc
     left, right = {BoundaryCondition.PERIODIC: (-1, 0), BoundaryCondition.NEUMANN:
                    (1, -2), BoundaryCondition.DIRICHLET_FARFIELD: (0, -1)}[bc]
@@ -157,6 +168,10 @@ def textbook_rk4(cfg, nsteps):
         ab[1, 0] = ab[1, -1] = 1.0
     else:  # Neumann: the mirrored ghost doubles the inward coupling
         ab[0, 1] = ab[2, -2] = -2.0 * r
+    # upper symmetric band form: the superdiagonal (first entry unused) over
+    # the diagonal
+    sym = np.array([np.full(n, -r), np.full(n, 1.0 + 2.0 * r)])
+    sym[1, 0] = sym[1, -1] = 0.5 + r  # Neumann's end rows halved
 
     def u_t(u):
         g = np.concatenate(([u[left]], u, [u[right]]))
@@ -167,7 +182,14 @@ def textbook_rk4(cfg, nsteps):
             return np.fft.irfft(np.fft.rfft(rhs) / (1.0 - cfg.mu * lam), n=n)
         if bc is BoundaryCondition.DIRICHLET_FARFIELD:
             rhs[0] = rhs[-1] = 0.0
-        return solve_banded((1, 1), ab, rhs, check_finite=False)
+        if cfg.mu < 0:
+            return solve_banded((1, 1), ab, rhs, check_finite=False)
+        if bc is BoundaryCondition.DIRICHLET_FARFIELD:
+            rhs[1:-1] = solveh_banded(sym[:, 1:-1], rhs[1:-1], check_finite=False)
+            return rhs
+        rhs[0] /= 2.0
+        rhs[-1] /= 2.0
+        return solveh_banded(sym, rhs, check_finite=False)
 
     h = cfg.t_end / nsteps
     for _ in range(nsteps):
@@ -192,25 +214,65 @@ def _counted(monkeypatch, name):
     """The list that gets one entry per call through ``pde``'s ``name``."""
     calls, fn = [], getattr(pde, name)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(None)
-        return fn(*args)
+        return fn(*args, **kwargs)
 
     monkeypatch.setattr(pde, name, counted)
     return calls
 
 
 def test_operator_factors_once_per_config_and_solves_once_per_stage(monkeypatch):
-    factors = _counted(monkeypatch, "dgttrf")
-    solves = _counted(monkeypatch, "solve_banded")
-    pde._operator.cache_clear()
-    cfg = smoothed_cfg(nx=101, dt=0.01, t_end=0.2)  # 20 steps
-    first, second = simulate(cfg), simulate(cfg)
-    assert len(factors) == 1
-    assert len(solves) == 2 * 4 * 20
-    assert first.final.u.tobytes() == second.final.u.tobytes()
-    simulate(smoothed_cfg(bc=BoundaryCondition.PERIODIC, nx=64, t_end=0.2))
-    assert (len(factors), len(solves)) == (1, 2 * 4 * 20)
+    # mu > 0: LDL^T (dpttrf), solved through pde.solve_banded (dpttrs);
+    # mu < 0: pivoted LU (dgttrf, dgttrs)
+    names = ("dpttrf", "solve_banded", "dgttrf", "dgttrs")
+    calls = {name: _counted(monkeypatch, name) for name in names}
+    for mu, (factor, solve) in ((MU, names[:2]), (-0.3, names[2:])):
+        for c in calls.values():
+            c.clear()
+        pde._operator.cache_clear()
+        cfg = smoothed_cfg(mu=mu, nx=101, dt=0.01, t_end=0.2)  # 20 steps
+        first, second = simulate(cfg), simulate(cfg)
+        want = {name: 0 for name in names} | {factor: 1, solve: 2 * 4 * 20}
+        assert {name: len(c) for name, c in calls.items()} == want
+        assert first.final.u.tobytes() == second.final.u.tobytes()
+        simulate(smoothed_cfg(mu=mu, bc=BoundaryCondition.PERIODIC, nx=64, t_end=0.2))
+        assert {name: len(c) for name, c in calls.items()} == want
+
+
+def _dense_operator(bc, n, dx, mu):
+    """I - mu*D2 of the three-point stencil as a dense matrix; a Dirichlet
+    end row is w = 0."""
+    d2 = (np.eye(n, k=1) - 2.0 * np.eye(n) + np.eye(n, k=-1)) / (dx * dx)
+    if bc is BoundaryCondition.PERIODIC:
+        d2[0, -1] = d2[-1, 0] = 1.0 / (dx * dx)
+    elif bc is BoundaryCondition.NEUMANN:  # the mirrored ghost u[1], u[n - 2]
+        d2[0, 1] = d2[-1, -2] = 2.0 / (dx * dx)
+    else:  # the identity's end rows alone
+        d2[0] = d2[-1] = 0.0
+    return np.eye(n) - mu * d2
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(bc=st.sampled_from(list(BoundaryCondition)), nx=st.integers(3, 200),
+       length=st.floats(0.5, 200.0), log_r=st.floats(-3.0, 6.0),
+       sign=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2**32 - 1))
+def test_implicit_solve_has_a_small_residual(bc, nx, length, log_r, sign, seed):
+    # the solve's w against a dense I - mu*D2 built from the stencil here;
+    # r = |mu|/dx**2 spans 1e-3..1e6, and mu < 0 is kept off its poles
+    cfg = smoothed_cfg(bc=bc, nx=nx, x_min=0.0, x_max=length, mu=1.0)
+    dx = x_grid(cfg)[1]
+    mu = sign * 10.0**log_r * dx * dx
+    cfg = smoothed_cfg(bc=bc, nx=nx, x_min=0.0, x_max=length, mu=mu)
+    a = _dense_operator(bc, nx, dx, mu)
+    eig = np.abs(np.linalg.eigvals(a))
+    assume(eig.min() > 1e-6 * eig.max())
+    rhs = np.random.default_rng(seed).standard_normal(nx)
+    if bc is BoundaryCondition.DIRICHLET_FARFIELD:
+        rhs[0] = rhs[-1] = 0.0
+    w = pde._operator(cfg).solve(rhs.copy())
+    norm_a = np.abs(a).sum(axis=1).max()
+    assert np.abs(a @ w - rhs).max() <= 16 * np.finfo(float).eps * norm_a * np.abs(w).max()
 
 
 @pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET_FARFIELD,
@@ -233,6 +295,38 @@ def test_nearly_singular_implicit_operator_is_a_domain_error(bc, mu):
     cfg = smoothed_cfg(bc=bc, mu=mu, x_min=0.0, x_max=2.0, nx=3, dt=0.05)
     with pytest.raises(DomainError, match=f"pole lands on a mode of the {bc.value} grid"):
         simulate(cfg)
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+@pytest.mark.parametrize("mu", [1e300, -1e300])
+def test_an_overflowing_mu_over_dx2_is_refused_before_factoring(bc, mu, monkeypatch):
+    # dx ~ 1e-6, so mu/dx**2 ~ 1e312: periodic runs warned of the overflow
+    # and ran, Dirichlet runs factored NaNs and diverged at step 1
+    factors = [_counted(monkeypatch, name) for name in ("dpttrf", "dgttrf")]
+    cfg = smoothed_cfg(bc=bc, mu=mu, x_min=0.0, x_max=1e-3, nx=1000, dt=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"4\*\|mu\|/dx\*\*2 overflows"):
+            simulate(cfg)
+    assert factors == [[], []]
+
+
+@pytest.mark.parametrize("bc", [BoundaryCondition.PERIODIC,
+                                BoundaryCondition.DIRICHLET_FARFIELD],
+                         ids=lambda bc: bc.value)
+def test_the_largest_mu_whose_operator_does_not_overflow_runs(bc):
+    # dx = 1: 4*mu is the largest float at mu = max/4 and overflows one ulp
+    # above it
+    largest = sys.float_info.max / 4.0
+    x_max = 8.0 if bc is BoundaryCondition.PERIODIC else 7.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cfg = smoothed_cfg(bc=bc, mu=largest, x_min=0.0, x_max=x_max, nx=8, dt=None)
+        assert initial_profile(cfg).dx == 1.0
+        assert np.isfinite(simulate(cfg).final.u).all()
+        with pytest.raises(DomainError, match="overflows"):
+            simulate(smoothed_cfg(bc=bc, mu=math.nextafter(largest, math.inf),
+                                  x_min=0.0, x_max=x_max, nx=8))
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
