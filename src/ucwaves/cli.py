@@ -306,7 +306,7 @@ def _cmd_simulate(args, params):
     if args.snapshot_every is not None and args.snapshot_every <= 0.0:
         raise DomainError("invalid simulate options: snapshot_every="
                           f"{args.snapshot_every!r} (must be positive)")
-    gamma = args.beta / np.sqrt(args.mu) if args.mu > 0 else None
+    gamma = args.beta / math.sqrt(args.mu) if args.mu > 0 else None
     if args.initial == "smoothed":
         steep = args.steepness if args.steepness is not None else gamma
         if steep is None:

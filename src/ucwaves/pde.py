@@ -12,13 +12,12 @@ refused), and the default step falls back to a CFL step in dx.
 
 One ghost-cell stencil serves every boundary condition, which only names
 the two values outside the grid.  Only the implicit solve differs: FFT
-diagonalization for periodic runs, otherwise a tridiagonal factorization
-with the condition's own boundary rows.  For mu > 0 the operator is
-symmetric positive definite in the form the solve uses (Dirichlet: the
-interior rows; Neumann: both end rows halved), so it is factored as LDL^T
-(LAPACK's dpttrf) and each stage solves in place on its own right-hand side
-(dpttrs).  For mu < 0 it is indefinite and keeps the LU with partial
-pivoting (dgttrf, then dgttrs).  The operator factors once per config.
+diagonalization for periodic runs, otherwise one symmetric tridiagonal form
+whose end rows are the condition's own (Dirichlet: w = 0, decoupled;
+Neumann: halved).  The sign of mu picks only how it is factored, once per
+config: LDL^T (LAPACK's dpttrf) for mu > 0, where it is positive definite,
+or LU with partial pivoting (dgttrf) for mu < 0, where it is indefinite.
+Each stage solves in place on its own right-hand side (dpttrs or dgttrs).
 
 Each RK4 step runs every stage in place, in the operation order of the
 textbook expressions, so profiles keep their bits (``step``).  The
@@ -28,6 +27,7 @@ run in one pass of array operations.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -78,8 +78,9 @@ class SmoothedRiemann:
                       u_right=self.u_right, steepness=self.steepness)
 
     def profile(self, x, mu):
-        return 0.5 * ((self.u_right - self.u_left) * np.tanh(self.steepness * x)
-                      + (self.u_right + self.u_left))
+        with np.errstate(over="ignore"):  # steepness*x may overflow: tanh(+-inf) = +-1
+            return 0.5 * ((self.u_right - self.u_left) * np.tanh(self.steepness * x)
+                          + (self.u_right + self.u_left))
 
 
 @dataclass(frozen=True)
@@ -137,6 +138,10 @@ class SimConfig:
             bad.append(f"nx={self.nx!r} (must be >= 3 and <= {MAX_NX})")
         if self.x_max <= self.x_min:
             bad.append(f"x range [{self.x_min!r}, {self.x_max!r}] (empty)")
+        elif (float(self.x_max) - float(self.x_min) == math.inf
+              and math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            bad.append(f"x range [{self.x_min!r}, {self.x_max!r}] (its width "
+                       "overflows)")
         if self.dt is not None and self.dt <= 0:
             bad.append(f"dt={self.dt!r} (must be > 0)")
         if self.t_end < 0:
@@ -194,12 +199,12 @@ def default_dt(cfg: SimConfig):
     the step is the CFL step DEFAULT_CFL*dx/a.
     """
     state = initial_profile(cfg)
-    dx, mu = state.dx, cfg.mu
+    dx, beta, mu = float(state.dx), float(cfg.beta), float(cfg.mu)  # overflow: inf
     amax = max(1.0, float(np.abs(char_speed(state.u)).max()))
     if mu < 0:
         return DEFAULT_CFL * dx / amax
-    bound_im = min(amax / (2.0 * np.sqrt(mu)), amax / dx)
-    bound_re = min(cfg.beta / mu, 4.0 * cfg.beta / (dx * dx))
+    bound_im = min(amax / (2.0 * math.sqrt(mu)), amax / dx)
+    bound_re = min(beta / mu, 4.0 * beta / (dx * dx))
     return DEFAULT_SYMBOL_SAFETY * _RK4_REAL_LIMIT / (bound_im + bound_re)
 
 
@@ -216,25 +221,28 @@ class _Operator:
     """u_t of one config (stencil and implicit solve) and its time step.
 
     The implicit operator I - mu*D2 is factored here, once per config: its
-    FFT symbol for periodic runs; for mu > 0 its LDL^T factors (LAPACK
-    dpttrf) in the symmetric form, which every stage solves with in place
-    (dpttrs, bound as ``solve_banded``); for mu < 0 its LU factors with
-    partial pivoting (dgttrf), solved with dgttrs.  DomainError refuses an
-    operator whose entries overflow, a singular or nearly singular one for
+    FFT symbol for periodic runs, otherwise its one symmetric form of n rows
+    as LDL^T for mu > 0 (LAPACK dpttrf; each stage solves in place with
+    dpttrs, bound as ``solve_banded``) or as a pivoted LU for mu < 0
+    (dgttrf, dgttrs).  DomainError refuses a grid on which dx**2 or an entry
+    of D2 or mu*D2 overflows, a singular or nearly singular operator for
     mu < 0 (a pole on a grid mode), and, for mu > 0, a Neumann one whose
-    identity part is lost to rounding (the stored matrix is then mu*D2, which
-    annihilates constants).  Cached per config and shared, so it holds no
-    arrays a call writes to: the caller passes the work arrays."""
+    identity part is lost to rounding (the stored matrix is then mu*D2,
+    which annihilates constants).  Cached per config and shared, so it
+    holds no arrays a call writes to: the caller passes the work arrays."""
 
     def __init__(self, cfg: SimConfig):
         self.beta = cfg.beta
         self.left, self.right = _GHOSTS[cfg.bc]
         n, dx, mu = cfg.nx, float(x_grid(cfg)[1]), cfg.mu
         self.dx2, self.two_dx = dx * dx, 2.0 * dx
-        # 4*|mu|/dx**2 bounds every entry and eigenvalue of mu*D2
-        if not abs(mu) <= _FLOAT_MAX / 4.0 * self.dx2:
-            raise DomainError(f"4*|mu|/dx**2 overflows at mu={mu!r}, dx={dx!r}; "
-                              "shrink |mu| or coarsen the grid")
+        # dx**2 must be finite, and so must 4/dx**2 and 4*|mu|/dx**2, which
+        # bound every entry and eigenvalue of D2 and mu*D2
+        if not (self.dx2 < math.inf
+                and max(1.0, abs(mu)) <= _FLOAT_MAX / 4.0 * self.dx2):
+            raise DomainError(f"dx**2, 4/dx**2 or 4*|mu|/dx**2 overflows at mu={mu!r}, "
+                              f"dx={dx!r} on the x range [{cfg.x_min!r}, "
+                              f"{cfg.x_max!r}]; shrink |mu| or change the range or nx")
         self.dt = cfg.dt if cfg.dt is not None else default_dt(cfg)
         if cfg.bc is BoundaryCondition.PERIODIC:
             modes = np.fft.rfftfreq(n, d=1.0 / n)  # 0..n/2
@@ -247,41 +255,31 @@ class _Operator:
             self.solve = self._solve_fft
             return
         r = mu / self.dx2
-        pinned = cfg.bc is BoundaryCondition.DIRICHLET_FARFIELD
+        # one symmetric form for both signs of mu.  End rows: Dirichlet's are
+        # w = 0, decoupled; Neumann's (the ghost doubles their coupling) halved
+        self.pinned = cfg.bc is BoundaryCondition.DIRICHLET_FARFIELD
+        d, e = np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r)
+        if self.pinned:
+            d[0] = d[-1] = 1.0
+            e[0] = e[-1] = 0.0
+        else:
+            d[0] = d[-1] = 0.5 + r
         if mu > 0:
-            # Dirichlet: the interior rows (w = 0 at the ends); Neumann: all
-            # rows, the end rows (whose mirrored ghost doubles the inward
-            # coupling) halved, which is exact and makes the form symmetric
-            d = np.full(n - 2 if pinned else n, 1.0 + 2.0 * r)
-            if not pinned:
-                d[0] = d[-1] = 0.5 + r
-            # (f2py wants one off-diagonal entry where d has one; none is read)
-            e = np.full(max(len(d) - 1, 1), -r)
             *self.factors, info = dpttrf(d, e)  # (d, e)
             if info:  # Neumann from mu/dx**2 ~ 4.5e15, where 0.5 + r rounds to r
                 raise DomainError(f"I - mu*D2 on the {cfg.bc.value} grid rounds to a "
                                   f"singular matrix at mu/dx**2={r!r}; shrink mu or "
                                   "coarsen the grid")
-            self.solve = self._solve_pinned_ldl if pinned else self._solve_halved_ldl
+            self.solve = self._solve_ldl
             return
-        d = np.full(n, 1.0 + 2.0 * r)
-        du, dl = np.full(n - 1, -r), np.full(n - 1, -r)
-        if pinned:
-            d[0] = d[-1] = 1.0
-            du[0] = dl[-1] = 0.0
-            self.solve = self._solve_pinned_lu
-        else:  # Neumann: the mirrored ghost doubles the inward coupling
-            du[0] = dl[-1] = -2.0 * r
-            self.solve = self._solve_lu
-        *self.factors, _ = dgttrf(dl, d, du)  # (dl, d, du, du2, ipiv)
-        # a pivot of U tiny against the largest row sum (a zero one, where
-        # dgttrf reports info > 0, too), as the periodic symbol is refused
-        row_sums = np.abs(d)
-        row_sums[1:] += np.abs(dl)
-        row_sums[:-1] += np.abs(du)
-        if np.abs(self.factors[1]).min() < 1e-14 * row_sums.max():
+        *self.factors, _ = dgttrf(e, d, e)  # (dl, d, du, du2, ipiv)
+        # a coupled row's pivot (a zero one too) tiny against the largest row
+        # sum, |1 + 2r| + 2|r| for n >= 3, is refused as the periodic symbol is
+        pivots = self.factors[1][1:-1] if self.pinned else self.factors[1]
+        if np.abs(pivots).min() < 1e-14 * (abs(1.0 + 2.0 * r) + 2.0 * abs(r)):
             raise DomainError(f"mu < 0 pole lands on a mode of the {cfg.bc.value} grid "
                               "(I - mu*D2 is singular); shift mu or the domain size")
+        self.solve = self._solve_lu
 
     # each solve overwrites rhs with w and returns it
 
@@ -290,24 +288,22 @@ class _Operator:
         spec /= self.symbol
         return np.fft.irfft(spec, n=len(rhs), out=rhs)
 
-    def _solve_pinned_ldl(self, rhs):
-        rhs[0] = rhs[-1] = 0.0
-        solve_banded(*self.factors, rhs[1:-1], overwrite_b=1)
-        return rhs
+    def _end_rows(self, rhs):
+        if self.pinned:  # w = 0
+            rhs[0] = rhs[-1] = 0.0
+        else:  # halved, as their rows are
+            rhs[0] *= 0.5
+            rhs[-1] *= 0.5
 
-    def _solve_halved_ldl(self, rhs):
-        rhs[0] *= 0.5
-        rhs[-1] *= 0.5
+    def _solve_ldl(self, rhs):
+        self._end_rows(rhs)
         solve_banded(*self.factors, rhs, overwrite_b=1)
         return rhs
 
     def _solve_lu(self, rhs):
+        self._end_rows(rhs)
         dgttrs(*self.factors, rhs, overwrite_b=1)
         return rhs
-
-    def _solve_pinned_lu(self, rhs):
-        rhs[0] = rhs[-1] = 0.0
-        return self._solve_lu(rhs)
 
     def u_t(self, g, tmp):
         """Solve (I - mu*D2) w = beta*D2 u - D1 f(u) for w = u_t, a fresh
@@ -377,7 +373,7 @@ def _time_step(cfg: SimConfig):
     """(steps, step) of a run: its dt, adjusted to divide t_end evenly.
     DomainError when t_end/dt is not finite or rounds above MAX_STEPS."""
     dt = _operator(cfg).dt
-    ratio = cfg.t_end / dt
+    ratio = cfg.t_end / dt if dt else math.inf  # a default dt may underflow to 0
     if not ratio < MAX_STEPS + 0.5:  # NaN and inf too
         raise DomainError(f"t_end={cfg.t_end!r} at dt={float(dt)!r} plans "
                           f"{ratio:.7g} steps, more than {MAX_STEPS}")

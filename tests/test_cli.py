@@ -1,14 +1,20 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
+import operator
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ucwaves import (
     GAMMA_MAX,
@@ -716,6 +722,17 @@ def test_simulate_refuses_a_neumann_operator_that_rounds_to_singular(tmp_path, c
     assert "mu < 0" not in record["message"]
 
 
+def test_simulate_with_a_huge_negative_mu_runs_on_a_dirichlet_grid(tmp_path):
+    # mu/dx**2 = -4e14: the end rows' pivot 1 fell below 1e-14 of the row
+    # sum, and the run was refused as a mu < 0 pole
+    out = tmp_path / "sim.json"
+    assert run_cli(["simulate", *HUGE_MU, "--mu=-1e12", "--steepness", "1",
+                    "--output", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    assert payload["t_final"] == pytest.approx(1.0, abs=1e-12)
+    assert [round(p["value"], 6) for p in payload["plateaus"]] == [0.4, -0.8]
+
+
 @pytest.mark.parametrize("argv", [
     ["simulate", "--dt", "nan"], ["simulate", "--t-end", "inf"],
     ["simulate", "--beta", "nan"],
@@ -791,6 +808,94 @@ def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
     assert not out.exists()
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "DomainError"
+
+
+class _LongRun(Exception):
+    """A drawn run that plans more steps than the property spends."""
+
+
+#: magnitudes of the simulate property's draws, beside a float in [0.1, 10]
+_EXTREMES = (0.0, 5e-324, 1e-300, 1e-8, 1e3, 1e100, 1e200, 1e308, math.inf, math.nan)
+
+
+def _signed():
+    magnitude = st.one_of(st.sampled_from(_EXTREMES), st.floats(0.1, 10.0))
+    return st.builds(operator.mul, st.sampled_from([1.0, -1.0]), magnitude)
+
+
+def _finite_numbers(text):
+    """Whether every number of a JSON text is finite."""
+    def refuse(token):
+        raise ValueError(token)
+    try:
+        json.loads(text, parse_constant=refuse)
+    except ValueError:
+        return False
+    return True
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(x_min=_signed(), x_max=_signed(), mu=_signed(), beta=_signed(),
+       nx=st.integers(3, 41), t_end=st.floats(0.0, 0.5),
+       bc=st.sampled_from([b.value for b in pde.BoundaryCondition]),
+       steepness=st.sampled_from([None, 1.0]))
+# dx**2 overflows (a warning from default_dt, then a run as if beta and mu
+# were 0); the width of the x range overflows (linspace's warnings); a
+# Dirichlet operator at mu < 0 whose end rows' pivot 1 was taken for a pole
+@example(x_min=-1e200, x_max=1e200, mu=0.06, beta=0.1, nx=5, t_end=1.0,
+         bc="dirichlet_farfield", steepness=None)
+@example(x_min=-1e308, x_max=1e308, mu=0.06, beta=0.1, nx=5, t_end=1.0,
+         bc="dirichlet_farfield", steepness=None)
+@example(x_min=-30.0, x_max=60.0, mu=-1e12, beta=0.1, nx=1801, t_end=1.0,
+         bc="dirichlet_farfield", steepness=1.0)
+# the default steepness beta/sqrt(mu) overflows; the default dt underflows to
+# 0 (t_end/dt warned); 4/dx**2 overflows in the periodic symbol
+@example(x_min=-10.0, x_max=10.0, mu=0.25, beta=1e308, nx=3, t_end=0.0,
+         bc="dirichlet_farfield", steepness=None)
+@example(x_min=-10.0, x_max=10.0, mu=5e-324, beta=1e308, nx=3, t_end=0.0,
+         bc="neumann", steepness=1.0)
+@example(x_min=0.0, x_max=1e-160, mu=5e-324, beta=1.0, nx=3, t_end=0.0,
+         bc="periodic", steepness=1.0)
+def test_simulate_runs_with_finite_output_or_exits_2(x_min, x_max, mu, beta, nx,
+                                                    t_end, bc, steepness):
+    # exit 0 with every number finite, or exit 2 with one JSON record and no
+    # file; never a warning or another exception
+    argv = ["simulate", "--uL", "0.4", "--uR=-0.8", f"--beta={beta!r}",
+            f"--mu={mu!r}", f"--x-min={x_min!r}", f"--x-max={x_max!r}",
+            f"--nx={nx}", f"--t-end={t_end!r}", "--bc", bc]
+    if steepness is not None:
+        argv.append(f"--steepness={steepness!r}")
+    time_step = pde._time_step
+
+    def short(cfg):
+        nsteps, h = time_step(cfg)
+        if nsteps > 2000:
+            raise _LongRun
+        return nsteps, h
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp, \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mp.setattr(pde, "_time_step", short)
+        out, prof = os.path.join(tmp, "sim.json"), os.path.join(tmp, "profile.csv")
+        err = io.StringIO()
+        try:
+            with contextlib.redirect_stderr(err):
+                rc = run_cli(argv + ["--output", out, "--profile-output", prof])
+        except _LongRun:
+            assume(False)
+        if rc == 0:
+            with open(out) as fh:
+                assert _finite_numbers(fh.read())
+            with open(prof) as fh:
+                rows = [ln for ln in fh.read().splitlines() if not ln.startswith("#")]
+            assert len(rows) == nx + 1
+            assert np.isfinite([[float(c) for c in row.split(",")]
+                                for row in rows[1:]]).all()
+        else:
+            assert rc == 2 and os.listdir(tmp) == []
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and "message" in json.loads(lines[0])
 
 
 def test_config_file_with_override(tmp_path):

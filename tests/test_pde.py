@@ -1,4 +1,5 @@
 import math
+import re
 import sys
 import warnings
 from dataclasses import dataclass
@@ -71,6 +72,16 @@ def test_config_caps_nx():
                                           r"<= 1000000\)"):
         smoothed_cfg(nx=10**12)
     assert smoothed_cfg(nx=pde.MAX_NX).nx == 10**6
+
+
+def test_config_refuses_an_x_range_whose_width_overflows():
+    # linspace warned of the overflow and made a grid of NaNs
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"beta=-1\.0 .*; x range \[-1e\+308, "
+                                              r"1e\+308\] \(its width overflows\)"):
+            smoothed_cfg(beta=-1.0, x_min=-1e308, x_max=1e308, nx=5)
+        assert smoothed_cfg(x_min=-8e307, x_max=8e307, nx=5).x_max == 8e307
 
 
 @pytest.mark.parametrize("field", ["beta", "mu", "x_min", "x_max", "t_end", "dt"])
@@ -154,9 +165,11 @@ def test_single_step_matches_simulate_steps():
 
 def textbook_rk4(cfg, nsteps):
     """u after nsteps of classical RK4 on the method-of-lines u_t, written
-    with fresh arrays for every operation.  For mu > 0 scipy's
-    ``solveh_banded`` solves the symmetric form: the Dirichlet interior
-    rows, or the Neumann rows with both end rows halved."""
+    with fresh arrays for every operation.  The Neumann end rows are halved,
+    which makes the operator symmetric.  For mu > 0 scipy's
+    ``solveh_banded`` solves the Dirichlet interior rows or all Neumann rows;
+    for mu < 0 ``solve_banded`` solves all rows, a Dirichlet end row being
+    w = 0 with no coupling either way."""
     u, dx, n, bc = initial_profile(cfg).u, x_grid(cfg)[1], cfg.nx, cfg.bc
     left, right = {BoundaryCondition.PERIODIC: (-1, 0), BoundaryCondition.NEUMANN:
                    (1, -2), BoundaryCondition.DIRICHLET_FARFIELD: (0, -1)}[bc]
@@ -164,10 +177,10 @@ def textbook_rk4(cfg, nsteps):
     r = cfg.mu / dx**2
     ab = np.array([np.full(n, -r), np.full(n, 1.0 + 2.0 * r), np.full(n, -r)])
     if bc is BoundaryCondition.DIRICHLET_FARFIELD:  # end rows: w = 0
-        ab[0, 1] = ab[2, -2] = 0.0
+        ab[0, 1] = ab[2, 0] = ab[0, -1] = ab[2, -2] = 0.0
         ab[1, 0] = ab[1, -1] = 1.0
-    else:  # Neumann: the mirrored ghost doubles the inward coupling
-        ab[0, 1] = ab[2, -2] = -2.0 * r
+    else:  # Neumann: the end rows, whose ghost doubles the coupling, halved
+        ab[1, 0] = ab[1, -1] = 0.5 + r
     # upper symmetric band form: the superdiagonal (first entry unused) over
     # the diagonal
     sym = np.array([np.full(n, -r), np.full(n, 1.0 + 2.0 * r)])
@@ -182,13 +195,14 @@ def textbook_rk4(cfg, nsteps):
             return np.fft.irfft(np.fft.rfft(rhs) / (1.0 - cfg.mu * lam), n=n)
         if bc is BoundaryCondition.DIRICHLET_FARFIELD:
             rhs[0] = rhs[-1] = 0.0
+        else:
+            rhs[0] /= 2.0
+            rhs[-1] /= 2.0
         if cfg.mu < 0:
             return solve_banded((1, 1), ab, rhs, check_finite=False)
         if bc is BoundaryCondition.DIRICHLET_FARFIELD:
             rhs[1:-1] = solveh_banded(sym[:, 1:-1], rhs[1:-1], check_finite=False)
             return rhs
-        rhs[0] /= 2.0
-        rhs[-1] /= 2.0
         return solveh_banded(sym, rhs, check_finite=False)
 
     h = cfg.t_end / nsteps
@@ -297,6 +311,18 @@ def test_nearly_singular_implicit_operator_is_a_domain_error(bc, mu):
         simulate(cfg)
 
 
+@pytest.mark.parametrize("pivot,refused", [(0.75e-14, True), (1.25e-14, False)])
+def test_the_pole_threshold_is_1e_14_of_the_largest_row_sum(pivot, refused):
+    # nx = 3 and dx = 1: the one coupled row's pivot is 1 + 2 mu, and the
+    # largest row sum |1 + 2 mu| + 2|mu| is 1 + 1e-14 or so
+    cfg = smoothed_cfg(mu=(pivot - 1.0) / 2.0, x_min=0.0, x_max=2.0, nx=3, dt=0.05)
+    if refused:
+        with pytest.raises(DomainError, match="pole lands on a mode"):
+            pde._Operator(cfg)
+    else:
+        pde._Operator(cfg)
+
+
 @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
 @pytest.mark.parametrize("mu", [1e300, -1e300])
 def test_an_overflowing_mu_over_dx2_is_refused_before_factoring(bc, mu, monkeypatch):
@@ -309,6 +335,52 @@ def test_an_overflowing_mu_over_dx2_is_refused_before_factoring(bc, mu, monkeypa
         with pytest.raises(DomainError, match=r"4\*\|mu\|/dx\*\*2 overflows"):
             simulate(cfg)
     assert factors == [[], []]
+
+
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+@pytest.mark.parametrize("x_max", [1e200, 1e-160], ids=["dx2", "4_over_dx2"])
+def test_a_grid_whose_dx2_or_its_inverse_overflows_is_refused_before_the_default_step(
+        bc, x_max, monkeypatch):
+    # dx**2 = inf: default_dt warned and the run went on as if beta and mu
+    # were 0; 4/dx**2 = inf: the periodic symbol warned
+    def never(cfg):
+        raise AssertionError("default_dt ran")
+
+    monkeypatch.setattr(pde, "default_dt", never)
+    cfg = smoothed_cfg(bc=bc, mu=5e-324, x_min=-x_max, x_max=x_max, nx=5, dt=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"dx\*\*2, 4/dx\*\*2 or 4\*\|mu\|/dx\*\*2 "
+                                              r"overflows at .* on the x range \["
+                                              + re.escape(repr(-x_max))):
+            simulate(cfg)
+
+
+def test_a_default_step_that_underflows_to_0_is_refused():
+    # beta/mu overflows, so the bound on the symbol is inf and the step 0;
+    # t_end/dt warned (0/0) before
+    cfg = smoothed_cfg(beta=1e308, mu=5e-324, dt=None, t_end=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert default_dt(cfg) == 0.0
+        with pytest.raises(DomainError, match="plans inf steps"):
+            simulate(cfg)
+
+
+def test_the_default_step_takes_the_finite_bound_without_a_warning():
+    # 4*beta/dx**2 overflows (numpy warned), and beta/mu = 1e300 bounds |Re|
+    cfg = smoothed_cfg(beta=1e300, mu=1.0, x_min=0.0, x_max=4e-5, nx=5, dt=None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dt = default_dt(cfg)
+    assert dt == pytest.approx(DEFAULT_SYMBOL_SAFETY * 2.78 / 1e300, rel=1e-12)
+
+
+def test_a_steep_smoothed_profile_saturates_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = SmoothedRiemann(0.4, -0.8, 1e300).profile(np.array([-1e10, 0.0, 1e10]), MU)
+    assert u.tolist() == pytest.approx([0.4, -0.2, -0.8], abs=1e-15)
 
 
 @pytest.mark.parametrize("bc", [BoundaryCondition.PERIODIC,
