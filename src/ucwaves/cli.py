@@ -301,12 +301,16 @@ def _cmd_riemann(args, params):
 
 
 def _cmd_simulate(args, params):
-    _check_finite("simulate options", mu=args.mu,
+    _check_finite("simulate options", beta=args.beta, mu=args.mu,
                   snapshot_every=args.snapshot_every)
     if args.snapshot_every is not None and args.snapshot_every <= 0.0:
         raise DomainError("invalid simulate options: snapshot_every="
                           f"{args.snapshot_every!r} (must be positive)")
     gamma = args.beta / math.sqrt(args.mu) if args.mu > 0 else None
+    if gamma in (math.inf, -math.inf) and (args.initial == "tw"
+                                          or args.steepness is None):
+        raise DomainError("invalid simulate options: gamma = beta/sqrt(mu) overflows "
+                          f"at beta={args.beta!r}, mu={args.mu!r}")
     if args.initial == "smoothed":
         steep = args.steepness if args.steepness is not None else gamma
         if steep is None:

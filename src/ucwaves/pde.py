@@ -8,7 +8,8 @@ default explicit step is set by beta, mu and max|f'|, not by the grid
 (``default_dt``).  mu < 0 (the linearly unstable regime) is accepted so
 the growth of short waves can be observed; the solve then loses diagonal
 dominance but remains an ordinary pivoted LU (a nearly singular one is
-refused), and the default step falls back to a CFL step in dx.
+refused).  Its default step is then taken from the largest eigenvalue over
+the grid modes on a periodic grid, and is a CFL step in dx on a bounded one.
 
 One ghost-cell stencil serves every boundary condition, which only names
 the two values outside the grid.  Only the implicit solve differs: FFT
@@ -39,11 +40,13 @@ from .errors import (DomainError, SimulationDivergedError, _check_cubes,
 from .kinetics import KineticPoint
 from .model import char_speed, flux
 
-DEFAULT_CFL = 0.4  # mu < 0: share of the CFL step dx/max|f'|
-#: mu > 0: share of RK4's stability limit taken by the default step.  At
-#: 0.35, the plateaus and front speeds of Riemann runs at dx = 0.05 stay
-#: within 9 % of the Riemann solver's tolerance (1 %, 2 %) of their values at
-#: a 13x smaller step; at 1.0 the front speeds leave that tolerance.
+#: mu < 0 on Dirichlet/Neumann grids: share of the CFL step dx/max|f'|.
+DEFAULT_CFL = 0.4
+#: mu > 0, and mu < 0 on periodic grids: share of RK4's stability limit
+#: taken by the default step.  At 0.35, the plateaus and front speeds of
+#: Riemann runs at dx = 0.05 stay within 9 % of the Riemann solver's
+#: tolerance (1 %, 2 %) of their values at a 13x smaller step; at 1.0 the
+#: front speeds leave that tolerance.
 DEFAULT_SYMBOL_SAFETY = 0.35
 _FLOAT_MAX = float(np.finfo(float).max)
 _RK4_REAL_LIMIT = 2.78  # RK4 is stable on [-2.78, 0] (and on i*[-2.83, 2.83])
@@ -184,6 +187,15 @@ def initial_profile(cfg: SimConfig):
     return SimState(0.0, u.astype(float), dx, float(x[0]))
 
 
+def _periodic_symbol(n, dx, mu):
+    """(theta, L, 1 - mu*L) at the modes k = 0..n//2 of a periodic grid of n
+    points: theta = 2*pi*k/n, and L = (2*cos(theta) - 2)/dx**2 is the
+    symbol of D2."""
+    theta = 2.0 * np.pi * np.fft.rfftfreq(n, d=1.0 / n) / n
+    lam = (2.0 * np.cos(theta) - 2.0) / (dx * dx)
+    return theta, lam, 1.0 - mu * lam
+
+
 def default_dt(cfg: SimConfig):
     """Explicit RK4 step from the discrete symbol of u_t.
 
@@ -195,12 +207,25 @@ def default_dt(cfg: SimConfig):
     which is bounded independent of dx.  At 2.78/(bound_im + bound_re),
     dt*lambda lies in the left half of the diamond |Re| + |Im| <= 2.78,
     which RK4's stability region contains; the step takes the share
-    DEFAULT_SYMBOL_SAFETY of that.  For mu < 0 the symbol has a pole, and
-    the step is the CFL step DEFAULT_CFL*dx/a.
+    DEFAULT_SYMBOL_SAFETY of that.  For mu < 0 the symbol has a pole, so no
+    box independent of dx holds it.  On a periodic grid the modes are
+    theta_k = 2*pi*k/n, with sigma_k = -L_k from the solve's own symbol
+    (``_periodic_symbol``), and the step is the same share of
+    2.78/max_k (beta*sigma_k + a*|sin(theta_k)|/dx) / |1 + mu*sigma_k|.  That
+    keeps |Re| + |Im| of dt*lambda within the same share of 2.78 at every
+    mode; a mode near the pole shrinks the step, and an overflow makes it 0.
+    On a Dirichlet or Neumann grid it is the CFL step DEFAULT_CFL*dx/a.
     """
     state = initial_profile(cfg)
     dx, beta, mu = float(state.dx), float(cfg.beta), float(cfg.mu)  # overflow: inf
     amax = max(1.0, float(np.abs(char_speed(state.u)).max()))
+    if mu < 0 and cfg.bc is BoundaryCondition.PERIODIC:
+        theta, lam, symbol = _periodic_symbol(cfg.nx, dx, mu)
+        # an overflow, or a pole on a grid mode, bounds dt*lambda by inf: dt = 0
+        with np.errstate(over="ignore", divide="ignore"):
+            bound = float(np.max((beta * np.abs(lam) + amax * np.abs(np.sin(theta))
+                                  / dx) / np.abs(symbol)))
+        return DEFAULT_SYMBOL_SAFETY * _RK4_REAL_LIMIT / bound
     if mu < 0:
         return DEFAULT_CFL * dx / amax
     bound_im = min(amax / (2.0 * math.sqrt(mu)), amax / dx)
@@ -245,9 +270,7 @@ class _Operator:
                               f"{cfg.x_max!r}]; shrink |mu| or change the range or nx")
         self.dt = cfg.dt if cfg.dt is not None else default_dt(cfg)
         if cfg.bc is BoundaryCondition.PERIODIC:
-            modes = np.fft.rfftfreq(n, d=1.0 / n)  # 0..n/2
-            lam = (2.0 * np.cos(2.0 * np.pi * modes / n) - 2.0) / self.dx2
-            self.symbol = 1.0 - mu * lam
+            self.symbol = _periodic_symbol(n, dx, mu)[2]
             if np.any(np.abs(self.symbol) < 1e-14):
                 raise DomainError(
                     "mu < 0 pole lands on a grid mode; shift mu or the domain size"

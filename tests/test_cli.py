@@ -519,6 +519,24 @@ def test_simulate_needs_mu_positive_for_its_gamma(flags, message, tmp_path,
                         "--output", str(out)]) == 0
 
 
+@pytest.mark.parametrize("beta,mu", [("1e308", "0.25"), ("1e300", "1e-300")])
+def test_simulate_names_beta_and_mu_when_the_default_steepness_overflows(
+        beta, mu, tmp_path, capsys):
+    # the record named only steepness=inf, which the user never gave
+    out = tmp_path / "out"
+    assert run_cli(["simulate", "--uL", "0.4", "--uR=-0.8", "--beta", beta,
+                    "--mu", mu, "--x-min=-10", "--x-max", "10", "--nx", "11",
+                    "--t-end", "0.1", "--output", str(out)]) == 2
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "DomainError"
+    assert f"beta={float(beta)!r}" in record["message"]
+    assert f"mu={float(mu)!r}" in record["message"]
+    assert "steepness" not in record["message"]
+
+
 @pytest.mark.parametrize("argv,named", [
     (["psystem", "--A", "4", "--sweep-b=-0.75:-0.7:0.025", "--b=-0.6",
       "--shoot"], "--sweep-b -0.75:-0.7:0.025 with --b -0.6, --shoot"),
@@ -856,6 +874,13 @@ def _finite_numbers(text):
          bc="neumann", steepness=1.0)
 @example(x_min=0.0, x_max=1e-160, mu=5e-324, beta=1.0, nx=3, t_end=0.0,
          bc="periodic", steepness=1.0)
+# periodic, mu < 0: beta*|L_k| overflows, so the default step is 0; a grid
+# mode lies 2.4e-14 from the pole, so the step is 2e-14 (at the CFL step the
+# run went ahead, to |u| ~ 1e263)
+@example(x_min=-10.0, x_max=10.0, mu=-0.06, beta=1e308, nx=41, t_end=0.5,
+         bc="periodic", steepness=1.0)
+@example(x_min=0.0, x_max=3.0, mu=-0.33333333333334136, beta=0.1, nx=3,
+         t_end=1e-6, bc="periodic", steepness=1.0)
 def test_simulate_runs_with_finite_output_or_exits_2(x_min, x_max, mu, beta, nx,
                                                     t_end, bc, steepness):
     # exit 0 with every number finite, or exit 2 with one JSON record and no
