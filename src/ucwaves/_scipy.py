@@ -4,12 +4,11 @@ Importing ``scipy.integrate`` or ``scipy.linalg`` takes several times as
 long as a closed-form command, a kinetic root-find or a periodic simulation
 runs, and those never call scipy.  So the package imports numpy only, and
 the modules bind these forwarders: ``pde.dpttrf`` and ``pde.solve_banded``
-(LAPACK's tridiagonal LDL^T and ``dpttrs``, its solve, for mu > 0),
-``pde.dgttrf`` and ``pde.dgttrs`` (the pivoted LU pair, for mu < 0, on the
-same symmetric form) and ``phaseplane.solve_ivp`` stay module attributes
-that every call goes through.  A forwarder keeps scipy's function once it has imported it: an
-import statement on every call would cost about 1 us, against about 7 us
-for a Dirichlet solve.
+(LAPACK's tridiagonal LDL^T and ``dpttrs``, its solve, for Dirichlet and
+Neumann grids) and ``phaseplane.solve_ivp`` stay module attributes that
+every call goes through.  A forwarder keeps scipy's function once it has
+imported it: an import statement on every call would cost about 1 us,
+against about 7 us for a Dirichlet solve.
 """
 
 import importlib
@@ -31,8 +30,6 @@ def _imported_on_first_call(module, name):
     return forward
 
 
-dgttrf = _imported_on_first_call("scipy.linalg.lapack", "dgttrf")
-dgttrs = _imported_on_first_call("scipy.linalg.lapack", "dgttrs")
 dpttrf = _imported_on_first_call("scipy.linalg.lapack", "dpttrf")
 dpttrs = _imported_on_first_call("scipy.linalg.lapack", "dpttrs")
 solve_ivp = _imported_on_first_call("scipy.integrate", "solve_ivp")

@@ -5,20 +5,19 @@ evaluation of u_t solves the tridiagonal system (I - mu*D2) w = beta*D2 u -
 D1 f(u), and the profile advances with classical RK4.  For mu > 0 the BBM
 term bounds the symbol of the right-hand side independent of dx, so the
 default explicit step is set by beta, mu and max|f'|, not by the grid
-(``default_dt``).  mu < 0 (the linearly unstable regime) is accepted so
-the growth of short waves can be observed; the solve then loses diagonal
-dominance but remains an ordinary pivoted LU (a nearly singular one is
-refused).  Its default step is then taken from the largest eigenvalue over
-the grid modes on a periodic grid, and is a CFL step in dx on a bounded one.
+(``default_dt``).  mu < 0 (the linearly unstable regime) is accepted on a
+periodic grid only, so the growth of short waves can be observed there: its
+symbol 1 + mu*k**2 has a pole, so on a bounded grid a run would hinge on
+where the grid's modes fall against it (``SimConfig`` refuses it).  Its
+default step is taken from the largest eigenvalue over the grid modes, and
+a pole on a grid mode is refused.
 
 One ghost-cell stencil serves every boundary condition, which only names
 the two values outside the grid.  Only the implicit solve differs: FFT
-diagonalization for periodic runs, otherwise one symmetric tridiagonal form
-whose end rows are the condition's own (Dirichlet: w = 0, decoupled;
-Neumann: halved).  The sign of mu picks only how it is factored, once per
-config: LDL^T (LAPACK's dpttrf) for mu > 0, where it is positive definite,
-or LU with partial pivoting (dgttrf) for mu < 0, where it is indefinite.
-Each stage solves in place on its own right-hand side (dpttrs or dgttrs).
+diagonalization for periodic runs, otherwise one symmetric positive definite
+tridiagonal form whose end rows are the condition's own (Dirichlet: w = 0,
+decoupled; Neumann: halved), factored once per config as LDL^T (LAPACK's
+dpttrf).  Each stage solves in place on its own right-hand side (dpttrs).
 
 Each RK4 step runs every stage in place, in the operation order of the
 textbook expressions, so profiles keep their bits (``step``).  The
@@ -34,19 +33,16 @@ from enum import Enum
 
 import numpy as np
 
-from ._scipy import dgttrf, dgttrs, dpttrf, dpttrs as solve_banded
+from ._scipy import dpttrf, dpttrs as solve_banded
 from .errors import (DomainError, SimulationDivergedError, _check_cubes,
                      _check_finite, _not_finite)
 from .kinetics import KineticPoint
 from .model import char_speed, flux
 
-#: mu < 0 on Dirichlet/Neumann grids: share of the CFL step dx/max|f'|.
-DEFAULT_CFL = 0.4
-#: mu > 0, and mu < 0 on periodic grids: share of RK4's stability limit
-#: taken by the default step.  At 0.35, the plateaus and front speeds of
-#: Riemann runs at dx = 0.05 stay within 9 % of the Riemann solver's
-#: tolerance (1 %, 2 %) of their values at a 13x smaller step; at 1.0 the
-#: front speeds leave that tolerance.
+#: Share of RK4's stability limit taken by the default step.  At 0.35, the
+#: plateaus and front speeds of Riemann runs at dx = 0.05 stay within 9 % of
+#: the Riemann solver's tolerance (1 %, 2 %) of their values at a 13x
+#: smaller step; at 1.0 the front speeds leave that tolerance.
 DEFAULT_SYMBOL_SAFETY = 0.35
 _FLOAT_MAX = float(np.finfo(float).max)
 _RK4_REAL_LIMIT = 2.78  # RK4 is stable on [-2.78, 0] (and on i*[-2.83, 2.83])
@@ -92,13 +88,16 @@ class TravelingWaveSeed:
 
     The parabola orbit integrates to
     u(xi) = (u_- + u_+)/2 - (u_- - u_+)/2 * tanh((u_- - u_+)*xi/(2*sqrt(2)))
-    with xi = (x - center)/sqrt(mu*s).
+    with xi = (x - center)/sqrt(mu*s), so it needs mu > 0.
     """
 
     point: KineticPoint
     center: float = 0.0
 
     def profile(self, x, mu):
+        if not mu > 0:
+            raise DomainError(f"traveling-wave seed at mu={mu!r}: needs mu > 0, as "
+                              "its scale is sqrt(mu*s)")
         um, up, s = self.point.u_minus, self.point.u_plus, self.point.s
         xi = (np.asarray(x) - self.center) / np.sqrt(mu * s)
         gap = um - up
@@ -136,7 +135,12 @@ class SimConfig:
         if self.beta <= 0:
             bad.append(f"beta={self.beta!r} (must be > 0)")
         if self.mu == 0:
-            bad.append("mu=0 (must be nonzero; mu < 0 only to probe instability)")
+            bad.append("mu=0 (must be nonzero; mu < 0 only on a periodic grid)")
+        if not isinstance(self.bc, BoundaryCondition):
+            bad.append(f"bc={self.bc!r} (must be a BoundaryCondition)")
+        elif self.mu < 0 and self.bc is not BoundaryCondition.PERIODIC:
+            bad.append(f"mu={self.mu!r} on a {self.bc.value} grid (mu < 0 needs "
+                       "bc=periodic)")
         if not 3 <= self.nx <= MAX_NX:
             bad.append(f"nx={self.nx!r} (must be >= 3 and <= {MAX_NX})")
         if self.x_max <= self.x_min:
@@ -207,27 +211,25 @@ def default_dt(cfg: SimConfig):
     which is bounded independent of dx.  At 2.78/(bound_im + bound_re),
     dt*lambda lies in the left half of the diamond |Re| + |Im| <= 2.78,
     which RK4's stability region contains; the step takes the share
-    DEFAULT_SYMBOL_SAFETY of that.  For mu < 0 the symbol has a pole, so no
-    box independent of dx holds it.  On a periodic grid the modes are
-    theta_k = 2*pi*k/n, with sigma_k = -L_k from the solve's own symbol
-    (``_periodic_symbol``), and the step is the same share of
-    2.78/max_k (beta*sigma_k + a*|sin(theta_k)|/dx) / |1 + mu*sigma_k|.  That
-    keeps |Re| + |Im| of dt*lambda within the same share of 2.78 at every
-    mode; a mode near the pole shrinks the step, and an overflow makes it 0.
-    On a Dirichlet or Neumann grid it is the CFL step DEFAULT_CFL*dx/a.
+    DEFAULT_SYMBOL_SAFETY of that.  For mu < 0, which runs on a periodic
+    grid only, the symbol has a pole, so no box independent of dx holds it.
+    The grid's modes are theta_k = 2*pi*k/n, with sigma_k = -L_k from the
+    solve's own symbol (``_periodic_symbol``), and the step is the same
+    share of 2.78/max_k (beta*sigma_k + a*|sin(theta_k)|/dx) / |1 +
+    mu*sigma_k|.  That keeps |Re| + |Im| of dt*lambda within the same share
+    of 2.78 at every mode; a mode near the pole shrinks the step, and an
+    overflow makes it 0.
     """
     state = initial_profile(cfg)
     dx, beta, mu = float(state.dx), float(cfg.beta), float(cfg.mu)  # overflow: inf
     amax = max(1.0, float(np.abs(char_speed(state.u)).max()))
-    if mu < 0 and cfg.bc is BoundaryCondition.PERIODIC:
+    if mu < 0:  # a periodic grid
         theta, lam, symbol = _periodic_symbol(cfg.nx, dx, mu)
         # an overflow, or a pole on a grid mode, bounds dt*lambda by inf: dt = 0
         with np.errstate(over="ignore", divide="ignore"):
             bound = float(np.max((beta * np.abs(lam) + amax * np.abs(np.sin(theta))
                                   / dx) / np.abs(symbol)))
         return DEFAULT_SYMBOL_SAFETY * _RK4_REAL_LIMIT / bound
-    if mu < 0:
-        return DEFAULT_CFL * dx / amax
     bound_im = min(amax / (2.0 * math.sqrt(mu)), amax / dx)
     bound_re = min(beta / mu, 4.0 * beta / (dx * dx))
     return DEFAULT_SYMBOL_SAFETY * _RK4_REAL_LIMIT / (bound_im + bound_re)
@@ -246,15 +248,15 @@ class _Operator:
     """u_t of one config (stencil and implicit solve) and its time step.
 
     The implicit operator I - mu*D2 is factored here, once per config: its
-    FFT symbol for periodic runs, otherwise its one symmetric form of n rows
-    as LDL^T for mu > 0 (LAPACK dpttrf; each stage solves in place with
-    dpttrs, bound as ``solve_banded``) or as a pivoted LU for mu < 0
-    (dgttrf, dgttrs).  DomainError refuses a grid on which dx**2 or an entry
-    of D2 or mu*D2 overflows, a singular or nearly singular operator for
-    mu < 0 (a pole on a grid mode), and, for mu > 0, a Neumann one whose
-    identity part is lost to rounding (the stored matrix is then mu*D2,
-    which annihilates constants).  Cached per config and shared, so it
-    holds no arrays a call writes to: the caller passes the work arrays."""
+    FFT symbol for periodic runs, otherwise its one symmetric positive
+    definite form of n rows (mu > 0 there, as ``SimConfig`` requires) as
+    LDL^T (LAPACK dpttrf; each stage solves in place with dpttrs, bound as
+    ``solve_banded``).  DomainError refuses a grid on which dx**2 or an entry
+    of D2 or mu*D2 overflows, a periodic one whose mu < 0 pole lands on a
+    grid mode, and a Neumann one whose identity part is lost to rounding
+    (the stored matrix is then mu*D2, which annihilates constants).  Cached
+    per config and shared, so it holds no arrays a call writes to: the
+    caller passes the work arrays."""
 
     def __init__(self, cfg: SimConfig):
         self.beta = cfg.beta
@@ -278,8 +280,8 @@ class _Operator:
             self.solve = self._solve_fft
             return
         r = mu / self.dx2
-        # one symmetric form for both signs of mu.  End rows: Dirichlet's are
-        # w = 0, decoupled; Neumann's (the ghost doubles their coupling) halved
+        # end rows: Dirichlet's are w = 0, decoupled; Neumann's (the ghost
+        # doubles their coupling) halved
         self.pinned = cfg.bc is BoundaryCondition.DIRICHLET_FARFIELD
         d, e = np.full(n, 1.0 + 2.0 * r), np.full(n - 1, -r)
         if self.pinned:
@@ -287,22 +289,12 @@ class _Operator:
             e[0] = e[-1] = 0.0
         else:
             d[0] = d[-1] = 0.5 + r
-        if mu > 0:
-            *self.factors, info = dpttrf(d, e)  # (d, e)
-            if info:  # Neumann from mu/dx**2 ~ 4.5e15, where 0.5 + r rounds to r
-                raise DomainError(f"I - mu*D2 on the {cfg.bc.value} grid rounds to a "
-                                  f"singular matrix at mu/dx**2={r!r}; shrink mu or "
-                                  "coarsen the grid")
-            self.solve = self._solve_ldl
-            return
-        *self.factors, _ = dgttrf(e, d, e)  # (dl, d, du, du2, ipiv)
-        # a coupled row's pivot (a zero one too) tiny against the largest row
-        # sum, |1 + 2r| + 2|r| for n >= 3, is refused as the periodic symbol is
-        pivots = self.factors[1][1:-1] if self.pinned else self.factors[1]
-        if np.abs(pivots).min() < 1e-14 * (abs(1.0 + 2.0 * r) + 2.0 * abs(r)):
-            raise DomainError(f"mu < 0 pole lands on a mode of the {cfg.bc.value} grid "
-                              "(I - mu*D2 is singular); shift mu or the domain size")
-        self.solve = self._solve_lu
+        *self.factors, info = dpttrf(d, e)  # (d, e)
+        if info:  # Neumann from mu/dx**2 ~ 4.5e15, where 0.5 + r rounds to r
+            raise DomainError(f"I - mu*D2 on the {cfg.bc.value} grid rounds to a "
+                              f"singular matrix at mu/dx**2={r!r}; shrink mu or "
+                              "coarsen the grid")
+        self.solve = self._solve_ldl
 
     # each solve overwrites rhs with w and returns it
 
@@ -311,21 +303,13 @@ class _Operator:
         spec /= self.symbol
         return np.fft.irfft(spec, n=len(rhs), out=rhs)
 
-    def _end_rows(self, rhs):
+    def _solve_ldl(self, rhs):
         if self.pinned:  # w = 0
             rhs[0] = rhs[-1] = 0.0
         else:  # halved, as their rows are
             rhs[0] *= 0.5
             rhs[-1] *= 0.5
-
-    def _solve_ldl(self, rhs):
-        self._end_rows(rhs)
         solve_banded(*self.factors, rhs, overwrite_b=1)
-        return rhs
-
-    def _solve_lu(self, rhs):
-        self._end_rows(rhs)
-        dgttrs(*self.factors, rhs, overwrite_b=1)
         return rhs
 
     def u_t(self, g, tmp):

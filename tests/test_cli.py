@@ -41,6 +41,7 @@ from ucwaves.cli import (
     build_parser,
     main,
 )
+from ucwaves.errors import DomainError
 
 GAMMA6 = repr(1 / math.sqrt(6))
 
@@ -513,10 +514,11 @@ def test_simulate_needs_mu_positive_for_its_gamma(flags, message, tmp_path,
     assert not out.exists()
     assert json.loads(capsys.readouterr().err) == {"error": "UCWavesError",
                                                    "message": message}
-    # an explicit steepness gives the tanh step its width
+    # an explicit steepness gives the tanh step its width, on the periodic
+    # grid that mu < 0 needs
     if "--uL" in flags:
-        assert run_cli(["simulate", *SIM, *flags, "--steepness", "1",
-                        "--output", str(out)]) == 0
+        assert run_cli(["simulate", *SIM, *flags, "--steepness", "1", "--bc",
+                        "periodic", "--output", str(out)]) == 0
 
 
 @pytest.mark.parametrize("beta,mu", [("1e308", "0.25"), ("1e300", "1e-300")])
@@ -740,15 +742,51 @@ def test_simulate_refuses_a_neumann_operator_that_rounds_to_singular(tmp_path, c
     assert "mu < 0" not in record["message"]
 
 
-def test_simulate_with_a_huge_negative_mu_runs_on_a_dirichlet_grid(tmp_path):
-    # mu/dx**2 = -4e14: the end rows' pivot 1 fell below 1e-14 of the row
-    # sum, and the run was refused as a mu < 0 pole
-    out = tmp_path / "sim.json"
-    assert run_cli(["simulate", *HUGE_MU, "--mu=-1e12", "--steepness", "1",
-                    "--output", str(out)]) == 0
-    payload = json.loads(out.read_text())
-    assert payload["t_final"] == pytest.approx(1.0, abs=1e-12)
-    assert [round(p["value"], 6) for p in payload["plateaus"]] == [0.4, -0.8]
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(bc=st.sampled_from(["dirichlet_farfield", "neumann"]),
+       mu=st.floats(max_value=-5e-324, allow_infinity=False),
+       x_min=st.floats(-1e3, 1e3), width=st.floats(1e-3, 1e3), nx=st.integers(3, 2000))
+# the HUGE_MU grid, where mu/dx**2 = -4e14 once ran on a Dirichlet grid
+@example(bc="dirichlet_farfield", mu=-1e12, x_min=-30.0, width=90.0, nx=1801)
+@example(bc="neumann", mu=-1e12, x_min=-30.0, width=90.0, nx=1801)
+# the smallest magnitude, the usual mu = 0.06 with its sign flipped, and -1e300
+@example(bc="dirichlet_farfield", mu=-5e-324, x_min=-10.0, width=20.0, nx=401)
+@example(bc="neumann", mu=-0.06, x_min=-10.0, width=20.0, nx=401)
+@example(bc="dirichlet_farfield", mu=-1e300, x_min=0.0, width=1e-3, nx=1000)
+@example(bc="neumann", mu=-1e300, x_min=0.0, width=1e-3, nx=1000)
+# dx = 1: a singular operator (1 + 2 mu = 0), and pivots 1 + 2 mu of 0.75e-14
+# and 1.25e-14, either side of the pivot test the LU solve once had
+@example(bc="dirichlet_farfield", mu=-0.5, x_min=0.0, width=2.0, nx=3)
+@example(bc="neumann", mu=-0.5, x_min=0.0, width=2.0, nx=3)
+@example(bc="dirichlet_farfield", mu=(0.75e-14 - 1.0) / 2.0, x_min=0.0, width=2.0, nx=3)
+@example(bc="dirichlet_farfield", mu=(1.25e-14 - 1.0) / 2.0, x_min=0.0, width=2.0, nx=3)
+def test_a_negative_mu_is_refused_on_a_bounded_grid(bc, mu, x_min, width, nx):
+    # the refusal comes from SimConfig, before a default step or a factoring
+    message = f"invalid SimConfig: mu={mu!r} on a {bc} grid (mu < 0 needs bc=periodic)"
+    x_max = x_min + width
+    with pytest.raises(DomainError) as err:
+        pde.SimConfig(beta=0.1, mu=mu, x_min=x_min, x_max=x_max, nx=nx, t_end=1.0,
+                      bc=pde.BoundaryCondition(bc),
+                      initial=pde.SmoothedRiemann(0.4, -0.8, 1.0))
+    assert str(err.value) == message
+
+    def never(*args):
+        raise AssertionError("a default step or a factoring ran")
+
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pde, "default_dt", never)
+        mp.setattr(pde, "dpttrf", never)
+        out = os.path.join(tmp, "sim.json")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run_cli(["simulate", "--uL", "0.4", "--uR=-0.8", "--beta", "0.1",
+                          f"--mu={mu!r}", f"--x-min={x_min!r}", f"--x-max={x_max!r}",
+                          f"--nx={nx}", "--t-end", "1", "--steepness", "1", "--bc", bc,
+                          "--output", out])
+        assert rc == 2 and os.listdir(tmp) == []
+    lines = err.getvalue().splitlines()
+    assert len(lines) == 1
+    assert json.loads(lines[0]) == {"error": "DomainError", "message": message}
 
 
 @pytest.mark.parametrize("argv", [
@@ -794,7 +832,8 @@ def test_simulate_with_a_huge_negative_mu_runs_on_a_dirichlet_grid(tmp_path):
     # more points than a sweep may hold, refused before any is made
     ["kinetics", "--gamma", "0.4", "--points", "1000001"],
     ["riemann", "--gamma", "0.4", "--classify-grid=-1:1:2000,-1:1:2000"],
-    # mu < 0 makes I - mu*D2 singular on this grid: refused as it is factored
+    # mu < 0 makes I - mu*D2 singular on this grid; mu < 0 is refused on any
+    # bounded grid
     *(["simulate", "--mu=-0.5", "--x-min", "0", "--x-max", "2", "--nx", "3",
        "--steepness", "1", "--dt", "0.05", "--bc", bc]
       for bc in ("dirichlet_farfield", "neumann")),
@@ -816,6 +855,9 @@ def test_simulate_with_a_huge_negative_mu_runs_on_a_dirichlet_grid(tmp_path):
     # factors and SimulationDivergedError (Dirichlet) before
     *(["simulate", "--mu", "1e300", "--x-min", "0", "--x-max", "1e-3", "--nx",
        "1000", "--bc", bc] for bc in ("periodic", "dirichlet_farfield", "neumann")),
+    # 1 - mu*L_1 = 0: the pole lands exactly on grid mode 1
+    ["simulate", "--bc", "periodic", "--mu=-1.23370055013617", "--x-min", "0",
+     "--x-max", "6.283185307179586", "--nx", "4", "--dt", "0.01", "--steepness", "1"],
 ])
 def test_non_finite_or_bad_input_exits_2(argv, tmp_path, capsys):
     sim = ["--uL", "0.4", "--uR=-0.8", "--beta", "0.1", "--mu", "0.06",
@@ -859,7 +901,8 @@ def _finite_numbers(text):
        steepness=st.sampled_from([None, 1.0]))
 # dx**2 overflows (a warning from default_dt, then a run as if beta and mu
 # were 0); the width of the x range overflows (linspace's warnings); a
-# Dirichlet operator at mu < 0 whose end rows' pivot 1 was taken for a pole
+# Dirichlet grid at mu < 0 (once a run whose end rows' pivot 1 was taken for
+# a pole, now refused)
 @example(x_min=-1e200, x_max=1e200, mu=0.06, beta=0.1, nx=5, t_end=1.0,
          bc="dirichlet_farfield", steepness=None)
 @example(x_min=-1e308, x_max=1e308, mu=0.06, beta=0.1, nx=5, t_end=1.0,

@@ -1,5 +1,11 @@
+import decimal
+import math
+from decimal import Decimal
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ucwaves import (
     PoleError,
@@ -110,6 +116,72 @@ def test_dispersion_unstable_for_negative_mu():
 def test_dispersion_pole_reported():
     with pytest.raises(PoleError):
         dispersion_lambda(0.0, 1.0, -1.0, 1.0)
+
+
+_CTX = decimal.Context(prec=60)
+
+
+def _bbm_symbol(mu, xi):
+    """1 + mu*xi**2 in 60-digit decimal from the floats' exact values."""
+    xi = Decimal(xi)
+    return _CTX.add(1, _CTX.multiply(Decimal(mu), _CTX.multiply(xi, xi)))
+
+
+def _dispersion_reference(u_bar, beta, mu, xi):
+    """(Re, Im, 1 + mu*xi**2) of (-i*xi*f'(u_bar) - beta*xi**2)/(1 + mu*xi**2),
+    f'(u) = 1 - 3u**2, in 60-digit decimal from the floats' exact values."""
+    denom = _bbm_symbol(mu, xi)
+    u_bar, beta, xi = map(Decimal, (u_bar, beta, xi))
+    xi2 = _CTX.multiply(xi, xi)
+    slope = _CTX.subtract(1, _CTX.multiply(3, _CTX.multiply(u_bar, u_bar)))
+    return (_CTX.divide(-_CTX.multiply(beta, xi2), denom),
+            _CTX.divide(-_CTX.multiply(xi, slope), denom), denom)
+
+
+@st.composite
+def _dispersion_args(draw):
+    """(u_bar, beta, mu, xi); in half the mu < 0 draws xi lies 1e-14 to 1e-3
+    (relative) from the pole 1/sqrt(-mu)."""
+    u_bar = draw(st.floats(-2.0, 2.0))
+    beta = 10.0 ** draw(st.floats(-3.0, 1.0))
+    mu = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.floats(-3.0, 3.0))
+    side = draw(st.sampled_from([1.0, -1.0]))
+    if mu < 0 and draw(st.booleans()):
+        offset = 10.0 ** draw(st.floats(-14.0, -3.0))
+        xi = side / math.sqrt(-mu) * (1.0 + draw(st.sampled_from([1.0, -1.0])) * offset)
+    else:
+        xi = side * 10.0 ** draw(st.floats(-3.0, 3.0))
+    return u_bar, beta, mu, xi
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(args=_dispersion_args())
+def test_dispersion_lambda_within_its_conditioning_of_the_exact_value(args):
+    # Each part's first-order error, in units r = 2**-53 of its own size:
+    # Re = -(beta*xi2)/(1 + mu*xi2), xi2 = xi*xi, rounds xi2 (d1), beta*xi2,
+    # mu*xi2, the sum and the quotient.  d1 enters the numerator once and
+    # the denominator times mu*xi2/D, D = 1 + mu*xi2, so together d1/D; the
+    # rest add 1 + 1 + |mu*xi2/D| + 1.  With |1/D| <= 1 + |mu*xi2/D| that is
+    # at most 4 + 2|mu*xi2/D| <= 4*kappa_re, kappa_re = 1 + |mu*xi2/D|.
+    # Im = -(xi*f')/D rounds xi*f' (1), the three operations of f' = 1 -
+    # 3*(u_bar*u_bar) (1 + 2*3u_bar**2/|1 - 3u_bar**2| relative to f'), D
+    # (1 + 2|mu*xi2/D|) and the quotient (1): at most 4*kappa_im, kappa_im =
+    # kappa_re + 3u_bar**2/|1 - 3u_bar**2|.  A relative error e*r of x is
+    # below e ulps of x, so C = 4 (20 000 random such draws reached 2.3); the
+    # second-order terms are of relative size kappa*r <= 1e-2 here.
+    u_bar, beta, mu, xi = args
+    try:
+        lam = dispersion_lambda(u_bar, beta, mu, xi)
+    except PoleError:  # only where 1 + mu*xi**2 rounds to 0
+        assert abs(_bbm_symbol(mu, xi)) <= 4 * Decimal(2) ** -53
+        return
+    re, im, denom = _dispersion_reference(u_bar, beta, mu, xi)
+    kappa_re = 1 + abs(Decimal(mu) * Decimal(xi) ** 2 / denom)
+    u2 = 3 * Decimal(u_bar) ** 2
+    kappa_im = kappa_re + abs(u2 / (1 - u2))
+    for got, want, kappa in ((lam.real, re, kappa_re), (lam.imag, im, kappa_im)):
+        err = abs(Decimal(got) - want) / Decimal(math.ulp(float(want)))
+        assert err <= 4 * kappa
 
 
 def test_dispersion_damping_on_log_grid():

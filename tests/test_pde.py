@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.linalg import solve_banded, solveh_banded
+from scipy.linalg import solveh_banded
 
 from ucwaves import (
     BoundaryCondition,
@@ -32,7 +32,6 @@ from ucwaves import (
 from ucwaves import pde
 from ucwaves.errors import DomainError
 from ucwaves.pde import (
-    DEFAULT_CFL,
     DEFAULT_SYMBOL_SAFETY,
     MIN_RUN,
     PLATEAU_TOL,
@@ -50,6 +49,11 @@ GAMMA = 1 / math.sqrt(6)
 BETA, MU = 0.1, 0.06
 
 
+def _case_id(value):
+    """A boundary condition's value as its test id; pytest's own for others."""
+    return value.value if isinstance(value, BoundaryCondition) else None
+
+
 def smoothed_cfg(**kw):
     base = dict(beta=BETA, mu=MU, x_min=-10.0, x_max=10.0, nx=401, t_end=1.0,
                 dt=0.01, initial=SmoothedRiemann(0.4, -0.8, GAMMA))
@@ -60,9 +64,9 @@ def smoothed_cfg(**kw):
 def test_config_validation_lists_all_fields():
     with pytest.raises(DomainError) as err:
         SimConfig(beta=-1.0, mu=0.0, x_min=0.0, x_max=-1.0, nx=2, t_end=-2.0,
-                  dt=0.0, initial=object())
+                  dt=0.0, initial=object(), bc="neumann")
     msg = str(err.value)
-    for field in ("beta", "mu", "nx", "x range", "dt", "t_end", "initial"):
+    for field in ("beta", "mu", "nx", "x range", "dt", "t_end", "initial", "bc"):
         assert field in msg
 
 
@@ -166,21 +170,13 @@ def test_single_step_matches_simulate_steps():
 def textbook_rk4(cfg, nsteps):
     """u after nsteps of classical RK4 on the method-of-lines u_t, written
     with fresh arrays for every operation.  The Neumann end rows are halved,
-    which makes the operator symmetric.  For mu > 0 scipy's
-    ``solveh_banded`` solves the Dirichlet interior rows or all Neumann rows;
-    for mu < 0 ``solve_banded`` solves all rows, a Dirichlet end row being
-    w = 0 with no coupling either way."""
+    which makes the operator symmetric; scipy's ``solveh_banded`` (mu > 0
+    there) solves the Dirichlet interior rows or all Neumann rows."""
     u, dx, n, bc = initial_profile(cfg).u, x_grid(cfg)[1], cfg.nx, cfg.bc
     left, right = {BoundaryCondition.PERIODIC: (-1, 0), BoundaryCondition.NEUMANN:
                    (1, -2), BoundaryCondition.DIRICHLET_FARFIELD: (0, -1)}[bc]
     lam = (2.0 * np.cos(2.0 * np.pi * np.arange(n // 2 + 1) / n) - 2.0) / dx**2
     r = cfg.mu / dx**2
-    ab = np.array([np.full(n, -r), np.full(n, 1.0 + 2.0 * r), np.full(n, -r)])
-    if bc is BoundaryCondition.DIRICHLET_FARFIELD:  # end rows: w = 0
-        ab[0, 1] = ab[2, 0] = ab[0, -1] = ab[2, -2] = 0.0
-        ab[1, 0] = ab[1, -1] = 1.0
-    else:  # Neumann: the end rows, whose ghost doubles the coupling, halved
-        ab[1, 0] = ab[1, -1] = 0.5 + r
     # upper symmetric band form: the superdiagonal (first entry unused) over
     # the diagonal
     sym = np.array([np.full(n, -r), np.full(n, 1.0 + 2.0 * r)])
@@ -198,8 +194,6 @@ def textbook_rk4(cfg, nsteps):
         else:
             rhs[0] /= 2.0
             rhs[-1] /= 2.0
-        if cfg.mu < 0:
-            return solve_banded((1, 1), ab, rhs, check_finite=False)
         if bc is BoundaryCondition.DIRICHLET_FARFIELD:
             rhs[1:-1] = solveh_banded(sym[:, 1:-1], rhs[1:-1], check_finite=False)
             return rhs
@@ -215,8 +209,8 @@ def textbook_rk4(cfg, nsteps):
     return u
 
 
-@pytest.mark.parametrize("mu", [MU, -0.3])
-@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+@pytest.mark.parametrize("bc,mu", [(bc, MU) for bc in BoundaryCondition]
+                         + [(BoundaryCondition.PERIODIC, -0.3)], ids=_case_id)
 def test_simulate_has_the_bits_of_textbook_rk4(bc, mu):
     cfg = smoothed_cfg(bc=bc, mu=mu, nx=101, dt=0.01, t_end=0.2)
     u = simulate(cfg).final.u
@@ -237,21 +231,18 @@ def _counted(monkeypatch, name):
 
 
 def test_operator_factors_once_per_config_and_solves_once_per_stage(monkeypatch):
-    # mu > 0: LDL^T (dpttrf), solved through pde.solve_banded (dpttrs);
-    # mu < 0: pivoted LU (dgttrf, dgttrs)
-    names = ("dpttrf", "solve_banded", "dgttrf", "dgttrs")
-    calls = {name: _counted(monkeypatch, name) for name in names}
-    for mu, (factor, solve) in ((MU, names[:2]), (-0.3, names[2:])):
-        for c in calls.values():
-            c.clear()
-        pde._operator.cache_clear()
-        cfg = smoothed_cfg(mu=mu, nx=101, dt=0.01, t_end=0.2)  # 20 steps
-        first, second = simulate(cfg), simulate(cfg)
-        want = {name: 0 for name in names} | {factor: 1, solve: 2 * 4 * 20}
-        assert {name: len(c) for name, c in calls.items()} == want
-        assert first.final.u.tobytes() == second.final.u.tobytes()
+    # LDL^T (dpttrf), solved through pde.solve_banded (dpttrs); a periodic
+    # run calls neither
+    calls = {name: _counted(monkeypatch, name) for name in ("dpttrf", "solve_banded")}
+    pde._operator.cache_clear()
+    cfg = smoothed_cfg(nx=101, dt=0.01, t_end=0.2)  # 20 steps
+    first, second = simulate(cfg), simulate(cfg)
+    want = {"dpttrf": 1, "solve_banded": 2 * 4 * 20}
+    assert {name: len(c) for name, c in calls.items()} == want
+    assert first.final.u.tobytes() == second.final.u.tobytes()
+    for mu in (MU, -0.3):
         simulate(smoothed_cfg(mu=mu, bc=BoundaryCondition.PERIODIC, nx=64, t_end=0.2))
-        assert {name: len(c) for name, c in calls.items()} == want
+    assert {name: len(c) for name, c in calls.items()} == want
 
 
 def _dense_operator(bc, n, dx, mu):
@@ -268,12 +259,15 @@ def _dense_operator(bc, n, dx, mu):
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(bc=st.sampled_from(list(BoundaryCondition)), nx=st.integers(3, 200),
-       length=st.floats(0.5, 200.0), log_r=st.floats(-3.0, 6.0),
-       sign=st.sampled_from([1.0, -1.0]), seed=st.integers(0, 2**32 - 1))
-def test_implicit_solve_has_a_small_residual(bc, nx, length, log_r, sign, seed):
+@given(bc_sign=st.sampled_from([(bc, 1.0) for bc in BoundaryCondition]
+                               + [(BoundaryCondition.PERIODIC, -1.0)]),
+       nx=st.integers(3, 200), length=st.floats(0.5, 200.0),
+       log_r=st.floats(-3.0, 6.0), seed=st.integers(0, 2**32 - 1))
+def test_implicit_solve_has_a_small_residual(bc_sign, nx, length, log_r, seed):
     # the solve's w against a dense I - mu*D2 built from the stencil here;
-    # r = |mu|/dx**2 spans 1e-3..1e6, and mu < 0 is kept off its poles
+    # r = |mu|/dx**2 spans 1e-3..1e6, and mu < 0 (periodic only) is kept off
+    # its poles
+    bc, sign = bc_sign
     cfg = smoothed_cfg(bc=bc, nx=nx, x_min=0.0, x_max=length, mu=1.0)
     dx = x_grid(cfg)[1]
     mu = sign * 10.0**log_r * dx * dx
@@ -289,52 +283,49 @@ def test_implicit_solve_has_a_small_residual(bc, nx, length, log_r, sign, seed):
     assert np.abs(a @ w - rhs).max() <= 16 * np.finfo(float).eps * norm_a * np.abs(w).max()
 
 
-@pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET_FARFIELD,
-                                BoundaryCondition.NEUMANN], ids=lambda bc: bc.value)
-def test_singular_implicit_operator_is_a_domain_error(bc):
-    # dx = 1 and mu = -1/2: the Dirichlet middle row 1 + 2 mu/dx^2 is 0, and
-    # the two Neumann end rows are equal
-    cfg = smoothed_cfg(bc=bc, mu=-0.5, x_min=0.0, x_max=2.0, nx=3, dt=0.05)
-    with pytest.raises(DomainError, match=f"pole lands on a mode of the {bc.value} grid"):
-        simulate(cfg)
+#: 1 - mu*L_1 = 0 exactly on a periodic grid of 4 points over [0, 2*pi]:
+#: L_1 = -2/dx**2 = -8/pi**2, mu = 1/L_1
+POLE_MU = -1.23370055013617
 
 
-@pytest.mark.parametrize("bc", [BoundaryCondition.DIRICHLET_FARFIELD,
-                                BoundaryCondition.NEUMANN], ids=lambda bc: bc.value)
-@pytest.mark.parametrize("mu", [math.nextafter(-0.5, 0.0), math.nextafter(-0.5, -1.0)],
-                         ids=["ulp_above", "ulp_below"])
-def test_nearly_singular_implicit_operator_is_a_domain_error(bc, mu):
-    # one ulp off mu = -1/2 a pivot is about 2e-16; such a run was let
-    # through and blew up within six steps
-    cfg = smoothed_cfg(bc=bc, mu=mu, x_min=0.0, x_max=2.0, nx=3, dt=0.05)
-    with pytest.raises(DomainError, match=f"pole lands on a mode of the {bc.value} grid"):
-        simulate(cfg)
+def pole_cfg(mu):
+    return smoothed_cfg(bc=BoundaryCondition.PERIODIC, mu=mu, x_min=0.0,
+                        x_max=2.0 * math.pi, nx=4, dt=0.01,
+                        initial=SmoothedRiemann(0.4, -0.8, 1.0))
 
 
-@pytest.mark.parametrize("pivot,refused", [(0.75e-14, True), (1.25e-14, False)])
-def test_the_pole_threshold_is_1e_14_of_the_largest_row_sum(pivot, refused):
-    # nx = 3 and dx = 1: the one coupled row's pivot is 1 + 2 mu, and the
-    # largest row sum |1 + 2 mu| + 2|mu| is 1 + 1e-14 or so
-    cfg = smoothed_cfg(mu=(pivot - 1.0) / 2.0, x_min=0.0, x_max=2.0, nx=3, dt=0.05)
-    if refused:
-        with pytest.raises(DomainError, match="pole lands on a mode"):
-            pde._Operator(cfg)
-    else:
-        pde._Operator(cfg)
+def test_singular_implicit_operator_is_a_domain_error():
+    assert pde._periodic_symbol(4, math.pi / 2.0, POLE_MU)[2][1] == 0.0
+    with pytest.raises(DomainError, match="mu < 0 pole lands on a grid mode"):
+        simulate(pole_cfg(POLE_MU))
 
 
-@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
-@pytest.mark.parametrize("mu", [1e300, -1e300])
+@pytest.mark.parametrize("mu,symbol", [
+    (math.nextafter(POLE_MU, 0.0), 1.1102230246251565e-16),
+    (math.nextafter(POLE_MU, -math.inf), -2.220446049250313e-16),
+], ids=["ulp_above", "ulp_below"])
+def test_nearly_singular_implicit_operator_is_a_domain_error(mu, symbol):
+    # one ulp off the pole, mode 1 is divided by about 1e-16; without the
+    # refusal such a run warned of a division by zero or diverged at step 1
+    assert pde._periodic_symbol(4, math.pi / 2.0, mu)[2][1] == symbol
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="mu < 0 pole lands on a grid mode"):
+            simulate(pole_cfg(mu))
+
+
+@pytest.mark.parametrize("mu,bc", [(1e300, bc) for bc in BoundaryCondition]
+                         + [(-1e300, BoundaryCondition.PERIODIC)], ids=_case_id)
 def test_an_overflowing_mu_over_dx2_is_refused_before_factoring(bc, mu, monkeypatch):
     # dx ~ 1e-6, so mu/dx**2 ~ 1e312: periodic runs warned of the overflow
     # and ran, Dirichlet runs factored NaNs and diverged at step 1
-    factors = [_counted(monkeypatch, name) for name in ("dpttrf", "dgttrf")]
+    factors = _counted(monkeypatch, "dpttrf")
     cfg = smoothed_cfg(bc=bc, mu=mu, x_min=0.0, x_max=1e-3, nx=1000, dt=None)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"4\*\|mu\|/dx\*\*2 overflows"):
             simulate(cfg)
-    assert factors == [[], []]
+    assert factors == []
 
 
 @pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
@@ -374,7 +365,7 @@ def test_a_default_step_that_underflows_to_0_is_refused():
     (dict(mu=-0.33333333333334136, x_min=0.0, x_max=3.0, nx=3), 2.0011e-14),
 ])
 def test_a_periodic_default_step_near_a_pole_or_an_overflow_is_refused(kw, dt):
-    # at the CFL step DEFAULT_CFL*dx/a such runs went ahead
+    # at the CFL step 0.4*dx/a used before, such runs went ahead
     cfg = smoothed_cfg(**kw, bc=BoundaryCondition.PERIODIC, dt=None, t_end=1e-6,
                        initial=SmoothedRiemann(0.4, -0.8, 1.0))
     with warnings.catch_warnings():
@@ -481,6 +472,19 @@ def test_traveling_wave_translates():
     # exclude clamped boundary neighborhoods
     interior = slice(50, -50)
     assert err[interior].max() < 1e-3
+
+
+def test_a_traveling_wave_seed_at_negative_mu_names_mu():
+    # its scale sqrt(mu*s) warned (invalid value in sqrt), and the run was
+    # refused for max_abs_u^3=nan, which no input had set
+    cfg = SimConfig(beta=0.1, mu=-0.06, x_min=-10.0, x_max=10.0, nx=101, t_end=0.1,
+                    dt=0.01, bc=BoundaryCondition.PERIODIC,
+                    initial=TravelingWaveSeed(locus_point(0.6, 0.4, Branch.MINUS)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"traveling-wave seed at mu=-0\.06: "
+                                              r"needs mu > 0"):
+            simulate(cfg)
 
 
 def _mid_level_speed(p, beta, mu, refine, scheme_beta):
@@ -714,8 +718,7 @@ def test_auto_time_step():
     # 4 beta/dx^2) that holds the discrete symbol (a = max(1, max|f'(u0)|));
     # mu < 0: on a periodic grid the same share of RK4's real-axis limit over
     # max_k (beta |L_k| + a |sin theta_k|/dx) / |1 - mu L_k|, theta_k =
-    # 2 pi k/n, L_k = (2 cos theta_k - 2)/dx^2; otherwise the CFL step
-    # DEFAULT_CFL*dx/a
+    # 2 pi k/n, L_k = (2 cos theta_k - 2)/dx^2
     def closed_form(beta, mu, dx, a):
         bound_im = min(a / (2.0 * math.sqrt(mu)), a / dx)
         bound_re = min(beta / mu, 4.0 * beta / dx**2)
@@ -730,8 +733,6 @@ def test_auto_time_step():
     coarse = smoothed_cfg(dt=None, nx=5)  # dx = 5: both dx terms bind
     assert default_dt(coarse) == pytest.approx(closed_form(BETA, MU, 5.0, 1.0),
                                                rel=1e-15)
-    unstable = smoothed_cfg(dt=None, mu=-MU)
-    assert default_dt(unstable) == pytest.approx(DEFAULT_CFL * 0.05, rel=1e-15)
     periodic = smoothed_cfg(dt=None, mu=-MU, bc=BoundaryCondition.PERIODIC)
     n, dx = periodic.nx, 20.0 / periodic.nx
     theta = 2.0 * np.pi * np.arange(n // 2 + 1) / n

@@ -27,6 +27,7 @@ from ucwaves import (
     eigenvalues,
     entropy_integral,
     equilibria,
+    kinetic_u_minus,
     locus_point,
     parabola_residual,
     psys_locus,
@@ -296,6 +297,45 @@ def test_lax_profile_fails_beyond_kinetic_threshold():
         res = shoot_unstable(prob, -0.8, ul, backward=True)
         assert (res.verdict is Verdict.CONNECTS) == expect
         _assert_lax_orbit_starts_at_its_saddle(res, -0.8)
+
+
+@st.composite
+def _kinetic_right_states(draw):
+    """(gamma, u_R) with u_R strictly inside u_plus_bounds(gamma)."""
+    gamma = draw(st.floats(0.05, 0.6))
+    lower, upper = u_plus_bounds(gamma)
+    return gamma, draw(st.floats(lower, upper, exclude_min=True, exclude_max=True))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(state=_kinetic_right_states(), sign=st.sampled_from([1.0, -1.0]))
+def test_the_lax_profile_is_lost_at_the_kinetic_threshold(state, sign):
+    # the paper's selection rule: the crossing Lax shock from u_L to u_R has
+    # a traveling wave exactly for u_L below u_0 = -u_R - psi(u_R).  Bisect
+    # u_L, to a width of 1e-7, on the verdict of the backward shot from the
+    # saddle u_R into the node u_L, over a bracket that ends at the sonic
+    # state -u_R/2; sign = -1 shoots the mirror image u -> -u
+    gamma, ur = state
+    u0 = -ur - kinetic_u_minus(ur, gamma)
+    lo, hi = u0 - 0.05, min(u0 + 0.05, -ur / 2.0)
+    # s is concave in u_L, so positive at both ends means positive between;
+    # a sonic end within the bound of u_0 (u_R at an end of its range) would
+    # pass whatever the shots said
+    assume(rh_speed(lo, ur) > 0.0 and rh_speed(hi, ur) > 0.0 and hi - u0 > 1e-7)
+
+    def connects(ul):
+        prob = TWProblem(gamma, rh_speed(sign * ul, sign * ur), sign * ul)
+        res = shoot_unstable(prob, sign * ur, sign * ul, backward=True)
+        return res.verdict is Verdict.CONNECTS
+
+    assert connects(lo)
+    while hi - lo > 1e-7:
+        mid = 0.5 * (lo + hi)
+        if connects(mid):
+            lo = mid
+        else:
+            hi = mid
+    assert abs(0.5 * (lo + hi) - u0) <= 1e-7
 
 
 def _same_bits(f, *args):
