@@ -287,44 +287,63 @@ def test_implicit_solve_has_a_small_residual(bc_sign, nx, length, log_r, seed):
 #: L_1 = -2/dx**2 = -8/pi**2, mu = 1/L_1
 POLE_MU = -1.23370055013617
 
+#: the refusal a mu < 0 run meets: SimConfig's on a bounded grid, before any
+#: operator is built, and _Operator's pole test on a periodic one
+POLE_REFUSAL = {BoundaryCondition.DIRICHLET_FARFIELD: r"mu < 0 needs bc=periodic",
+                BoundaryCondition.NEUMANN: r"mu < 0 needs bc=periodic",
+                BoundaryCondition.PERIODIC: "mu < 0 pole lands on a grid mode"}
 
-def pole_cfg(mu):
-    return smoothed_cfg(bc=BoundaryCondition.PERIODIC, mu=mu, x_min=0.0,
-                        x_max=2.0 * math.pi, nx=4, dt=0.01,
-                        initial=SmoothedRiemann(0.4, -0.8, 1.0))
+
+def pole_cfg(bc, toward=None):
+    """A config whose operator is singular, or one ulp of mu off it toward
+    ``toward``.  Bounded: dx = 1 and mu = -1/2, where the Dirichlet middle
+    row 1 + 2 mu/dx**2 was 0 and the two Neumann end rows equal.  Periodic:
+    4 points over [0, 2*pi] and POLE_MU, mode 1 on the pole."""
+    if bc is BoundaryCondition.PERIODIC:
+        mu = POLE_MU if toward is None else math.nextafter(POLE_MU, toward)
+        return smoothed_cfg(bc=bc, mu=mu, x_min=0.0, x_max=2.0 * math.pi, nx=4,
+                            dt=0.01, initial=SmoothedRiemann(0.4, -0.8, 1.0))
+    mu = -0.5 if toward is None else math.nextafter(-0.5, toward)
+    return smoothed_cfg(bc=bc, mu=mu, x_min=0.0, x_max=2.0, nx=3, dt=0.05)
 
 
-def test_singular_implicit_operator_is_a_domain_error():
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+def test_singular_implicit_operator_is_a_domain_error(bc):
     assert pde._periodic_symbol(4, math.pi / 2.0, POLE_MU)[2][1] == 0.0
-    with pytest.raises(DomainError, match="mu < 0 pole lands on a grid mode"):
-        simulate(pole_cfg(POLE_MU))
+    with pytest.raises(DomainError, match=POLE_REFUSAL[bc]):
+        simulate(pole_cfg(bc))
 
 
-@pytest.mark.parametrize("mu,symbol", [
-    (math.nextafter(POLE_MU, 0.0), 1.1102230246251565e-16),
-    (math.nextafter(POLE_MU, -math.inf), -2.220446049250313e-16),
-], ids=["ulp_above", "ulp_below"])
-def test_nearly_singular_implicit_operator_is_a_domain_error(mu, symbol):
-    # one ulp off the pole, mode 1 is divided by about 1e-16; without the
-    # refusal such a run warned of a division by zero or diverged at step 1
-    assert pde._periodic_symbol(4, math.pi / 2.0, mu)[2][1] == symbol
+@pytest.mark.parametrize("bc", list(BoundaryCondition), ids=lambda bc: bc.value)
+@pytest.mark.parametrize("toward,symbol", [(0.0, 1.1102230246251565e-16),
+                                           (-math.inf, -2.220446049250313e-16)],
+                         ids=["ulp_above", "ulp_below"])
+def test_nearly_singular_implicit_operator_is_a_domain_error(bc, toward, symbol):
+    # one ulp off the periodic pole, mode 1 is divided by about 1e-16;
+    # without the refusal such a run warned of a division by zero or
+    # diverged at step 1 (the bounded runs, before mu < 0 was refused there,
+    # diverged within six steps)
+    assert pde._periodic_symbol(4, math.pi / 2.0, math.nextafter(POLE_MU, toward))[2][1] \
+        == symbol
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="mu < 0 pole lands on a grid mode"):
-            simulate(pole_cfg(mu))
+        with pytest.raises(DomainError, match=POLE_REFUSAL[bc]):
+            simulate(pole_cfg(bc, toward))
 
 
-@pytest.mark.parametrize("mu,bc", [(1e300, bc) for bc in BoundaryCondition]
-                         + [(-1e300, BoundaryCondition.PERIODIC)], ids=_case_id)
+@pytest.mark.parametrize("mu,bc", [(mu, bc) for mu in (1e300, -1e300)
+                                   for bc in BoundaryCondition], ids=_case_id)
 def test_an_overflowing_mu_over_dx2_is_refused_before_factoring(bc, mu, monkeypatch):
     # dx ~ 1e-6, so mu/dx**2 ~ 1e312: periodic runs warned of the overflow
-    # and ran, Dirichlet runs factored NaNs and diverged at step 1
+    # and ran, Dirichlet runs factored NaNs and diverged at step 1; a bounded
+    # mu < 0 is now refused by SimConfig before the overflow test
     factors = _counted(monkeypatch, "dpttrf")
-    cfg = smoothed_cfg(bc=bc, mu=mu, x_min=0.0, x_max=1e-3, nx=1000, dt=None)
+    bounded_negative = mu < 0 and bc is not BoundaryCondition.PERIODIC
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=r"4\*\|mu\|/dx\*\*2 overflows"):
-            simulate(cfg)
+        with pytest.raises(DomainError, match=POLE_REFUSAL[bc] if bounded_negative
+                           else r"4\*\|mu\|/dx\*\*2 overflows"):
+            simulate(smoothed_cfg(bc=bc, mu=mu, x_min=0.0, x_max=1e-3, nx=1000, dt=None))
     assert factors == []
 
 
