@@ -9,8 +9,11 @@ Saddle-saddle connections (undercompressive profiles) are verified by a
 bidirectional graph march: along a heteroclinic the orbit is a monotone
 graph v = v(u), so each arc solves dv/du = T + P(u)/v away from its saddle,
 which is numerically contracting toward the connection from both ends.  The
-two arcs are matched at the midpoint section; the matching defect is the
-connection certificate (reported as ``terminal_distance``).  Lax profiles
+two arcs march as one system in a shared parameter that takes each from its
+launch to the midpoint section (``_march``, one ``solve_ivp`` call), so the
+rows of a graph-marched orbit follow the steps of that system.  They are
+matched at the section; the matching defect is the connection certificate
+(reported as ``terminal_distance``).  Lax profiles
 (node-to-saddle) are verified by integrating the saddle's stable manifold
 backward in xi until it falls into the node, which is attracting for the
 reversed flow.  The shot connects as soon as a step end enters a sublevel
@@ -44,8 +47,9 @@ a few hundred steps in all.  Every backward shot is judged by one rule,
 node's capture certificate or inside half of CONNECTION_TOL of the node,
 and misses outside the box.  Two steppers feed it: scipy's compiled DOP853
 (``scipy.integrate.ode``, whose per-step cost is a fraction of
-``solve_ivp``'s on a 2-vector) and scipy's ``BDF`` stepped directly.  Only the graph march runs through ``solve_ivp``, whose events
-locate the fold inside the step.  scipy is imported on the first shot, not
+``solve_ivp``'s on a 2-vector) and scipy's ``BDF`` stepped directly.  Only
+the graph march runs through ``solve_ivp``, whose events locate each arc's
+fold inside the step.  scipy is imported on the first shot, not
 with the module: the march calls ``solve_ivp`` through the forwarder of
 ``ucwaves._scipy``, the stiff branch imports ``BDF``, and the one compiled
 integrator of the process is made by ``_compiled_dop853`` on the first
@@ -53,13 +57,16 @@ compiled shot.  A shot that spends more than MAX_NFEV
 right-hand-side evaluations raises ``ShootingBudgetError``; a backward shot
 stiffer than MAX_STIFF_RATIO, where BDF itself fails, raises
 ``DegenerateSpeedError`` before it starts.  An end that is not an
-equilibrium of the form to within the seed offset, or ends within twice
-the seed offset of each other, raise ``DomainError``.
+equilibrium of the form to within the seed offset, ends within twice the
+seed offset of each other, a manifold graph whose scale overflows, and a
+saddle-saddle graph with a row that is not a normal float raise
+``DomainError``.
 """
 
 import functools
 import math
 import operator
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -130,22 +137,27 @@ class OrbitResult:
     trajectory has columns (xi, u, v).  It starts SEED_OFFSET * max(1, |u|)
     from the saddle with the rows of the manifold's Taylor graph up to the
     launch point (``_launch``), where xi runs from 0 by the trapezoid rule
-    on du / v.  Graph-marched orbits keep that rule throughout; a backward
-    shot continues from the launch with xi decreasing by the reversed time
-    it integrates.  For a saddle-saddle CONNECTS, terminal_distance is the
-    matching defect of the two arcs at the midpoint section.  For a
-    backward CONNECTS it is the distance of the orbit's last row from the
-    node: below CONNECTION_TOL / 2 when the shot closed in on the node, or
-    below r / sqrt(2), r the radius of the node's capture certificate
-    (``_capture_certificate``), when it stopped on entering that
-    certificate, from which the flow provably falls into the node.  The
-    distance is then not below CONNECTION_TOL in general.  Otherwise it is
-    the closest approach of the computed arc to the target equilibrium.
+    on du / v.  Graph-marched orbits keep that rule throughout; past the
+    launch their rows lie at the steps that the two arcs of a connection
+    take together (``_march``).  A backward shot continues from the launch
+    with xi decreasing by the reversed time it integrates.  For a
+    saddle-saddle CONNECTS, terminal_distance is the matching defect of the
+    two arcs at the midpoint section.  For a backward CONNECTS it is the
+    distance of the orbit's last row from the node: below CONNECTION_TOL /
+    2 when the shot closed in on the node, or below r / sqrt(2), r the
+    radius of the node's capture certificate (``_capture_certificate``),
+    when it stopped on entering that certificate, from which the flow
+    provably falls into the node.  The distance is then not below
+    CONNECTION_TOL in general.  Otherwise it is the closest approach of the
+    computed arc to the target equilibrium.  nfev is the number of
+    right-hand-side evaluations the shot spent, summed over the marches of
+    a saddle-saddle shot.
     """
 
     trajectory: np.ndarray
     verdict: Verdict
     terminal_distance: float
+    nfev: int
 
 
 @dataclass(frozen=True)
@@ -236,11 +248,14 @@ def eigenvalues(u, form):
     return (far, near) if sign > 0.0 else (near, far)
 
 
-def _over_budget(method, t, span):
+def _over_budget(method, reached):
+    """ShootingBudgetError of a shot whose integrations stopped at
+    ``reached``: (variable, its value, (start, end)) for each."""
+    at = ", ".join(f"{x} = {t:.6g} of [{a:.6g}, {b:.6g}]"
+                   for x, t, (a, b) in reached)
     return ShootingBudgetError(
-        f"{method} shot stopped at t = {t:.6g} of [{span[0]:.6g}, "
-        f"{span[1]:.6g}] after more than {MAX_NFEV} right-hand-side "
-        f"evaluations")
+        f"{method} shot stopped at {at} after more than {MAX_NFEV} "
+        f"right-hand-side evaluations")
 
 
 def _cubic_terms(form, u):
@@ -396,9 +411,9 @@ def _step_through(solver):
 
 
 def _backward_shot(form, node_u, y0, horizon, stiff):
-    """Shot of the reversed flow from y0: (t, u, v, connects).  A stiff shot
-    steps BDF with the analytic Jacobian, minus the forward one; the others
-    run on the compiled DOP853."""
+    """Shot of the reversed flow from y0: (t, u, v, connects, nfev).  A
+    stiff shot steps BDF with the analytic Jacobian, minus the forward one;
+    the others run on the compiled DOP853."""
     global _shot
     shot = _Shot(form, node_u)
     with _SHOT_LOCK:
@@ -415,8 +430,9 @@ def _backward_shot(form, node_u, y0, horizon, stiff):
             _shot = None
     t, u, v = np.array(shot.steps).T
     if shot.nfev > MAX_NFEV and not shot.connects:
-        raise _over_budget("BDF" if stiff else "DOP853", t[-1], (0.0, horizon))
-    return t, u, v, shot.connects
+        raise _over_budget("BDF" if stiff else "DOP853",
+                           [("t", t[-1], (0.0, horizon))])
+    return t, u, v, shot.connects, shot.nfev
 
 
 def _manifold_series(form, u_s, lam, span):
@@ -473,11 +489,16 @@ def _launch(form, u_s, toward, lam):
     points at which phi is exact to rounding, and never nearer than the
     first row; a series cut short by a coefficient that is not finite
     launches there.  On the kinetic locus the series ends at order 2 (the
-    parabola), so a shot launches a quarter span out.
+    parabola), so a shot launches a quarter span out.  A graph whose scale
+    span*(|lam| + |T|) overflows raises DomainError.
     """
     sgn = 1.0 if toward > u_s else -1.0
     span = abs(toward - u_s)
     b, v_scale = _manifold_series(form, u_s, lam, span)
+    if not v_scale < math.inf:  # T infinite, or a huge span at a large T
+        raise DomainError(f"the manifold of u={u_s!r} has a scale span*(|lam| "
+                          f"+ |T|) = {v_scale:.3g} that overflows (T = "
+                          f"{form.T:.3g}, span = {span:.3g})")
     near = SEED_OFFSET * max(1.0, abs(u_s))
     far = near
     if len(b) == MANIFOLD_ORDER:
@@ -501,7 +522,8 @@ def _launch(form, u_s, toward, lam):
 def _check_equilibria(form, **ends):
     """Raise DomainError naming each of the two ends u off equilibrium by
     more than the seed offset: |P(u)| above SEED_OFFSET * max(1, |u|) *
-    max(1, |dP(u)|), or NaN.  An end whose cube overflows is refused first,
+    max(1, |dP(u)|), or not finite (an infinite P passes the bound when the
+    bound overflows too).  An end whose cube overflows is refused first,
     and then ends that coincide: the span between them scales a shot's
     launch.  Last, ends not more than twice the seed offset SEED_OFFSET *
     max(1, |u_1|, |u_2|) apart are refused: the orbit's first row lies that
@@ -509,8 +531,9 @@ def _check_equilibria(form, **ends):
     or past the node of a backward shot."""
     _check_cubes("shooting", **ends)
     bad = [f"{name}={u!r} (P(u) = {form.P(u):.3g})" for name, u in ends.items()
-           if not abs(form.P(u)) <= SEED_OFFSET * max(1.0, abs(u))
-           * max(1.0, abs(form.dP(u)))]
+           if not abs(form.P(u)) <= min(SEED_OFFSET * max(1.0, abs(u))
+                                        * max(1.0, abs(form.dP(u))),
+                                        sys.float_info.max)]
     if bad:
         raise DomainError("shooting requires equilibria at both ends; off "
                           "equilibrium: " + ", ".join(bad))
@@ -526,43 +549,72 @@ def _check_equilibria(form, **ends):
                           f"its other end: {named}")
 
 
-def _march_arc(form, rows, u_end, vmax):
-    """Integrate the graph ODE dv/du = T + P(u)/v from the last of the
-    ``_launch`` rows (u, v) to u_end; the arc is the rows, then the steps.
+def _march(form, launches, u_end, vmax):
+    """March the graph ODE dv/du = T + P(u)/v of every arc of ``launches``
+    from the last of its rows (u, v) to u_end, all arcs as one system in a
+    shared parameter tau in [0, 1]: u = u0 + tau*(u_end - u0) and dv/dtau =
+    (u_end - u0)*(T + P(u)/v) for an arc launched at (u0, v0).  Returns the
+    arcs, (status, u, v) each, the rows and then the steps, and the
+    right-hand-side evaluations spent.
 
-    Terminates on a fold (v crossing zero, detected robustly by a sign
-    change of v relative to its launch sign) or on |v| exceeding vmax.
+    Each arc ends the march on a fold ("fold": v crossing zero, detected
+    robustly by v*sgn(v0) falling through _V_FLOOR) or on |v| exceeding vmax
+    ("diverges").  An arc that reaches tau = 1 is "ok", its last u exactly
+    u_end; one that another arc's event stopped short is "stopped".  A
+    failed step ends every arc not yet done as "diverges", as it ends one
+    arc marched alone.  The system's error norm is the RMS of the arcs', so
+    each arc's local error may reach sqrt(n) times the tolerance of one.
     """
     T, P = form.T, form.P
-    u0, v0 = rows[0][-1], rows[1][-1]
-    sgn_v = 1.0 if v0 > 0 else -1.0
+    arcs = [(float(u[-1]), u_end - float(u[-1])) for u, _ in launches]
     nfev = 0
 
-    def rhs(u, y):
+    def rhs(tau, y):
         nonlocal nfev
         nfev += 1
         if nfev > MAX_NFEV:
-            raise _over_budget("DOP853", u, (u0, u_end))
+            raise _over_budget("DOP853", [("u", u0 + tau * d, (u0, u_end))
+                                          for u0, d in arcs])
         # in Python floats: numpy scalar arithmetic costs several times more
-        return (T + P(float(u)) / y.item(),)
+        tau = float(tau)
+        return [d * (T + P(u0 + tau * d) / v)
+                for (u0, d), v in zip(arcs, y.tolist())]
 
-    def ev_fold(u, y):
-        return y[0] * sgn_v - _V_FLOOR
-    ev_fold.terminal = True
-    ev_fold.direction = -1
+    def fold(i, sgn):
+        def event(tau, y):
+            return y[i] * sgn - _V_FLOOR
+        event.terminal, event.direction = True, -1
+        return event
 
-    def ev_big(u, y):
-        return abs(y[0]) - vmax
-    ev_big.terminal = True
+    def big(i):
+        def event(tau, y):
+            return abs(y[i]) - vmax
+        event.terminal = True
+        return event
 
-    sol = solve_ivp(rhs, (u0, u_end), [v0], method="DOP853", rtol=RTOL,
-                    atol=ATOL, events=[ev_fold, ev_big])
-    u = np.concatenate([rows[0][:-1], sol.t])
-    v = np.concatenate([rows[1][:-1], sol.y[0]])
-    if sol.t_events[0].size:
-        return "fold", u, v
-    ok = sol.success and not sol.t_events[1].size
-    return "ok" if ok else "diverges", u, v
+    v0 = [float(v[-1]) for _, v in launches]
+    events = [ev for i, v in enumerate(v0)
+              for ev in (fold(i, 1.0 if v > 0 else -1.0), big(i))]
+    # a field that overflows in the stepper's error norm fails the step,
+    # which reads as the arcs' divergence, so numpy's warning is silenced
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(rhs, (0.0, 1.0), v0, method="DOP853", rtol=RTOL,
+                        atol=ATOL, events=events)
+    out = []
+    for i, ((u0, d), (ru, rv)) in enumerate(zip(arcs, launches)):
+        u = u0 + sol.t * d
+        if sol.t_events[2 * i].size:
+            status = "fold"
+        elif sol.t_events[2 * i + 1].size:
+            status = "diverges"
+        elif sol.status == 0:
+            status = "ok"
+            u[-1] = u_end
+        else:
+            status = "stopped" if sol.status == 1 else "diverges"
+        out.append((status, np.concatenate([ru[:-1], u]),
+                    np.concatenate([rv[:-1], sol.y[i]])))
+    return out, nfev
 
 
 def _xi(u, v):
@@ -575,10 +627,10 @@ def _xi(u, v):
     return xi
 
 
-def _graph_orbit(u, v, verdict, dist):
-    """OrbitResult of a graph-marched arc."""
+def _graph_orbit(u, v, verdict, dist, nfev):
+    """OrbitResult of a graph-marched orbit."""
     return OrbitResult(np.column_stack([_xi(u, v), u, v]), verdict,
-                       float(dist))
+                       float(dist), nfev)
 
 
 def shoot_saddle_connection(form, u_from, u_to, vmax=V_BOX):
@@ -589,9 +641,14 @@ def shoot_saddle_connection(form, u_from, u_to, vmax=V_BOX):
     accepted at u_from (saddle-node endpoint, exit along the
     T-eigendirection, which needs T > 0).  Marches the
     unstable-manifold graph from u_from and the stable-manifold graph from
-    u_to to the midpoint section and compares them there; they connect when
-    the defect is below CONNECTION_TOL times the orbit's v-scale max(1,
-    span*rate), the scale of the launch's series (``_manifold_series``).
+    u_to to the midpoint section, as one system (``_march``), and compares
+    them there; they connect when the defect is below CONNECTION_TOL times
+    the orbit's v-scale max(1, span*rate), the scale of the launch's series
+    (``_manifold_series``).  The forward arc decides first: when the
+    backward arc folds or diverges first, the forward one is finished alone,
+    and its own fold (a miss) or divergence is the verdict; only then does
+    the backward arc's failure make the shot diverge.  Graphs whose rows are
+    not normal floats, which the march could not divide by, are refused.
     """
     _check_equilibria(form, u_from=u_from, u_to=u_to)
     if form.dP(u_from) < -1e-9 or form.dP(u_to) <= 0.0:
@@ -603,20 +660,31 @@ def shoot_saddle_connection(form, u_from, u_to, vmax=V_BOX):
     if isinstance(lam_u, complex) or not lam_u > 0.0:
         raise DomainError(f"u_from={u_from!r} has no unstable direction "
                           f"(T = {form.T:.3g}, P'(u) = {form.dP(u_from):.3g})")
-    st_f, uf, vf = _march_arc(form, _launch(form, u_from, u_to, lam_u), umid,
-                              vmax)
+    _, lam_s = eigenvalues(u_to, form)
+    launches = [_launch(form, u_from, u_to, lam_u),
+                _launch(form, u_to, u_from, lam_s)]
+    # the graph ODE and xi divide by v: at T ~ 1e300 the stable eigenvalue
+    # -dP/T of u_to is ~1e-300, and its graph rounds to v = 0 by the launch
+    flat = [f"{name}={u!r} (|v| down to {min(abs(v)):.3g})" for name, u, (_, v)
+            in zip(("u_from", "u_to"), (u_from, u_to), launches)
+            if not min(abs(v)) >= sys.float_info.min]
+    if flat:
+        raise DomainError(f"shooting requires manifold graphs whose rows are "
+                          f"normal floats (T = {form.T:.3g}); got "
+                          + ", ".join(flat))
+    ((st_f, uf, vf), (st_b, ub, vb)), nfev = _march(form, launches, umid, vmax)
+    if st_f == "stopped":
+        # the backward arc stopped first: the forward arc still decides first
+        ((st_f, uf, vf),), more = _march(form, [(uf, vf)], umid, vmax)
+        nfev += more
     closest = np.hypot(uf - u_to, vf).min() if uf.size else np.inf
     if st_f != "ok":
         verdict = Verdict.DIVERGES
         if st_f == "fold":
             verdict = Verdict.MISSES_ABOVE if sgn < 0 else Verdict.MISSES_BELOW
-        return _graph_orbit(uf, vf, verdict, closest)
-
-    _, lam_s = eigenvalues(u_to, form)
-    st_b, ub, vb = _march_arc(form, _launch(form, u_to, u_from, lam_s), umid,
-                              vmax)
+        return _graph_orbit(uf, vf, verdict, closest, nfev)
     if st_b != "ok":
-        return _graph_orbit(uf, vf, Verdict.DIVERGES, closest)
+        return _graph_orbit(uf, vf, Verdict.DIVERGES, closest, nfev)
 
     defect = float(vf[-1] - vb[-1])
     # both arcs end exactly at the midpoint section; keep one copy
@@ -626,9 +694,9 @@ def shoot_saddle_connection(form, u_from, u_to, vmax=V_BOX):
     # the rounding of the defect past |u| ~ 1e4
     v_scale = max(1.0, abs(u_to - u_from) * (abs(lam_u) + abs(form.T)))
     if abs(defect) < CONNECTION_TOL * v_scale:
-        return _graph_orbit(uu, vv, Verdict.CONNECTS, abs(defect))
+        return _graph_orbit(uu, vv, Verdict.CONNECTS, abs(defect), nfev)
     verdict = Verdict.MISSES_ABOVE if defect > 0 else Verdict.MISSES_BELOW
-    return _graph_orbit(uu, vv, verdict, closest)
+    return _graph_orbit(uu, vv, verdict, closest, nfev)
 
 
 def shoot_unstable(prob: TWProblem, from_u, toward, backward=False):
@@ -682,16 +750,16 @@ def _shoot_backward_to_node(form, saddle_u, node_u):
             f"its slow time is {stiffness:.3g}, above {MAX_STIFF_RATIO:.0e}")
     horizon = max(5000.0, 2.0 * t_slow)
     ru, rv = _launch(form, saddle_u, node_u, eigenvalues(saddle_u, form)[1])
-    t, u, v, connects = _backward_shot(form, node_u, [ru[-1], rv[-1]],
-                                       horizon, stiffness > STIFF_RATIO)
+    t, u, v, connects, nfev = _backward_shot(form, node_u, [ru[-1], rv[-1]],
+                                             horizon, stiffness > STIFF_RATIO)
     # the rows before the launch, xi from the graph; then xi = -t onward
     xi = _xi(ru, rv)
     u, v = np.concatenate([ru[:-1], u]), np.concatenate([rv[:-1], v])
     dist = np.hypot(u - node_u, v)
     traj = np.column_stack([np.concatenate([xi[:-1], xi[-1] - t]), u, v])
     if connects:
-        return OrbitResult(traj, Verdict.CONNECTS, float(dist[-1]))
-    return OrbitResult(traj, Verdict.DIVERGES, float(dist.min()))
+        return OrbitResult(traj, Verdict.CONNECTS, float(dist[-1]), nfev)
+    return OrbitResult(traj, Verdict.DIVERGES, float(dist.min()), nfev)
 
 
 def parabola_residual(orbit: OrbitResult, u_minus, u_plus):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from ucwaves import (
     GAMMA_MAX,
     Branch,
+    a_tilde,
     kinetic_u_minus,
     kinetics,
     locus_point,
@@ -964,6 +965,92 @@ def test_simulate_runs_with_finite_output_or_exits_2(x_min, x_max, mu, beta, nx,
             assert rc == 2 and os.listdir(tmp) == []
             lines = err.getvalue().splitlines()
             assert len(lines) == 1 and "message" in json.loads(lines[0])
+
+
+def _finite_csv(text):
+    """Whether every cell of a CSV text past its echo and header is a
+    finite number."""
+    rows = [ln for ln in text.splitlines() if not ln.startswith("#")][1:]
+    return bool(rows) and np.isfinite([[float(c) for c in row.split(",")]
+                                       for row in rows]).all()
+
+
+def _assert_finite_output_or_exit_2(argv, fmt="json"):
+    """The run exits 0 with every number of its artifact finite, or exits 2
+    with one JSON error record and no file; never a warning or another
+    exception."""
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = os.path.join(tmp, "out." + fmt)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = run_cli(argv + ["--output", out])
+        if rc == 0:
+            with open(out) as fh:
+                text = fh.read()
+            assert _finite_numbers(text) if fmt == "json" else _finite_csv(text)
+        else:
+            assert rc == 2 and os.listdir(tmp) == []
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and "message" in json.loads(lines[0])
+
+
+@st.composite
+def _phase_pairs(draw):
+    """(gamma, u_minus, u_plus, s) of a saddle-saddle phase run, s None for
+    the RH speed: a scalar locus point, u_+ perturbed or not, or signed
+    extremes."""
+    if draw(st.booleans()):
+        gamma = draw(st.floats(0.05, 0.6))
+        p = locus_point(0.5 + draw(st.floats(0.0, 1.0)) * (a_tilde(gamma) - 0.5),
+                        gamma, draw(st.sampled_from(Branch)))
+        fac = draw(st.sampled_from([1.0, 1.05, 0.95, 1.001, 1.0 + 1e-9]))
+        return gamma, p.u_minus, p.u_plus * fac, None
+    return (draw(_signed()), draw(_signed()), draw(_signed()),
+            draw(st.one_of(st.none(), _signed())))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pair=_phase_pairs(), fmt=st.sampled_from(["json", "csv"]))
+# P(u_+) overflows, and so does the bound it was held to: the pair was taken
+# for equilibria and the march warned on its infinite field
+@example(pair=(0.0, 0.0, 6.4709363046683224e+16, 2.7781035853581304e+299),
+         fmt="json")
+# the saddle-node end a = 1/2 at gamma = 1e300: the stable eigenvalue of u_+
+# is -1e-300, its graph rounds to v = 0 at the launch, and the march divided
+# by it (ZeroDivisionError)
+@example(pair=(1e300, 0.5127296671069506, -1.0254593342139011, None), fmt="csv")
+# the same at gamma = 1e-300 and 1e-290: the unstable graph launches at
+# v = -1e-308, a subnormal, or -1e-298, and the field's error norm
+# overflowed in the stepper (a warning)
+@example(pair=(1e-300, 0.5127296671069506, -1.0254593342139011, None),
+         fmt="json")
+@example(pair=(1e-290, 0.5127296671069506, -1.0254593342139011, None),
+         fmt="json")
+# a tiny pair there: rows of the unstable graph are subnormal, so 1/v
+# overflowed in xi (a warning, and an infinite xi in the orbit)
+@example(pair=(1e-300, 9.427252327594122e-09, -1.885450465519767e-08, None),
+         fmt="csv")
+# T = gamma/sqrt(s) is infinite: the launch scale overflowed (a warning, and
+# solve_ivp's ValueError on a non-finite start)
+@example(pair=(1e300, 0.5773502691896257, -1.1547005383792515, 5e-324),
+         fmt="json")
+def test_phase_runs_with_finite_output_or_exits_2(pair, fmt):
+    gamma, u_minus, u_plus, s = pair
+    argv = ["phase", f"--gamma={gamma!r}", f"--u-minus={u_minus!r}",
+            f"--u-plus={u_plus!r}", "--format", fmt]
+    if s is not None:
+        argv.append(f"--s={s!r}")
+    _assert_finite_output_or_exit_2(argv, fmt)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(A=st.one_of(st.floats(0.1, 10.0), _signed()),
+       b=st.one_of(st.floats(-1.0, -0.5), _signed()),
+       v_minus=st.one_of(st.just(0.0), _signed()))
+def test_psystem_shoot_runs_with_finite_output_or_exits_2(A, b, v_minus):
+    _assert_finite_output_or_exit_2(["psystem", f"--A={A!r}", f"--b={b!r}",
+                                     f"--v-minus={v_minus!r}", "--shoot"])
 
 
 def test_config_file_with_override(tmp_path):

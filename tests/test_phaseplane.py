@@ -2,6 +2,7 @@ import ast
 import gc
 import inspect
 import math
+import re
 import textwrap
 import tracemalloc
 import weakref
@@ -160,6 +161,16 @@ def test_shoot_connects_on_locus(a, branch):
     assert parabola_residual(res, p.u_minus, p.u_plus) < 1e-5
 
 
+def test_both_arcs_end_exactly_on_the_midpoint_section():
+    # both launches u0 of this point give u0 + 1.0*(umid - u0) != umid, so
+    # the march sets the last u of each arc to the section itself
+    p = locus_point(0.5027281068746259, GAMMA, Branch.MINUS)
+    umid = 0.5 * (p.u_minus + p.u_plus)
+    res = shoot_unstable(TWProblem.from_kinetic_point(p), p.u_minus, p.u_plus)
+    assert res.verdict is Verdict.CONNECTS
+    assert (res.trajectory[:, 1] == umid).sum() == 1
+
+
 def test_shoot_perturbed_pairs_fail():
     p = locus_point(0.6, GAMMA, Branch.MINUS)
     for fac in (1.05, 0.95):
@@ -203,6 +214,51 @@ def test_shoot_reports_a_failed_arc_as_diverging(u_minus, u_plus,
     assert (u[-1] == 0.5 * (u_minus + u_plus)) == reaches_midpoint
     assert res.terminal_distance == np.hypot(u - u_plus,
                                              res.trajectory[:, 2]).min()
+
+
+def _counted_solve_ivp(monkeypatch):
+    """[calls, evaluations] of phaseplane.solve_ivp from here on."""
+    count, solve = [0, 0], phaseplane.solve_ivp
+
+    def counted(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        count[0] += 1
+        count[1] += sol.nfev
+        return sol
+
+    monkeypatch.setattr(phaseplane, "solve_ivp", counted)
+    return count
+
+
+@pytest.mark.parametrize("shot,calls", [
+    (lambda: _scalar_shot(GAMMA, *README_PAIR), 1),
+    (lambda: _scalar_shot(GAMMA, *BACKWARD_FOLDS), 2),  # the forward arc alone
+    (lambda: (psystem.psys_shoot, (psys_locus(-0.6, 4.0),)), 1),
+], ids=["readme_pair", "backward_folds", "psystem"])
+def test_orbit_nfev_counts_the_evaluations_of_its_marches(monkeypatch, shot,
+                                                          calls):
+    # both arcs of a connection march in one solve_ivp call
+    count = _counted_solve_ivp(monkeypatch)
+    shoot, args = shot()
+    res = shoot(*args)
+    assert count == [calls, res.nfev]
+
+
+def test_orbit_nfev_of_a_backward_shot_is_its_shot_count(monkeypatch):
+    shots = []
+
+    class Recorded(phaseplane._Shot):
+        __slots__ = ()
+
+        def __init__(self, *args):
+            super().__init__(*args)
+            shots.append(self)
+
+    monkeypatch.setattr(phaseplane, "_Shot", Recorded)
+    count = _counted_solve_ivp(monkeypatch)
+    res = _lax_shot(0.4, 0.25)
+    assert res.verdict is Verdict.CONNECTS
+    assert count == [0, 0] and res.nfev == shots[0].nfev > 0
 
 
 def test_shoot_rejects_non_saddle_start():
@@ -254,6 +310,28 @@ def test_shots_refuse_an_end_off_equilibrium(s):
         shoot_unstable(prob, up, um, backward=True)
     exact = TWProblem(GAMMA, rh_speed(um, up), um)
     assert shoot_unstable(exact, um, up).verdict is Verdict.CONNECTS
+
+
+@pytest.mark.parametrize("gamma,s,u_minus,u_plus,match", [
+    # P(u_+) = inf: the bound |P| is held to overflowed too
+    (0.0, 2.7781035853581304e299, 0.0, 6.4709363046683224e16,
+     r"off equilibrium: u_to=6\.4709363046683224e\+16 \(P\(u\) = inf\)"),
+    # the stable graph of u_+ rounds to v = 0 at the launch (gamma = 1e300)
+    (1e300, None, 0.5127296671069506, -1.0254593342139011,
+     r"rows are normal floats .*u_to=-1\.0254593342139011 \(\|v\| down to 0\)"),
+    # and the unstable graph of a tiny u_- at gamma = 1e-300: 1/v overflowed
+    # in xi
+    (1e-300, None, 9.427252327594122e-09, -1.885450465519767e-08,
+     r"rows are normal floats .*u_from=9\.427252327594122e-09 \(\|v\| down to "),
+    # T = inf: the launch scale overflows
+    (1e300, 5e-324, 0.5773502691896257, -1.1547005383792515,
+     r"scale span\*\(\|lam\| \+ \|T\|\) = inf that overflows"),
+], ids=["infinite_P", "flat_launch", "subnormal_rows", "infinite_T"])
+def test_saddle_saddle_shots_that_cannot_march_are_a_domain_error(
+        gamma, s, u_minus, u_plus, match):
+    s = rh_speed(u_minus, u_plus) if s is None else s
+    with pytest.raises(DomainError, match=match):
+        shoot_unstable(TWProblem(gamma, s, u_minus), u_minus, u_plus)
 
 
 def test_backward_shot_refuses_a_node_off_equilibrium():
@@ -456,6 +534,96 @@ def test_manifold_series_does_not_end_off_the_locus(gamma, branch):
         assert abs(b[2]) > 1e-5 * abs(b[0])
 
 
+#: the u_+ factors of the perturbed scalar shots
+U_PLUS_FACTORS = (1.0, 1.05, 0.95, 1.01, 0.99, 1.001, 0.999)
+#: a pair whose backward arc folds before the midpoint section, the second
+#: case of test_shoot_reports_a_failed_arc_as_diverging
+BACKWARD_FOLDS = (0.22485930061453524, -0.21621086597551464)
+
+
+def _scalar_shot(gamma, u_minus, u_plus):
+    return shoot_unstable, (TWProblem(gamma, rh_speed(u_minus, u_plus), u_minus),
+                            u_minus, u_plus)
+
+
+@st.composite
+def _saddle_saddle_shots(draw):
+    """(shoot, args): a scalar locus point with u_+ times one of
+    U_PLUS_FACTORS, or a p-system locus point in one of the four
+    quadrants."""
+    if draw(st.booleans()):
+        p = _psys_point(draw(st.floats(-0.99, -0.51)), draw(st.floats(0.5, 4.0)),
+                        draw(st.sampled_from(PSYS_QUADRANTS)))
+        return psystem.psys_shoot, (p,)
+    gamma = draw(st.floats(0.05, 0.6))
+    p = locus_point(0.5 + draw(st.floats(0.05, 0.95)) * (a_tilde(gamma) - 0.5),
+                    gamma, draw(st.sampled_from(Branch)))
+    up = p.u_plus * draw(st.sampled_from(U_PLUS_FACTORS))
+    assume(rh_speed(p.u_minus, up) > 0.0)
+    return _scalar_shot(gamma, p.u_minus, up)
+
+
+def _recorded_shot(shoot, args):
+    """shoot(*args), and the (form, u_from, u_to, vmax) of the saddle-saddle
+    shot it ran."""
+    original, seen = phaseplane.shoot_saddle_connection, []
+
+    def record(form, u_from, u_to, vmax=phaseplane.V_BOX):
+        seen.append((form, u_from, u_to, vmax))
+        return original(form, u_from, u_to, vmax)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phaseplane, "shoot_saddle_connection", record)
+        mp.setattr(psystem, "shoot_saddle_connection", record)
+        res = shoot(*args)
+    return res, seen[0]
+
+
+def _arc_by_arc(form, u_from, u_to, vmax):
+    """(verdict, last u) of the saddle-saddle shot whose two arcs each march
+    alone, decided in this order: the forward arc's fold or divergence, then
+    the backward arc's failure, then the matching defect."""
+    umid = 0.5 * (u_from + u_to)
+    arcs = []
+    for u_s, toward, lam in _shot_saddles(form, u_from, u_to):
+        ((status, u, v),), _ = phaseplane._march(
+            form, [phaseplane._launch(form, u_s, toward, lam)], umid, vmax)
+        arcs.append((status, u, v))
+        if status != "ok":
+            break
+    status, uf, vf = arcs[0]
+    if status == "fold":
+        return (Verdict.MISSES_ABOVE if u_to < u_from else Verdict.MISSES_BELOW,
+                uf[-1])
+    if status != "ok" or arcs[1][0] != "ok":
+        return Verdict.DIVERGES, uf[-1]
+    _, ub, vb = arcs[1]
+    defect = vf[-1] - vb[-1]
+    lam_u = eigenvalues(u_from, form)[0]
+    if abs(defect) < CONNECTION_TOL * max(1.0, abs(u_to - u_from)
+                                          * (abs(lam_u) + abs(form.T))):
+        return Verdict.CONNECTS, ub[0]
+    return (Verdict.MISSES_ABOVE if defect > 0 else Verdict.MISSES_BELOW), ub[0]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shot=_saddle_saddle_shots())
+@example(shot=_scalar_shot(GAMMA, *BACKWARD_FOLDS))
+def test_the_joint_march_decides_as_arc_by_arc_marches(shot):
+    # both arcs march as one system; when the backward one stops first, the
+    # forward one is finished alone, so its fold or divergence still decides
+    # first, and the orbit ends where the arc-by-arc orbit ends
+    try:
+        res, (form, u_from, u_to, vmax) = _recorded_shot(*shot)
+    except DomainError:  # a perturbed end that is not a saddle
+        assume(False)
+    verdict, last_u = _arc_by_arc(form, u_from, u_to, vmax)
+    assert res.verdict is verdict
+    assert res.trajectory[0, 1] == u_from + (SEED_OFFSET * max(1.0, abs(u_from))
+                                             * math.copysign(1.0, u_to - u_from))
+    assert res.trajectory[-1, 1] == pytest.approx(last_u, abs=1e-6)
+
+
 def _invariance_residual(form, u_s, toward, lam, p_scale):
     """|phi*phi' - T*phi - P| at the launch point of the shot from u_s
     toward ``toward``, over the size of its terms; ``p_scale(u)`` bounds the
@@ -586,8 +754,18 @@ def test_eigenvalues_accurate_at_large_damping():
 def test_shot_budget_raises_typed_error(monkeypatch):
     monkeypatch.setattr(phaseplane, "MAX_NFEV", 50)
     p = locus_point(0.6, GAMMA, Branch.MINUS)
-    with pytest.raises(ShootingBudgetError, match="50 right-hand-side"):
+    with pytest.raises(ShootingBudgetError, match="50 right-hand-side") as err:
         shoot_unstable(TWProblem.from_kinetic_point(p), p.u_minus, p.u_plus)
+    # one budget for the march of both arcs; the message names the u that
+    # each arc reached on its way from its launch to the midpoint section
+    reached = re.fullmatch(r"DOP853 shot stopped at u = (\S+) of \[(\S+), (\S+)\], "
+                           r"u = (\S+) of \[(\S+), (\S+)\] after more than "
+                           r"50 right-hand-side evaluations", str(err.value))
+    umid = 0.5 * (p.u_minus + p.u_plus)
+    for u, start, end, saddle in [(*map(float, reached.groups()[:3]), p.u_minus),
+                                  (*map(float, reached.groups()[3:]), p.u_plus)]:
+        assert end == pytest.approx(umid, rel=1e-5)
+        assert abs(start - saddle) < abs(u - saddle) < abs(end - saddle)
     for T in (1.0, 1e3):  # DOP853 and BDF
         with pytest.raises(ShootingBudgetError):
             _lax_shot(0.4, (0.4 / T) ** 2)

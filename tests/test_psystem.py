@@ -157,6 +157,15 @@ def test_shoot_connects_at_large_states(b, A):
     assert res.terminal_distance < 1e-6
 
 
+def test_an_arc_that_rises_through_the_fold_floor_still_connects():
+    # states ~ 5e-6: both arcs launch at |w| = 8.3e-12, below the fold floor
+    # 1e-11, and rise through it to 1.1e-11 at the section; only a fall
+    # through the floor is a fold
+    res = psys_shoot(psys_locus(-0.7, 4e5))
+    assert abs(res.trajectory[:, 2]).min() < 1e-11 < abs(res.trajectory[:, 2]).max()
+    assert res.verdict is Verdict.CONNECTS
+
+
 @pytest.mark.parametrize("b,A", [(-0.6, 1e-5), (-0.55, 1e-8), (-0.8, 1e-40)])
 def test_shoot_judges_the_defect_on_the_scale_of_its_orbit(b, A):
     # |u_-| from 1.2e5 to 1.3e40: v ~ span^2, and the matching defect of the
